@@ -18,7 +18,7 @@ from .evaluation import (CvProtocol, EvaluationReport, evaluate, predict_proba,
                          train_logistic)
 from .infotheory import (ContingencyTable, RedundancyMatrix, RelevanceVector,
                          build_redundancy_matrix, build_relevance_vector,
-                         contingency, entropy, mutual_information)
+                         contingency, entropy, information_matrix, mutual_information)
 from .ingest import (ColumnSpec, Dataset, DiscretizationPolicy,
                      DiscretizedDataset, discretize, load_csv, load_schema,
                      parse_schema_text)
@@ -32,7 +32,7 @@ __all__ = [
     "ColumnSpec", "Dataset", "DiscretizationPolicy", "DiscretizedDataset",
     "discretize", "load_csv", "load_schema", "parse_schema_text",
     "ContingencyTable", "RedundancyMatrix", "RelevanceVector",
-    "contingency", "entropy", "mutual_information",
+    "contingency", "entropy", "mutual_information", "information_matrix",
     "build_redundancy_matrix", "build_relevance_vector",
     "QpProblem", "FeatureWeights", "estimate_alpha", "assemble", "solve",
     "rank", "project_simplex", "kkt_residual",

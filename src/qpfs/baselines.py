@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .infotheory import contingency, entropy, mutual_information
+from .infotheory import (build_relevance_vector, contingency, entropy,
+                         information_matrix, mutual_information)
 from .ingest import DiscretizedDataset
 from .qp import _as_matrix, _as_vector
 
@@ -23,8 +24,8 @@ class SelectionResult:
     """An ordered feature subset plus the score trace that produced it.
 
     ``scores`` is method-specific: the full per-feature score vector for
-    ranking selectors (MaxRel, Information Gain, ReliefF), the per-step
-    criterion values for greedy mRMR, and the winning merit for CFS.
+    ranking selectors (quadratic, MaxRel, Information Gain, ReliefF), the
+    per-step criterion values for greedy mRMR, and the winning merit for CFS.
     """
 
     method: str
@@ -39,14 +40,13 @@ class SelectionResult:
 
     def to_text(self, names: list[str]) -> str:
         lines = ["feature\tscore\trank"]
-        per_feature = self.scores.shape[0] == len(names)
         for pos, i in enumerate(self.selected, start=1):
-            if per_feature:
-                score = self.scores[i]
-            elif self.scores.shape[0] == len(self.selected):
+            if self.method == "mrmr":
                 score = self.scores[pos - 1]
+            elif self.method == "cfs":
+                score = self.scores[0]
             else:
-                score = self.scores[-1]
+                score = self.scores[i]
             lines.append(f"{names[i]}\t{format(float(score), '.12g')}\t{pos}")
         return "\n".join(lines) + "\n"
 
@@ -95,18 +95,9 @@ def max_rel(F, k: int) -> SelectionResult:
 
 
 def information_gain(data: DiscretizedDataset, k: int) -> SelectionResult:
-    """Top-k by I(y; x_i), computed from the data directly.
-
-    Same estimator as the relevance vector, reached through a second call
-    path; the two score vectors must agree exactly.
-    """
+    """Top-k by I(y; x_i): the relevance vector's values, ranked."""
     _check_k(k, data.n_features)
-    if data.target.min() == data.target.max():
-        raise DataError("single-label target")
-    scores = np.array([
-        mutual_information(contingency(data.feature_codes[:, j], data.target))
-        for j in range(data.n_features)
-    ])
+    scores = build_relevance_vector(data).values
     return SelectionResult(method="infogain", selected=_top_k_by_score(scores, k),
                            scores=scores, k=k)
 
@@ -173,7 +164,7 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int = 10,
 # ---------------------------------------------------------------------------
 
 def symmetric_uncertainty(codes_a, codes_b) -> float:
-    """2*I(a;b) / (H(a)+H(b)), with 0/0 defined as 0."""
+    """2*I(a;b) / (H(a)+H(b)), with 0/0 defined as 0 (the per-pair form of ``cfs``'s SU)."""
     ha = entropy(codes_a)
     hb = entropy(codes_b)
     if ha + hb == 0.0:
@@ -204,19 +195,16 @@ def cfs(data: DiscretizedDataset, stall_limit: int = 5) -> SelectionResult:
     subset size is emergent, and ``selected`` keeps the order in which
     features entered the winning subset.
     """
-    codes = data.feature_codes
-    y = data.target
     m = data.n_features
     if m < 1:
         raise DataError("need at least one feature")
 
-    su_target = np.array([symmetric_uncertainty(codes[:, j], y) for j in range(m)])
-    su_pairs = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            su = symmetric_uncertainty(codes[:, i], codes[:, j])
-            su_pairs[i, j] = su
-            su_pairs[j, i] = su
+    info = information_matrix(np.column_stack([data.feature_codes, data.target]))
+    h = np.diag(info)
+    denom = h[:, None] + h[None, :]
+    su = np.divide(2.0 * info, denom, out=np.zeros_like(info), where=denom != 0.0)
+    np.fill_diagonal(su, 0.0)        # cfs_merit takes the sum minus the trace
+    su_target, su_pairs = su[:m, m], su[:m, :m]
 
     # Best-first over subsets; heap keys are (-merit, insertion counter).
     # The search frontier starts at the empty set's children (all singletons).

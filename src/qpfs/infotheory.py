@@ -2,9 +2,10 @@
 
 Everything is in bits (log base 2) and uses the maximum-likelihood
 frequency estimator with no smoothing; 0*log(0) terms contribute zero.
-The two aggregate products are the pairwise redundancy matrix (mutual
-information between every feature pair, entropies on the diagonal) and the
-relevance vector (mutual information between each feature and the class).
+One layer, ``information_matrix`` (H on the diagonal, pairwise MI off it),
+gives the redundancy matrix Q and CFS's symmetric uncertainty; the
+relevance vector F (also the Information Gain scores) applies the same
+per-pair estimator to each feature and the class.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def entropy(codes) -> float:
 class RedundancyMatrix:
     """Pairwise feature similarity: MI off the diagonal, entropy on it.
 
-    Symmetric by construction (each pair computed once, then mirrored).
+    Symmetric by construction (see ``information_matrix``).
     ``with_zero_diagonal`` supports the alternative objective reading where
     self-similarity is excluded.
     """
@@ -109,25 +110,33 @@ class RelevanceVector:
         return vector_to_text(self.values, self.feature_names)
 
 
-def build_redundancy_matrix(data: DiscretizedDataset) -> RedundancyMatrix:
-    """m x m matrix: off-diagonal MI between feature pairs, diagonal H(x_i).
+def information_matrix(codes) -> np.ndarray:
+    """p x p matrix over the columns of ``codes``: H on the diagonal, MI off it.
 
-    Exactly m(m-1)/2 pairwise MI computations; each entry is computed in
-    isolation and mirrored, so results do not depend on evaluation order.
+    Pairs i < j are tabulated with column i as the rows, so every entry equals
+    ``mutual_information(contingency(codes[:, i], codes[:, j]))`` exactly.
     """
-    codes = data.feature_codes
-    m = data.n_features
-    if m < 1:
-        raise DataError("need at least one feature")
-    values = np.zeros((m, m), dtype=float)
-    for i in range(m):
-        values[i, i] = entropy(codes[:, i])
-    for i in range(m):
-        for j in range(i + 1, m):
-            mij = mutual_information(contingency(codes[:, i], codes[:, j]))
-            values[i, j] = mij
-            values[j, i] = mij
-    return RedundancyMatrix(values=values, feature_names=list(data.feature_names))
+    codes = np.asarray(codes)
+    n, p = codes.shape
+    if n == 0 or p == 0:
+        raise DataError(f"need at least one row and one column, got {codes.shape}")
+    dense = [np.unique(codes[:, i], return_inverse=True)[1] for i in range(p)]
+    sizes = [int(d.max()) + 1 for d in dense]
+    values = np.zeros((p, p), dtype=float)
+    for i in range(p):
+        values[i, i] = entropy(dense[i])
+        for j in range(i + 1, p):
+            counts = np.bincount(dense[i] * sizes[j] + dense[j],
+                                 minlength=sizes[i] * sizes[j])
+            table = ContingencyTable(counts.reshape(sizes[i], sizes[j]), n)
+            values[i, j] = values[j, i] = mutual_information(table)
+    return values
+
+
+def build_redundancy_matrix(data: DiscretizedDataset) -> RedundancyMatrix:
+    """m x m matrix: off-diagonal MI between feature pairs, diagonal H(x_i)."""
+    return RedundancyMatrix(values=information_matrix(data.feature_codes),
+                            feature_names=list(data.feature_names))
 
 
 def build_relevance_vector(data: DiscretizedDataset) -> RelevanceVector:

@@ -73,6 +73,13 @@ def information_quantities(discretized: DiscretizedDataset, q_diagonal: str = "z
     return Q, F
 
 
+def quadratic_problem(discretized: DiscretizedDataset, config: SelectionConfig):
+    """Q, F, alpha (estimated unless the config fixes it) and the assembled QP."""
+    Q, F = information_quantities(discretized, config.q_diagonal)
+    alpha = config.alpha if config.alpha is not None else qp.estimate_alpha(Q, F)
+    return Q, F, alpha, qp.assemble(Q, F, alpha)
+
+
 def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
     """Run one selector on a dataset and return its full trace."""
     dd = discretize(data, config.policy)
@@ -85,21 +92,19 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
     Q = None
     F = None
 
-    if config.method in ("quadratic", "mrmr", "maxrel"):
-        Q, F = information_quantities(dd, config.q_diagonal)
-
     if config.method == "quadratic":
-        alpha = config.alpha if config.alpha is not None else qp.estimate_alpha(Q, F)
-        problem = qp.assemble(Q, F, alpha)
+        Q, F, alpha, problem = quadratic_problem(dd, config)
         weights = qp.solve(problem)
         selected = qp.rank(weights, config.k)
         result = baselines.SelectionResult(
             method="quadratic", selected=selected, scores=weights.x.copy(), k=config.k
         )
-    elif config.method == "mrmr":
-        result = baselines.mrmr_greedy(Q, F, config.k)
-    elif config.method == "maxrel":
-        result = baselines.max_rel(F, config.k)
+    elif config.method in ("mrmr", "maxrel"):
+        Q, F = information_quantities(dd, config.q_diagonal)
+        if config.method == "mrmr":
+            result = baselines.mrmr_greedy(Q, F, config.k)
+        else:
+            result = baselines.max_rel(F, config.k)
     elif config.method == "infogain":
         result = baselines.information_gain(dd, config.k)
     elif config.method == "relieff":
@@ -117,9 +122,7 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
 def inspect_quantities(data: Dataset, config: SelectionConfig) -> dict:
     """Deterministic dump of Q, F, alpha-hat, lambda_min, and psd_shift."""
     dd = discretize(data, config.policy)
-    Q, F = information_quantities(dd, config.q_diagonal)
-    alpha = config.alpha if config.alpha is not None else qp.estimate_alpha(Q, F)
-    problem = qp.assemble(Q, F, alpha)
+    Q, F, alpha, problem = quadratic_problem(dd, config)
     unshifted = problem.Q_eff - problem.psd_shift * np.eye(problem.m)
     lam_min = float(np.linalg.eigvalsh(unshifted)[0]) if problem.m else 0.0
     return {

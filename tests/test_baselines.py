@@ -119,7 +119,7 @@ class TestInformationGain:
         dd = random_discretized(rng, n=200, m=6)
         res = information_gain(dd, 3)
         F = build_relevance_vector(dd)
-        assert np.array_equal(res.scores, F.values)   # same estimator, two paths
+        assert np.array_equal(res.scores, F.values)
 
     def test_selection_identical_to_max_rel(self):
         rng = np.random.default_rng(5)
@@ -233,6 +233,30 @@ class TestCfs:
         same = truncate_selection(res, res.k)
         assert not same.truncated
 
+    @pytest.mark.parametrize("constant_columns", [False, True])
+    def test_su_from_information_matrix_equals_pairwise_loop(self, monkeypatch,
+                                                             constant_columns):
+        dd = self.build_instance(np.random.default_rng(13), n=200)
+        codes = dd.feature_codes.copy()
+        if constant_columns:
+            codes[:, 3:5] = 7                # SU of two constants is 0/0, defined as 0
+        seen = []
+
+        def spy(subset, su_target, su_pairs):
+            seen.append((su_target, su_pairs))
+            return cfs_merit(subset, su_target, su_pairs)
+
+        monkeypatch.setattr("qpfs.baselines.cfs_merit", spy)
+        cfs(make_dd(codes, dd.target))
+        su_t = np.array([symmetric_uncertainty(codes[:, j], dd.target) for j in range(6)])
+        su_p = np.zeros((6, 6))
+        for i in range(6):
+            for j in range(i + 1, 6):
+                su_p[i, j] = su_p[j, i] = symmetric_uncertainty(codes[:, i], codes[:, j])
+        su_target, su_pairs = seen[0]
+        assert np.array_equal(su_target, su_t)
+        assert np.array_equal(su_pairs, su_p)
+
     def test_symmetric_uncertainty_zero_over_zero(self):
         assert symmetric_uncertainty([0, 0, 0], [1, 1, 1]) == 0.0
 
@@ -241,6 +265,23 @@ class TestSelectionResult:
     def test_duplicates_rejected(self):
         with pytest.raises(DataError):
             SelectionResult("m", [1, 1], np.zeros(2), 2)
+
+    def test_to_text_mrmr_prints_step_scores_in_pick_order(self):
+        # k = m, so the per-step trace has one entry per feature
+        Q = np.array([[0.0, 0.1, 0.8, 0.1],
+                      [0.1, 0.0, 0.1, 0.1],
+                      [0.8, 0.1, 0.0, 0.1],
+                      [0.1, 0.1, 0.1, 0.0]])
+        F = np.array([0.3, 0.2, 0.9, 0.5])
+        res = mrmr_greedy(Q, F, 4)
+        assert res.selected == [2, 3, 1, 0]
+        lines = res.to_text(["a", "b", "c", "d"]).strip().split("\n")[1:]
+        for pos, (line, i) in enumerate(zip(lines, res.selected)):
+            assert line == f"{'abcd'[i]}\t{format(res.scores[pos], '.12g')}\t{pos + 1}"
+
+    def test_to_text_cfs_prints_the_merit(self):
+        res = SelectionResult("cfs", [1, 0], np.array([0.6]), 2)
+        assert res.to_text(["a", "b"]) == "feature\tscore\trank\nb\t0.6\t1\na\t0.6\t2\n"
 
     def test_to_text_per_feature_scores(self):
         res = SelectionResult("maxrel", [1, 0], np.array([0.2, 0.7]), 2)

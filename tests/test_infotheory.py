@@ -6,7 +6,8 @@ import pytest
 from qpfs.errors import DataError
 from qpfs.infotheory import (ContingencyTable, RedundancyMatrix, build_redundancy_matrix,
                              build_relevance_vector, contingency, entropy,
-                             matrix_to_text, mutual_information, vector_to_text)
+                             information_matrix, matrix_to_text, mutual_information,
+                             vector_to_text)
 from qpfs.ingest import DiscretizationPolicy, DiscretizedDataset
 
 from conftest import brute_force_mi_bits, random_discretized
@@ -122,7 +123,59 @@ class TestEstimatorProperties:
                 base, abs=1e-12)
 
 
+def pairwise_oracle(codes) -> np.ndarray:
+    """The per-pair loop: entropy on the diagonal, MI with column i as rows above it."""
+    p = codes.shape[1]
+    out = np.zeros((p, p))
+    for i in range(p):
+        out[i, i] = entropy(codes[:, i])
+        for j in range(i + 1, p):
+            out[i, j] = out[j, i] = mutual_information(
+                contingency(codes[:, i], codes[:, j]))
+    return out
+
+
+def _with_target_last(rng):
+    dd = random_discretized(rng, n=300, m=5)
+    return np.column_stack([dd.feature_codes, dd.target])
+
+
+def _sparse_codes(rng):
+    # non-contiguous and negative code sets, plus one constant column
+    return np.stack([rng.choice([-4, 3, 17], 120), rng.choice([2, 5, 11, 40], 120),
+                     np.full(120, 9), rng.choice([0, 100], 120)], axis=1)
+
+
+INFORMATION_CASES = {
+    "latent-factor": lambda rng: random_discretized(rng, n=200, m=7).feature_codes,
+    "non-contiguous-and-constant": _sparse_codes,
+    "single-column": lambda rng: rng.integers(0, 5, (90, 1)),
+    "target-last": _with_target_last,
+}
+
+
 class TestRedundancyMatrix:
+    @pytest.mark.parametrize("case", sorted(INFORMATION_CASES))
+    def test_information_matrix_equals_pairwise_oracle_exactly(self, case):
+        codes = INFORMATION_CASES[case](np.random.default_rng(21))
+        info = information_matrix(codes)
+        assert np.array_equal(info, pairwise_oracle(codes))
+        assert np.array_equal(info, info.T)
+        dd = make_dd(codes, np.arange(codes.shape[0]) % 2)
+        assert np.array_equal(build_redundancy_matrix(dd).values, info)
+
+    def test_target_column_holds_relevance_exactly(self):
+        codes = _with_target_last(np.random.default_rng(22))
+        dd = make_dd(codes[:, :-1], codes[:, -1])
+        info = information_matrix(codes)
+        assert np.array_equal(build_relevance_vector(dd).values, info[:-1, -1])
+
+    def test_information_matrix_rejects_empty(self):
+        with pytest.raises(DataError):
+            information_matrix(np.zeros((0, 3), dtype=int))
+        with pytest.raises(DataError):
+            information_matrix(np.zeros((4, 0), dtype=int))
+
     def test_single_feature_holds_entropy(self):
         dd = make_dd([[0], [1], [0], [1]], [0, 1, 0, 1])
         Q = build_redundancy_matrix(dd)
