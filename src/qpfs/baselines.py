@@ -16,7 +16,7 @@ from .errors import DataError
 from .infotheory import (build_relevance_vector, contingency, entropy,
                          information_matrix, mutual_information)
 from .ingest import DiscretizedDataset
-from .qp import _as_matrix, _as_vector
+from .qp import _as_matrix, _as_vector, _check_k, ranking_of
 
 
 @dataclass
@@ -51,17 +51,6 @@ class SelectionResult:
         return "\n".join(lines) + "\n"
 
 
-def _top_k_by_score(scores: np.ndarray, k: int) -> list[int]:
-    idx = np.arange(scores.shape[0])
-    order = idx[np.lexsort((idx, -scores))]
-    return [int(i) for i in order[:k]]
-
-
-def _check_k(k: int, m: int) -> None:
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1, {m}], got {k}")
-
-
 def mrmr_greedy(Q, F, k: int) -> SelectionResult:
     """Greedy minimal-redundancy / maximal-relevance selection.
 
@@ -90,7 +79,7 @@ def max_rel(F, k: int) -> SelectionResult:
     """Top-k by relevance alone."""
     Fv = _as_vector(F)
     _check_k(k, Fv.shape[0])
-    return SelectionResult(method="maxrel", selected=_top_k_by_score(Fv, k),
+    return SelectionResult(method="maxrel", selected=ranking_of(Fv)[:k].tolist(),
                            scores=Fv.copy(), k=k)
 
 
@@ -98,11 +87,11 @@ def information_gain(data: DiscretizedDataset, k: int) -> SelectionResult:
     """Top-k by I(y; x_i): the relevance vector's values, ranked."""
     _check_k(k, data.n_features)
     scores = build_relevance_vector(data).values
-    return SelectionResult(method="infogain", selected=_top_k_by_score(scores, k),
+    return SelectionResult(method="infogain", selected=ranking_of(scores)[:k].tolist(),
                            scores=scores, k=k)
 
 
-def relieff(data: DiscretizedDataset, k: int, n_neighbors: int = 10,
+def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
             n_iterations: int | None = None, seed: int = 0) -> SelectionResult:
     """ReliefF weights with Hamming distance on the discretized codes.
 
@@ -155,7 +144,7 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int = 10,
                     miss_update += factor * diffs[near].mean(axis=0)
         weights += (miss_update - hit_update) / visit.size
 
-    return SelectionResult(method="relieff", selected=_top_k_by_score(weights, k),
+    return SelectionResult(method="relieff", selected=ranking_of(weights)[:k].tolist(),
                            scores=weights, k=k)
 
 

@@ -1,14 +1,24 @@
 """Command-line front end.
 
-Subcommands: fetch, select, evaluate, reproduce, inspect.  Every flag can
-also be given in a flat key-value config file (``--config``); explicit
-flags win over config values, which win over defaults.  Exit codes: 0
+Subcommands: fetch, select, evaluate, reproduce, inspect.  Exit codes: 0
 success, 2 configuration error, 3 data error, 4 numerical failure.
+
+Every setting has one home.  Selection settings take their defaults from
+``SelectionConfig`` and ``DiscretizationPolicy``, evaluation settings from
+``CvProtocol``; the CLI builds those objects from the values a run sets
+and repeats none of their defaults.  A run sets values with flags and with
+a flat ``key = value`` config file (``--config``) whose keys are the flag
+names with ``_`` for ``-`` (``cv_seed = 3``).  Each config value is
+converted and checked by its flag's own argparse action (type, choices,
+``true``/``false`` for a switch), and flags win over the file.  A key that
+no subcommand defines is an error; a key that only other subcommands
+define is skipped, so one file can serve every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -16,13 +26,14 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DataError, NumericalError, QpfsError
-from .evaluation import (CONVENTIONS, CvProtocol, format_delta_table,
+from .evaluation import (CONVENTIONS, ENCODINGS, CvProtocol, format_delta_table,
                          format_report_table, reports_to_json)
 from .fetch import SOURCES, fetch_dataset
-from .ingest import (DiscretizationPolicy, Dataset, load_csv, load_schema,
-                     parse_schema_text)
-from .pipeline import (METHODS, Q_DIAGONALS, SelectionConfig, inspect_quantities,
-                       reference_results, reproduce_tables, select_features)
+from .ingest import (METHODS_DISCRETIZE, MISSING_POLICIES, DiscretizationPolicy,
+                     Dataset, load_csv, load_schema, parse_schema_text)
+from .pipeline import (METHODS, Q_DIAGONALS, SelectionConfig, evaluate_method,
+                       inspect_quantities, reference_results, reproduce_tables,
+                       select_features)
 from .qp import weights_to_text
 
 EXIT_OK = 0
@@ -30,9 +41,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
+DATA_DIR = "data"                  # where `qpfs fetch` puts the built-in datasets
+SWITCH_VALUES = {"true": True, "yes": True, "1": True,
+                 "false": False, "no": False, "0": False}
+
 
 # ---------------------------------------------------------------------------
-# Config file and flag merging
+# Config file
 # ---------------------------------------------------------------------------
 
 def read_config_file(path) -> dict[str, str]:
@@ -53,36 +68,37 @@ def read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, value: str):
-    as_int = ("k", "bins", "folds", "cv_seed", "seed", "relieff_neighbors",
-              "relieff_iterations")
-    as_float = ("alpha", "ridge")
-    as_bool = ("header", "strict", "force", "stratified")
-    if key in as_int:
-        return int(value)
-    if key in as_float:
-        return float(value)
-    if key in as_bool:
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"config key {key!r}: expected a boolean, got {value!r}")
+def _convert(action: argparse.Action, text: str):
+    """A config value as the flag's action would store it."""
+    if action.nargs == 0:                  # a switch
+        if text.lower() not in SWITCH_VALUES:
+            raise ValueError(f"expected true or false, got {text!r}")
+        return SWITCH_VALUES[text.lower()]
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice {value!r}"
+                         f" (choose from {', '.join(map(repr, action.choices))})")
     return value
 
 
-def merged_option(args, config: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
+def config_options(parser: argparse.ArgumentParser, command: str, path) -> dict:
+    """The values a config file sets for ``command``, converted by its flags."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    settings = {name: {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+                for name, sub in subparsers.choices.items()}
+    options = {}
+    for key, text in read_config_file(path).items():
+        action = settings[command].get(key)
+        if action is None:
+            if not any(key in actions for actions in settings.values()):
+                raise ConfigError(f"{path}: unknown config key {key!r}")
+            continue                       # another subcommand's setting
         try:
-            return _coerce(key, config[key])
+            options[key] = _convert(action, text)
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
+            raise ConfigError(f"{path}: config key {key!r}: {exc}") from None
+    return options
 
 
 # ---------------------------------------------------------------------------
@@ -93,59 +109,53 @@ def packaged_schema_text(name: str) -> str:
     return resources.files("qpfs.data").joinpath(f"{name}.schema").read_text()
 
 
-def resolve_dataset(args, config) -> Dataset:
-    name = merged_option(args, config, "name")
-    data_path = merged_option(args, config, "data")
-    schema_path = merged_option(args, config, "schema")
-    data_dir = merged_option(args, config, "data_dir", "data")
-
-    if name is not None and name not in SOURCES:
-        raise ConfigError(f"unknown dataset name {name!r}; expected one of {sorted(SOURCES)}")
+def resolve_dataset(options: dict) -> Dataset:
+    """``--data`` with ``--schema``, or the built-in ``--name`` from ``--data-dir``."""
+    name = options.get("name")
+    data_path = options.get("data")
     if data_path is None:
         if name is None:
             raise ConfigError("give --data/--schema paths or --name german|australian")
-        data_path = Path(data_dir) / SOURCES[name].filename
-    if schema_path is not None:
-        schema = load_schema(schema_path)
+        data_path = Path(options.get("data_dir", DATA_DIR)) / SOURCES[name].filename
+        if not data_path.exists():
+            raise DataError(
+                f"dataset file {data_path} not found; run `qpfs fetch` or place it there"
+            )
+    if "schema" in options:
+        schema = load_schema(options["schema"])
     elif name is not None:
         schema = parse_schema_text(packaged_schema_text(name), source=f"<packaged {name}>")
     else:
         raise ConfigError("a --schema file is required with --data")
 
-    delimiter = merged_option(args, config, "delimiter",
-                              "whitespace" if name is not None else ",")
-    delimiter = None if delimiter == "whitespace" else delimiter
-    header = bool(merged_option(args, config, "header", False))
-    return load_csv(data_path, schema, delimiter=delimiter, header=header,
+    delimiter = options.get("delimiter", "whitespace" if name is not None else ",")
+    return load_csv(data_path, schema,
+                    delimiter=None if delimiter == "whitespace" else delimiter,
+                    header=options.get("header", False),
                     name=name or Path(data_path).stem)
 
 
-def resolve_selection_config(args, config) -> SelectionConfig:
-    policy = DiscretizationPolicy(
-        method=merged_option(args, config, "binning", "equal-frequency"),
-        n_bins=int(merged_option(args, config, "bins", 10)),
-        missing_policy=merged_option(args, config, "missing", "impute-median"),
-    )
-    relieff_iterations = merged_option(args, config, "relieff_iterations")
-    return SelectionConfig(
-        method=merged_option(args, config, "method", "quadratic"),
-        k=int(merged_option(args, config, "k", 5)),
-        policy=policy,
-        alpha=merged_option(args, config, "alpha"),
-        q_diagonal=merged_option(args, config, "q_diagonal", "zero"),
-        relieff_neighbors=int(merged_option(args, config, "relieff_neighbors", 10)),
-        relieff_iterations=relieff_iterations,
-        seed=int(merged_option(args, config, "seed", 0)),
-    )
+def _given(options: dict, *same: str, **renamed: str) -> dict:
+    """Keyword arguments, by field name, for the keys a run set.
+
+    ``same`` lists keys named like their field; ``renamed`` maps key to field.
+    """
+    fields = {**{key: key for key in same}, **renamed}
+    return {field: options[key] for key, field in fields.items() if key in options}
 
 
-def resolve_protocol(args, config) -> CvProtocol:
-    return CvProtocol(
-        n_folds=int(merged_option(args, config, "folds", 10)),
-        stratified=bool(merged_option(args, config, "stratified", True)),
-        seed=int(merged_option(args, config, "cv_seed", 20130101)),
-        encoding=merged_option(args, config, "encoding", "one-hot"),
-    )
+def resolve_selection_config(options: dict) -> SelectionConfig:
+    policy = DiscretizationPolicy(**_given(options, binning="method", bins="n_bins",
+                                           missing="missing_policy"))
+    return SelectionConfig(policy=policy, **_given(
+        options, "method", "k", "alpha", "q_diagonal", "relieff_neighbors",
+        "relieff_iterations", "seed"))
+
+
+def resolve_protocol(options: dict) -> CvProtocol:
+    return CvProtocol(**_given(options, "stratified", "encoding", "ridge",
+                               folds="n_folds", cv_seed="seed",
+                               error_convention="convention"))
 
 
 def _write(out_dir: Path, filename: str, text: str) -> Path:
@@ -159,19 +169,18 @@ def _write(out_dir: Path, filename: str, text: str) -> Path:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fetch(args, config) -> int:
-    data_dir = merged_option(args, config, "data_dir", "data")
-    only = merged_option(args, config, "only")
-    keys = [only] if only else sorted(SOURCES)
+def cmd_fetch(options: dict) -> int:
+    keys = [options["only"]] if "only" in options else sorted(SOURCES)
     for key in keys:
-        path = fetch_dataset(key, data_dir, force=bool(getattr(args, "force", False)))
+        path = fetch_dataset(key, options.get("data_dir", DATA_DIR),
+                             force=options.get("force", False))
         print(f"{key}: {path}")
     return EXIT_OK
 
 
-def cmd_select(args, config) -> int:
-    data = resolve_dataset(args, config)
-    sel_config = resolve_selection_config(args, config)
+def cmd_select(options: dict) -> int:
+    data = resolve_dataset(options)
+    sel_config = resolve_selection_config(options)
     output = select_features(data, sel_config)
     names = output.discretized.feature_names
 
@@ -182,80 +191,46 @@ def cmd_select(args, config) -> int:
     print(f"method = {output.result.method}, k = {output.result.k}")
     print(output.result.to_text(names), end="")
 
-    out_dir = merged_option(args, config, "out")
-    if out_dir is not None:
-        out_dir = Path(out_dir)
+    if "out" in options:
+        out_dir = Path(options["out"])
         _write(out_dir, "selection.txt", output.result.to_text(names))
         if output.weights is not None:
             _write(out_dir, "weights.txt", weights_to_text(output.weights, names))
     return EXIT_OK
 
 
-def cmd_evaluate(args, config) -> int:
-    from .evaluation import evaluate
+def cmd_evaluate(options: dict) -> int:
+    data = resolve_dataset(options)
+    sel_config = resolve_selection_config(options)
+    protocol = resolve_protocol(options)
+    strict = options.get("strict", False)
 
-    data = resolve_dataset(args, config)
-    sel_config = resolve_selection_config(args, config)
-    protocol = resolve_protocol(args, config)
-    ridge = float(merged_option(args, config, "ridge", 1e-6))
-    convention = merged_option(args, config, "error_convention", "bad-positive")
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown error convention {convention!r}")
-    strict = bool(merged_option(args, config, "strict", False))
-
-    output = select_features(data, sel_config)
-    strict_selector = None
-    if strict:
-        def strict_selector(train):
-            return select_features(train, sel_config).result.selected
-
-    report = evaluate(data, output.result.selected, protocol, ridge=ridge,
-                      convention=convention, method=sel_config.method,
-                      strict_selector=strict_selector)
+    report = evaluate_method(data, sel_config, protocol, strict)
     print(f"dataset = {report.dataset}, method = {report.method}, k = {report.k}")
     print(f"test_error  = {report.test_error:.3f}")
     print(f"type1_error = {report.type1_error:.3f}")
     print(f"type2_error = {report.type2_error:.3f}")
 
-    out_dir = merged_option(args, config, "out")
-    if out_dir is not None:
-        out_dir = Path(out_dir)
+    if "out" in options:
         payload = report.to_dict()
-        payload["protocol"] = {"n_folds": protocol.n_folds, "seed": protocol.seed,
-                               "stratified": protocol.stratified,
-                               "encoding": protocol.encoding, "ridge": ridge,
-                               "convention": convention, "strict": strict}
-        _write(out_dir, "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        payload["protocol"] = {**dataclasses.asdict(protocol), "strict": strict}
+        _write(Path(options["out"]), "report.json",
+               json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
-def cmd_reproduce(args, config) -> int:
-    data_dir = Path(merged_option(args, config, "data_dir", "data"))
-    only = merged_option(args, config, "only")
-    out_dir = Path(merged_option(args, config, "out", "qpfs_out"))
-    sel_config = resolve_selection_config(args, config)
-    protocol = resolve_protocol(args, config)
-    ridge = float(merged_option(args, config, "ridge", 1e-6))
-    convention = merged_option(args, config, "error_convention", "bad-positive")
-    strict = bool(merged_option(args, config, "strict", False))
+def cmd_reproduce(options: dict) -> int:
+    out_dir = Path(options.get("out", "qpfs_out"))
+    sel_config = resolve_selection_config(options)
+    protocol = resolve_protocol(options)
+    strict = options.get("strict", False)
 
-    keys = [only] if only else list(SOURCES)    # registry order: german first
+    keys = [options["only"]] if "only" in options else list(SOURCES)   # german first
     reference = reference_results()
-    datasets: dict[str, tuple[Dataset, int]] = {}
-    for key in keys:
-        if key not in SOURCES:
-            raise ConfigError(f"unknown dataset name {key!r}")
-        path = data_dir / SOURCES[key].filename
-        if not path.exists():
-            raise DataError(
-                f"dataset file {path} not found; run `qpfs fetch` or place it there"
-            )
-        schema = parse_schema_text(packaged_schema_text(key), source=f"<packaged {key}>")
-        datasets[key] = (load_csv(path, schema, delimiter=None, name=key),
-                         SOURCES[key].k_published)
+    datasets = {key: (resolve_dataset({**options, "name": key}), SOURCES[key].k_published)
+                for key in keys}
 
-    all_reports = reproduce_tables(datasets, sel_config, protocol, ridge=ridge,
-                                   convention=convention, strict=strict)
+    all_reports = reproduce_tables(datasets, sel_config, protocol, strict=strict)
 
     for key, reports in all_reports.items():
         table = format_report_table(key, datasets[key][1], reports)
@@ -267,17 +242,18 @@ def cmd_reproduce(args, config) -> int:
             print(delta)
             _write(out_dir, f"delta_{key}.txt", delta)
     run_info = {"seed": protocol.seed, "n_folds": protocol.n_folds,
-                "ridge": ridge, "convention": convention, "strict": strict,
-                "binning": sel_config.policy.method, "bins": sel_config.policy.n_bins,
-                "q_diagonal": sel_config.q_diagonal, "version": __version__}
+                "ridge": protocol.ridge, "convention": protocol.convention,
+                "strict": strict, "binning": sel_config.policy.method,
+                "bins": sel_config.policy.n_bins, "q_diagonal": sel_config.q_diagonal,
+                "version": __version__}
     _write(out_dir, "results.json", reports_to_json(all_reports, extras=run_info))
     print(f"artifacts written to {out_dir}/")
     return EXIT_OK
 
 
-def cmd_inspect(args, config) -> int:
-    data = resolve_dataset(args, config)
-    sel_config = resolve_selection_config(args, config)
+def cmd_inspect(options: dict) -> int:
+    data = resolve_dataset(options)
+    sel_config = resolve_selection_config(options)
     quantities = inspect_quantities(data, sel_config)
 
     print(f"alpha = {quantities['alpha']:.6f}")
@@ -287,9 +263,8 @@ def cmd_inspect(args, config) -> int:
     print()
     print(quantities["F"].to_text(), end="")
 
-    out_dir = merged_option(args, config, "out")
-    if out_dir is not None:
-        out_dir = Path(out_dir)
+    if "out" in options:
+        out_dir = Path(options["out"])
         _write(out_dir, "Q.txt", quantities["Q"].to_text())
         _write(out_dir, "F.txt", quantities["F"].to_text())
         summary = {
@@ -306,6 +281,9 @@ def cmd_inspect(args, config) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+# Flags carry no defaults (argument_default=SUPPRESS): the parsed namespace
+# holds only what the command line set, so config values can fill the rest
+# and the config dataclasses supply every default.
 
 def _add_dataset_flags(sub):
     sub.add_argument("--name", choices=sorted(SOURCES), help="built-in dataset name")
@@ -313,8 +291,7 @@ def _add_dataset_flags(sub):
     sub.add_argument("--schema", help="path to a schema file")
     sub.add_argument("--data-dir", dest="data_dir", help="directory with fetched datasets")
     sub.add_argument("--delimiter", help="cell delimiter, or 'whitespace'")
-    sub.add_argument("--header", action="store_const", const=True, default=None,
-                     help="first row is a header")
+    sub.add_argument("--header", action="store_true", help="first row is a header")
 
 
 def _add_selection_flags(sub):
@@ -322,9 +299,9 @@ def _add_selection_flags(sub):
     sub.add_argument("--k", type=int, help="selection size")
     sub.add_argument("--alpha", type=float, help="override the estimated alpha")
     sub.add_argument("--q-diagonal", dest="q_diagonal", choices=Q_DIAGONALS)
-    sub.add_argument("--binning", choices=("equal-frequency", "equal-width"))
+    sub.add_argument("--binning", choices=METHODS_DISCRETIZE)
     sub.add_argument("--bins", type=int, help="bins for continuous features")
-    sub.add_argument("--missing", choices=("impute-median", "impute-mode", "drop-row"))
+    sub.add_argument("--missing", choices=MISSING_POLICIES)
     sub.add_argument("--relieff-neighbors", dest="relieff_neighbors", type=int)
     sub.add_argument("--relieff-iterations", dest="relieff_iterations", type=int)
     sub.add_argument("--seed", type=int, help="selector seed (ReliefF sampling)")
@@ -332,12 +309,15 @@ def _add_selection_flags(sub):
 
 def _add_protocol_flags(sub):
     sub.add_argument("--folds", type=int)
+    sub.add_argument("--stratified", action=argparse.BooleanOptionalAction,
+                     help="keep each fold's class balance (default) or deal rows"
+                          " to folds regardless of class")
     sub.add_argument("--cv-seed", dest="cv_seed", type=int)
-    sub.add_argument("--encoding", choices=("one-hot", "code-as-ordinal"))
+    sub.add_argument("--encoding", choices=ENCODINGS)
     sub.add_argument("--ridge", type=float)
     sub.add_argument("--error-convention", dest="error_convention",
                      choices=CONVENTIONS)
-    sub.add_argument("--strict", action="store_const", const=True, default=None,
+    sub.add_argument("--strict", action="store_true",
                      help="re-select features inside each training fold")
 
 
@@ -350,43 +330,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qpfs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fetch", help="download the UCI credit datasets")
+    def subcommand(name, func, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = subcommand("fetch", cmd_fetch, "download the UCI credit datasets")
     p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--only", choices=sorted(SOURCES))
-    p.add_argument("--force", action="store_const", const=True, default=None)
+    p.add_argument("--force", action="store_true")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_fetch)
 
-    p = sub.add_parser("select", help="rank and select features")
+    p = subcommand("select", cmd_select, "rank and select features")
     _add_dataset_flags(p)
     _add_selection_flags(p)
     p.add_argument("--out", help="directory for selection artifacts")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("evaluate", help="cross-validated error rates for a selection")
+    p = subcommand("evaluate", cmd_evaluate, "cross-validated error rates for a selection")
     _add_dataset_flags(p)
     _add_selection_flags(p)
     _add_protocol_flags(p)
     p.add_argument("--out")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("reproduce", help="regenerate both benchmark tables")
+    p = subcommand("reproduce", cmd_reproduce, "regenerate both benchmark tables")
     p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--only", choices=sorted(SOURCES))
     p.add_argument("--out")
     _add_selection_flags(p)
     _add_protocol_flags(p)
     p.add_argument("--config")
-    p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("inspect", help="dump Q, F, alpha, and solver diagnostics")
+    p = subcommand("inspect", cmd_inspect, "dump Q, F, alpha, and solver diagnostics")
     _add_dataset_flags(p)
     _add_selection_flags(p)
     p.add_argument("--out")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_inspect)
 
     return parser
 
@@ -394,9 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    options = vars(args)
     try:
-        config = read_config_file(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        if "config" in options:
+            options = {**config_options(parser, args.command, options["config"]),
+                       **options}
+        return args.func(options)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

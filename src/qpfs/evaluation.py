@@ -24,18 +24,33 @@ CONVENTIONS = ("bad-positive", "good-positive")
 
 @dataclass(frozen=True)
 class CvProtocol:
-    """Cross-validation settings; the seed fixes the fold assignment."""
+    """Everything a cross-validated evaluation needs besides the data.
+
+    ``seed`` fixes the fold assignment; ``stratified`` deals each class
+    round-robin over the folds.  ``encoding`` turns categorical columns
+    into the design matrix, ``ridge`` is the logistic fit's L2 penalty
+    (intercept excluded), and ``convention`` names the positive class that
+    Type I and Type II errors are read against (see ``CONVENTIONS``).
+    These fields are the only home of the defaults; the CLI passes on just
+    the values a run sets.
+    """
 
     n_folds: int = 10
     stratified: bool = True
     seed: int = 20130101
     encoding: str = "one-hot"
+    ridge: float = 1e-6
+    convention: str = "bad-positive"
 
     def __post_init__(self):
         if self.n_folds < 2:
             raise ConfigError("n_folds must be >= 2")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"unknown encoding {self.encoding!r}")
+        if not 0.0 <= self.ridge < float("inf"):
+            raise ConfigError(f"ridge must be finite and non-negative, got {self.ridge}")
+        if self.convention not in CONVENTIONS:
+            raise ConfigError(f"unknown error convention {self.convention!r}")
 
 
 @dataclass
@@ -174,7 +189,8 @@ class DesignEncoder:
     Categories unseen in training encode to all zeros.
     """
 
-    def __init__(self, data: Dataset, selected: list[int], encoding: str = "one-hot"):
+    def __init__(self, data: Dataset, selected: list[int],
+                 encoding: str = CvProtocol.encoding):
         self.specs = [data.feature_columns[i] for i in selected]
         self.col_idx = [data.column_index(s.name) for s in self.specs]
         self.encoding = encoding
@@ -247,7 +263,7 @@ class DesignEncoder:
 # ---------------------------------------------------------------------------
 
 def fold_assignment(row_ids: np.ndarray, labels: np.ndarray, n_folds: int,
-                    seed: int, stratified: bool = True) -> dict[int, int]:
+                    seed: int, stratified: bool = CvProtocol.stratified) -> dict[int, int]:
     """Map stable row key -> fold, independent of current row order.
 
     Keys are processed in sorted order per class and dealt round-robin
@@ -283,7 +299,6 @@ def _confusion_rates(y_true: np.ndarray, y_pred: np.ndarray,
 
 
 def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = None,
-             ridge: float = 1e-6, convention: str = "bad-positive",
              method: str = "", strict_selector=None) -> EvaluationReport:
     """Cross-validated error rates for a feature subset.
 
@@ -293,8 +308,6 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
     ``selected``.
     """
     protocol = protocol or CvProtocol()
-    if convention not in CONVENTIONS:
-        raise DataError(f"unknown error convention {convention!r}")
     if not selected:
         raise DataError("empty feature selection")
 
@@ -325,9 +338,9 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
         encoder.fit(data, train_pos)
         X_train = encoder.transform(data, train_pos)
         X_test = encoder.transform(data, test_pos)
-        beta = train_logistic(X_train, y[train_pos], ridge=ridge)
+        beta = train_logistic(X_train, y[train_pos], ridge=protocol.ridge)
         pred = (predict_proba(X_test, beta) > 0.5).astype(int)
-        per_fold.append(_confusion_rates(y[test_pos], pred, convention))
+        per_fold.append(_confusion_rates(y[test_pos], pred, protocol.convention))
 
     triples = np.array(per_fold)
     return EvaluationReport(

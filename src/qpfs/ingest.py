@@ -19,6 +19,7 @@ class 1 (the "bad" / non-creditworthy class in the credit datasets).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,7 +227,9 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
 
     ``delimiter=None`` splits on arbitrary whitespace (the UCI originals are
     space-delimited).  Rows keep file order; "?" and empty cells are
-    recorded as missing, not dropped.
+    recorded as missing, not dropped.  A continuous cell must parse to a
+    finite number: "nan", "inf" and overflowing values such as "1e999" are
+    rejected with the file, line and column.
     """
     path = Path(path)
     try:
@@ -256,12 +259,15 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
                 continue
             if spec.kind == "continuous":
                 try:
-                    row.append(float(cell))
+                    value = float(cell)
+                    if not math.isfinite(value):
+                        raise ValueError(cell)
                 except ValueError:
                     raise DataError(
-                        f"{path}, line {lineno}: non-numeric value {cell!r} in"
-                        f" continuous column {spec.name!r}"
+                        f"{path}, line {lineno}: non-numeric or non-finite value"
+                        f" {cell!r} in continuous column {spec.name!r}"
                     ) from None
+                row.append(value)
             else:
                 row.append(cell)
         rows.append(tuple(row))

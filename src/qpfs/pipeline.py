@@ -64,7 +64,7 @@ class SelectionOutput:
     problem: qp.QpProblem | None
 
 
-def information_quantities(discretized: DiscretizedDataset, q_diagonal: str = "zero"):
+def information_quantities(discretized: DiscretizedDataset, q_diagonal: str):
     """Redundancy matrix (with the requested diagonal) and relevance vector."""
     Q = infotheory.build_redundancy_matrix(discretized)
     if q_diagonal == "zero":
@@ -146,31 +146,34 @@ def reference_results() -> dict:
         return json.load(fh)
 
 
+def evaluate_method(data: Dataset, config: SelectionConfig, protocol: CvProtocol,
+                    strict: bool = False) -> EvaluationReport:
+    """Select features with ``config`` and cross-validate the selection.
+
+    Under ``strict`` the same config re-selects inside every training fold
+    from the training rows alone (the leakage-free variant).
+    """
+    output = select_features(data, config)
+    strict_selector = None
+    if strict:
+        def strict_selector(train):
+            return select_features(train, config).result.selected
+    return evaluate(data, output.result.selected, protocol, method=config.method,
+                    strict_selector=strict_selector)
+
+
 def run_method_suite(data: Dataset, k: int, base_config: SelectionConfig,
-                     protocol: CvProtocol, ridge: float = 1e-6,
-                     convention: str = "bad-positive",
-                     strict: bool = False,
+                     protocol: CvProtocol, strict: bool = False,
                      methods: tuple = METHODS) -> dict[str, EvaluationReport]:
     """Evaluate every selector at the same k under one protocol."""
-    reports: dict[str, EvaluationReport] = {}
-    for method in methods:
-        config = replace(base_config, method=method, k=k)
-        output = select_features(data, config)
-        strict_selector = None
-        if strict:
-            def strict_selector(train, _cfg=config):
-                return select_features(train, _cfg).result.selected
-        reports[method] = evaluate(
-            data, output.result.selected, protocol, ridge=ridge,
-            convention=convention, method=method, strict_selector=strict_selector,
-        )
-    return reports
+    return {method: evaluate_method(data, replace(base_config, method=method, k=k),
+                                    protocol, strict)
+            for method in methods}
 
 
 def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
                      base_config: SelectionConfig | None = None,
                      protocol: CvProtocol | None = None,
-                     ridge: float = 1e-6, convention: str = "bad-positive",
                      strict: bool = False) -> dict[str, dict[str, EvaluationReport]]:
     """Run every method on every dataset at its table's selection size.
 
@@ -182,10 +185,5 @@ def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
     protocol = protocol or CvProtocol()
     if not datasets:
         raise DataError("no datasets to reproduce")
-    all_reports: dict[str, dict[str, EvaluationReport]] = {}
-    for name, (data, k) in datasets.items():
-        all_reports[name] = run_method_suite(
-            data, k, base_config, protocol, ridge=ridge,
-            convention=convention, strict=strict,
-        )
-    return all_reports
+    return {name: run_method_suite(data, k, base_config, protocol, strict)
+            for name, (data, k) in datasets.items()}

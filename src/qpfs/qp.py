@@ -402,12 +402,15 @@ def ranking_of(x: np.ndarray) -> np.ndarray:
     return idx[np.lexsort((idx, -np.asarray(x)))]
 
 
-def rank(weights: FeatureWeights, k: int) -> list[int]:
-    """Top-k feature indices from a solved problem."""
-    m = weights.x.shape[0]
+def _check_k(k: int, m: int) -> None:
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    return [int(i) for i in weights.ranking[:k]]
+
+
+def rank(weights: FeatureWeights, k: int) -> list[int]:
+    """Top-k feature indices from a solved problem."""
+    _check_k(k, weights.x.shape[0])
+    return weights.ranking[:k].tolist()
 
 
 def weights_to_text(weights: FeatureWeights, names: list[str]) -> str:

@@ -107,6 +107,13 @@ class TestSelect:
         assert code == EXIT_OK
         assert len([l for l in out.splitlines() if "\t" in l]) == 3
 
+    def test_named_dataset_missing_points_to_fetch(self, capsys, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, _, err = run(capsys, "select", "--name", "german", "--data-dir", str(empty))
+        assert code == EXIT_DATA
+        assert "qpfs fetch" in err
+
 
 class TestInspect:
     def test_toy_matches_hand_computed_mi(self, capsys, toy_files, tmp_path):
@@ -169,6 +176,25 @@ class TestEvaluateCommand:
             assert code == EXIT_OK
             blobs.append((out_dir / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_stratified_from_config_and_flag_reaches_report(self, capsys, synth_files,
+                                                            tmp_path):
+        data, schema = synth_files
+        cfg = tmp_path / "unstratified.cfg"
+        cfg.write_text("stratified = false\n")
+        base = ["evaluate", "--data", str(data), "--schema", str(schema),
+                "--method", "maxrel", "--k", "2", "--folds", "4"]
+        cases = {"default": [], "config": ["--config", str(cfg)],
+                 "flag": ["--no-stratified"], "flag-wins": ["--config", str(cfg), "--stratified"]}
+        stratified = {}
+        for case, extra in cases.items():
+            out_dir = tmp_path / case
+            code, _, err = run(capsys, *base, *extra, "--out", str(out_dir))
+            assert code == EXIT_OK, (case, err)
+            payload = json.loads((out_dir / "report.json").read_text())
+            stratified[case] = payload["protocol"]["stratified"]
+        assert stratified == {"default": True, "config": False, "flag": False,
+                              "flag-wins": True}
 
     def test_missing_dataset_file_names_path(self, capsys, tmp_path):
         schema = tmp_path / "s.schema"
@@ -249,6 +275,30 @@ class TestConfigAndErrors:
         code, out, _ = run(capsys, "select", "--config", str(cfg), "--k", "1")
         assert code == EXIT_OK
         assert len([l for l in out.splitlines() if "\t" in l]) == 2   # flag wins
+
+    def test_unknown_config_key_rejected_other_commands_keys_skipped(
+            self, capsys, synth_files, tmp_path):
+        data, schema = synth_files
+        cfg = tmp_path / "run.cfg"
+        shared = f"data = {data}\nschema = {schema}\nmethod = maxrel\nk = 2\nfolds = 4\n"
+        cfg.write_text(shared)                  # folds belongs to evaluate/reproduce
+        code, _, err = run(capsys, "select", "--config", str(cfg))
+        assert code == EXIT_OK, err
+
+        cfg.write_text(shared + "methd = quadratic\n")
+        code, _, err = run(capsys, "select", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert "'methd'" in err and str(cfg) in err
+
+    def test_config_value_checked_by_flag_choices(self, capsys, tmp_path):
+        data_dir = write_uci_like_files(tmp_path / "d", n_german=260, n_australian=220)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("error_convention = bogus\n")
+        code, _, err = run(capsys, "reproduce", "--data-dir", str(data_dir),
+                           "--only", "german", "--folds", "4", "--config", str(cfg),
+                           "--out", str(tmp_path / "rep"))
+        assert code == EXIT_CONFIG
+        assert "error_convention" in err and "bogus" in err
 
     def test_config_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

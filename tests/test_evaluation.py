@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qpfs.errors import DataError
+from qpfs.errors import ConfigError, DataError
 from qpfs.evaluation import (CvProtocol, DesignEncoder, EvaluationReport, evaluate,
                              fold_assignment, format_delta_table, format_report_table,
                              loglik_and_grad, predict_proba, reports_to_json,
@@ -123,8 +123,8 @@ class TestEvaluate:
     def test_convention_swap_is_exact(self):
         data = synthetic_credit_dataset(seed=6, n=300)
         base = evaluate(data, [0, 3], CvProtocol(n_folds=5, seed=2))
-        flipped = evaluate(data, [0, 3], CvProtocol(n_folds=5, seed=2),
-                           convention="good-positive")
+        flipped = evaluate(data, [0, 3],
+                           CvProtocol(n_folds=5, seed=2, convention="good-positive"))
         assert flipped.type1_error == base.type2_error
         assert flipped.type2_error == base.type1_error
         assert flipped.test_error == base.test_error
@@ -161,8 +161,8 @@ class TestEvaluate:
                 ColumnSpec("y", "binary", "target")]
         rows = [(float(x[i]), float(x[i]), str(y[i])) for i in range(n)]
         data = Dataset(cols, rows, name="dup")
-        single = evaluate(data, [0], CvProtocol(n_folds=4, seed=5), ridge=1e-6)
-        doubled = evaluate(data, [0, 1], CvProtocol(n_folds=4, seed=5), ridge=1e-6)
+        single = evaluate(data, [0], CvProtocol(n_folds=4, seed=5, ridge=1e-6))
+        doubled = evaluate(data, [0, 1], CvProtocol(n_folds=4, seed=5, ridge=1e-6))
         assert single.per_fold == doubled.per_fold
 
     def test_shuffle_invariance_with_stable_keys(self):
@@ -187,6 +187,13 @@ class TestEvaluate:
         assert len(calls) == 5
         assert all(c < 200 for c in calls)
         assert 0.0 <= report.test_error <= 1.0
+
+    @pytest.mark.parametrize("bad", [{"n_folds": 1}, {"encoding": "binary"},
+                                     {"ridge": -1.0}, {"ridge": float("nan")},
+                                     {"convention": "bogus"}])
+    def test_protocol_rejects_bad_settings(self, bad):
+        with pytest.raises(ConfigError):
+            CvProtocol(**bad)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(DataError):

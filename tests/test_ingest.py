@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from qpfs.cli import main
 from qpfs.errors import DataError, SchemaError
 from qpfs.ingest import (ColumnSpec, Dataset, DiscretizationPolicy, binary_target,
                          column_mode, discretize, equal_frequency_codes,
                          equal_width_codes, first_appearance_codes, load_csv,
-                         parse_schema_text, resolve_missing)
+                         load_schema, parse_schema_text, resolve_missing)
 
 from conftest import SYNTH_SCHEMA_TEXT, synthetic_credit_dataset, write_synthetic_files
 
@@ -100,6 +101,25 @@ class TestLoadCsv:
         p.write_text("1.0,A,1\noops,B,2\n")
         with pytest.raises(DataError, match="non-numeric"):
             load_csv(p, basic_columns())
+
+    @pytest.mark.parametrize("spelling", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_continuous_cell_rejected(self, tmp_path, capsys, spelling):
+        data, schema = write_synthetic_files(tmp_path, seed=3, n=120)
+        lines = data.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = spelling                          # line 3, column x1
+        lines[2] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+
+        with pytest.raises(DataError) as exc:
+            load_csv(data, load_schema(schema))
+        assert str(data) in str(exc.value)
+        assert "line 3" in str(exc.value) and "'x1'" in str(exc.value)
+
+        code = main(["evaluate", "--data", str(data), "--schema", str(schema),
+                     "--method", "maxrel", "--k", "2", "--folds", "4"])
+        assert code == 3
+        assert "line 3" in capsys.readouterr().err
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):
