@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .infotheory import (build_relevance_vector, contingency, entropy,
                          information_matrix, mutual_information)
 from .ingest import DiscretizedDataset
@@ -91,6 +91,12 @@ def information_gain(data: DiscretizedDataset, k: int) -> SelectionResult:
                            scores=scores, k=k)
 
 
+# Visited rows per block in relieff: its transient memory is a few
+# (block, n) arrays, under 1 MB at n = 1000; larger blocks trade memory for
+# little time.
+RELIEFF_BLOCK = 32
+
+
 def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
             n_iterations: int | None = None, seed: int = 0) -> SelectionResult:
     """ReliefF weights with Hamming distance on the discretized codes.
@@ -100,11 +106,24 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
     up.  ``n_iterations=None`` visits every sample once in row order, which
     is the default; smaller values sample without replacement under the
     seed.
+
+    Neighbours are found for ``RELIEFF_BLOCK`` visited rows at a time: with
+    Z the one-hot matrix of the codes, the Hamming distances from those rows
+    to all n rows are ``m - Z[rows] @ Z.T`` (exact small integers), a row's
+    distance to itself is set past every other, and a stable sort within
+    each class orders its members by distance, ties by ascending index.
+    The nearest ``n_neighbors`` of every other class are the misses and of
+    the row's own class, self excluded, the hits.  Transient memory is a
+    few (block, n) arrays; Z itself is n by the total number of codes.
     """
     codes = data.feature_codes
     y = data.target
     n, m = codes.shape
     _check_k(k, m)
+    if n_neighbors < 1:
+        raise ConfigError(f"n_neighbors must be positive, got {n_neighbors}")
+    if n_iterations is not None and n_iterations < 1:
+        raise ConfigError(f"n_iterations must be positive, got {n_iterations}")
 
     class_sizes = np.bincount(y, minlength=2)
     if class_sizes.min() < n_neighbors:
@@ -116,33 +135,38 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
     if n_iterations is None or n_iterations >= n:
         visit = np.arange(n)
     else:
-        if n_iterations < 1:
-            raise ValueError("n_iterations must be positive")
         rng = np.random.default_rng(seed)
         visit = np.sort(rng.choice(n, size=n_iterations, replace=False))
 
+    # One-hot over each column's observed codes, so negative and sparse codes
+    # cost no extra columns.
+    Z = np.concatenate([codes[:, [j]] == np.unique(codes[:, j]) for j in range(m)],
+                       axis=1).astype(np.float32)
+    dist_type = np.min_scalar_type(m + 1)
+    members = {int(cls): np.flatnonzero(y == cls) for cls in np.unique(y)}
+
     weights = np.zeros(m)
-    classes = np.unique(y)
-    for i in visit:
-        diffs = codes != codes[i]                    # (n, m) 0/1 mismatches
-        dist = diffs.sum(axis=1)
-        dist_i = dist.copy()
-        dist_i[i] = n * m + 1                        # exclude self
-        order = np.lexsort((np.arange(n), dist_i))   # distance, then index
-        hit_update = np.zeros(m)
-        miss_update = np.zeros(m)
-        for cls in classes:
-            members = order[y[order] == cls]
-            if cls == y[i]:
-                near = members[members != i][:n_neighbors]
-                if near.size:
-                    hit_update = diffs[near].mean(axis=0)
-            else:
-                near = members[:n_neighbors]
-                if near.size:
-                    factor = priors[cls] / (1.0 - priors[y[i]])
-                    miss_update += factor * diffs[near].mean(axis=0)
-        weights += (miss_update - hit_update) / visit.size
+    for lo in range(0, visit.size, RELIEFF_BLOCK):
+        rows = visit[lo:lo + RELIEFF_BLOCK]
+        ref = codes[rows]
+        own = y[rows]
+        dist = (m - Z[rows] @ Z.T).astype(dist_type)
+        dist[np.arange(rows.size), rows] = m + 1        # self sorts last
+        hit = np.zeros((rows.size, m))
+        miss = np.zeros((rows.size, m))
+        for cls, idx in members.items():
+            order = np.argsort(dist[:, idx], axis=1, kind="stable")[:, :n_neighbors]
+            # Sums of 0/1 mismatches are exact.  Self is among the first
+            # n_neighbors only when its class has exactly that many members;
+            # it adds no mismatch, and n_hits leaves it out of the mean.
+            mismatches = (codes[idx[order]] != ref[:, None, :]).sum(axis=1)
+            is_own = own == cls
+            n_hits = max(min(n_neighbors, idx.size - 1), 1)
+            hit[is_own] = mismatches[is_own] / n_hits
+            factor = priors[cls] / (1.0 - priors[own[~is_own]])
+            miss[~is_own] += factor[:, None] * (mismatches[~is_own] / n_neighbors)
+        for update in (miss - hit) / visit.size:   # one visit at a time, in order:
+            weights += update                       # the rounding is the loop's
 
     return SelectionResult(method="relieff", selected=ranking_of(weights)[:k].tolist(),
                            scores=weights, k=k)

@@ -49,6 +49,12 @@ class SelectionConfig:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.k < 1:
             raise ConfigError("k must be positive")
+        if self.relieff_neighbors < 1:
+            raise ConfigError(
+                f"relieff_neighbors must be positive, got {self.relieff_neighbors}")
+        if self.relieff_iterations is not None and self.relieff_iterations < 1:
+            raise ConfigError(
+                f"relieff_iterations must be positive, got {self.relieff_iterations}")
 
 
 @dataclass

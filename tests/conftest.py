@@ -2,12 +2,15 @@
 
 The two UCI credit files are not shipped; tests that reproduce published
 numbers look for them under $QPFS_DATA_DIR (default ./data) and skip with
-a pointer to `qpfs fetch` when absent.
+a pointer to `qpfs fetch` when absent.  No test reaches the network:
+`urllib.request.urlopen` raises `URLError` for every test.
 """
 
 from __future__ import annotations
 
 import os
+import urllib.error
+import urllib.request
 from itertools import combinations
 from pathlib import Path
 
@@ -16,6 +19,18 @@ import pytest
 
 from qpfs.ingest import (ColumnSpec, Dataset, DiscretizationPolicy,
                          DiscretizedDataset, equal_frequency_codes)
+
+# ---------------------------------------------------------------------------
+# Network guard
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """Make every download fail as it would offline, before any socket opens."""
+    def offline(url, *args, **kwargs):
+        raise urllib.error.URLError(f"network disabled in tests: {url}")
+    monkeypatch.setattr(urllib.request, "urlopen", offline)
+
 
 # ---------------------------------------------------------------------------
 # Real-data discovery

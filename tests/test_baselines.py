@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from qpfs.baselines import (SelectionResult, cfs, cfs_merit, information_gain,
-                            max_rel, mrmr_greedy, relieff, symmetric_uncertainty,
-                            truncate_selection)
-from qpfs.errors import DataError
+from qpfs.baselines import (RELIEFF_BLOCK, SelectionResult, cfs, cfs_merit,
+                            information_gain, max_rel, mrmr_greedy, relieff,
+                            symmetric_uncertainty, truncate_selection)
+from qpfs.errors import ConfigError, DataError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector, entropy
 from qpfs.ingest import DiscretizationPolicy, DiscretizedDataset
+from qpfs.qp import ranking_of
 
 from conftest import exhaustive_subset_objective, random_discretized
 
@@ -129,6 +130,103 @@ class TestInformationGain:
             assert information_gain(dd, k).selected == max_rel(F, k).selected
 
 
+def relieff_reference(data, k, n_neighbors, n_iterations=None, seed=0):
+    """ReliefF one visited row at a time: the loop ``relieff`` batches.
+
+    For each visited row, Hamming distances to all rows, a full sort by
+    (distance, index) with self last, then per class the nearest members.
+    Returns (weights, selected).
+    """
+    codes = data.feature_codes
+    y = data.target
+    n, m = codes.shape
+    priors = np.bincount(y, minlength=2) / n
+    if n_iterations is None or n_iterations >= n:
+        visit = np.arange(n)
+    else:
+        rng = np.random.default_rng(seed)
+        visit = np.sort(rng.choice(n, size=n_iterations, replace=False))
+
+    weights = np.zeros(m)
+    for i in visit:
+        diffs = codes != codes[i]
+        dist = diffs.sum(axis=1)
+        dist[i] = n * m + 1
+        order = np.lexsort((np.arange(n), dist))
+        hit_update = np.zeros(m)
+        miss_update = np.zeros(m)
+        for cls in np.unique(y):
+            members = order[y[order] == cls]
+            if cls == y[i]:
+                near = members[members != i][:n_neighbors]
+                if near.size:
+                    hit_update = diffs[near].mean(axis=0)
+            else:
+                near = members[:n_neighbors]
+                if near.size:
+                    factor = priors[cls] / (1.0 - priors[y[i]])
+                    miss_update += factor * diffs[near].mean(axis=0)
+        weights += (miss_update - hit_update) / visit.size
+    return weights, ranking_of(weights)[:k].tolist()
+
+
+class TestRelieffMatchesReference:
+    """The batched ``relieff`` gives the reference loop's weights bit for bit."""
+
+    def check(self, codes, y, k, n_neighbors, n_iterations=None, seed=0):
+        dd = make_dd(codes, y)
+        weights, selected = relieff_reference(dd, k, n_neighbors, n_iterations, seed)
+        res = relieff(dd, k, n_neighbors, n_iterations=n_iterations, seed=seed)
+        assert np.array_equal(res.scores, weights)
+        assert res.selected == selected
+
+    def test_negative_and_noncontiguous_codes(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            y = rng.integers(0, 2, 90)
+            codes = rng.choice([-7, -2, 0, 5, 40], size=(90, 6))
+            self.check(codes, y, 3, n_neighbors=4)
+
+    def test_single_feature(self):
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            y = rng.integers(0, 2, 60)
+            codes = rng.integers(0, 3, (60, 1))
+            self.check(codes, y, 1, n_neighbors=5)
+
+    def test_iterations_subsample_under_seed(self):
+        rng = np.random.default_rng(11)
+        dd = random_discretized(rng, n=120, m=7)
+        for seed, n_iterations in ((0, 1), (3, 17), (9, 60), (4, 119), (5, 500)):
+            self.check(dd.feature_codes, dd.target, 4, 6, n_iterations, seed)
+
+    def test_own_class_size_equals_neighbors(self):
+        for seed in range(4):
+            rng = np.random.default_rng(200 + seed)
+            y = np.array([1] * 5 + [0] * 35)
+            rng.shuffle(y)
+            codes = rng.integers(0, 3, (40, 4))
+            self.check(codes, y, 2, n_neighbors=5)
+        y = np.array([1] + [0] * 9)
+        self.check(np.arange(20).reshape(10, 2) % 3, y, 1, n_neighbors=1)
+
+    def test_unbalanced_classes(self):
+        for seed in range(4):
+            rng = np.random.default_rng(300 + seed)
+            y = (rng.random(150) < 0.1).astype(int)
+            y[:3] = 1
+            codes = rng.integers(0, 4, (150, 5))
+            codes[:, 0] = np.where(rng.random(150) < 0.8, y, codes[:, 0])
+            self.check(codes, y, 3, n_neighbors=3)
+
+    def test_more_rows_than_one_block(self):
+        rng = np.random.default_rng(12)
+        n = 2 * RELIEFF_BLOCK + 7
+        dd = random_discretized(rng, n=n, m=6, bins=3)
+        self.check(dd.feature_codes, dd.target, 6, n_neighbors=10)
+        self.check(dd.feature_codes, dd.target, 6, 10, n_iterations=n - 2, seed=7)
+
+
 class TestRelieff:
     def test_target_copy_has_maximal_positive_weight(self):
         y = np.array([0] * 20 + [1] * 20)
@@ -170,6 +268,14 @@ class TestRelieff:
         codes = np.zeros((33, 2), dtype=int)
         with pytest.raises(DataError, match="class"):
             relieff(make_dd(codes, y), 1, n_neighbors=5)
+
+    @pytest.mark.parametrize("n_neighbors, n_iterations, name", [
+        (0, None, "n_neighbors"), (-3, None, "n_neighbors"), (5, 0, "n_iterations")])
+    def test_invalid_settings_rejected(self, n_neighbors, n_iterations, name):
+        y = np.array([0] * 10 + [1] * 10)
+        codes = np.stack([y, y[::-1]], axis=1)
+        with pytest.raises(ConfigError, match=name):
+            relieff(make_dd(codes, y), 1, n_neighbors, n_iterations=n_iterations)
 
 
 class TestCfs:

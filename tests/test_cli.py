@@ -264,6 +264,20 @@ class TestConfigAndErrors:
         assert code == EXIT_CONFIG
         assert "line 2" in err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--relieff-neighbors", "-3", "relieff_neighbors"),
+        ("--relieff-neighbors", "0", "relieff_neighbors"),
+        ("--relieff-iterations", "0", "relieff_iterations"),
+    ])
+    def test_invalid_relieff_setting_exits_config(self, capsys, synth_files,
+                                                  flag, value, name):
+        data, schema = synth_files
+        code, out, err = run(capsys, "select", "--data", str(data), "--schema", str(schema),
+                             "--method", "relieff", "--k", "2", flag, value)
+        assert code == EXIT_CONFIG
+        assert name in err and value in err
+        assert out == ""
+
     def test_config_file_supplies_values_flags_win(self, capsys, synth_files, tmp_path):
         data, schema = synth_files
         cfg = tmp_path / "run.cfg"
@@ -320,8 +334,8 @@ class TestConfigAndErrors:
     def test_fetch_offline_fails_with_hint(self, capsys, tmp_path):
         code, _, err = run(capsys, "fetch", "--data-dir", str(tmp_path / "dl"),
                            "--only", "german")
-        # no network in the test environment: must fail politely, naming the
-        # manual-placement path (if a mirror is ever present this still passes)
-        if code != EXIT_OK:
-            assert code == EXIT_DATA
-            assert "german.data" in err
+        # conftest's guard makes the download fail: the error names the
+        # manual-placement path
+        assert code == EXIT_DATA
+        assert "Place the file at" in err
+        assert str(tmp_path / "dl" / "german.data") in err
