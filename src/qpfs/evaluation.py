@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .ingest import Dataset, binary_target, column_mode
+from .ingest import (Dataset, binary_target, column_mode, first_appearance_codes,
+                     missing_cells)
 
 ENCODINGS = ("one-hot", "code-as-ordinal")
 CONVENTIONS = ("bad-positive", "good-positive")
@@ -186,7 +187,9 @@ class DesignEncoder:
     first train-split category as reference (or a single standardized code
     column under "code-as-ordinal").  Continuous features: median
     imputation, then standardization to zero mean / unit variance.
-    Categories unseen in training encode to all zeros.
+    Categories unseen in training encode to all zeros.  Fitted statistics
+    name categories by label, so ``transform`` accepts any Dataset with the
+    same columns.
     """
 
     def __init__(self, data: Dataset, selected: list[int],
@@ -196,65 +199,65 @@ class DesignEncoder:
         self.encoding = encoding
         self.stats: list[dict] = []
 
-    def fit(self, data: Dataset, train_positions: list[int]) -> "DesignEncoder":
+    def fit(self, data: Dataset, train_positions) -> "DesignEncoder":
+        train = np.asarray(train_positions, dtype=np.intp)
         self.stats = []
         for spec, j in zip(self.specs, self.col_idx):
-            cells = [data.rows[i][j] for i in train_positions]
+            cells = data.arrays[j][train]
+            missing = missing_cells(spec, cells)
+            if missing.all():
+                raise DataError(f"column {spec.name!r} all-missing in training split")
             if spec.kind == "continuous":
-                present = np.array([v for v in cells if v is not None], dtype=float)
-                if present.size == 0:
-                    raise DataError(f"column {spec.name!r} all-missing in training split")
-                median = float(np.median(present))
-                filled = np.array([median if v is None else v for v in cells])
+                median = float(np.median(cells[~missing]))
+                filled = np.where(missing, median, cells)
                 mean = float(filled.mean())
                 std = float(filled.std())
                 self.stats.append({"kind": "continuous", "median": median,
                                    "mean": mean, "std": std if std > 0 else 1.0})
+                continue
+            mode = column_mode(cells[~missing])
+            filled = np.where(missing, mode, cells)
+            ranks, n_categories = first_appearance_codes(filled)
+            order = np.empty(n_categories, dtype=np.int64)
+            order[ranks] = filled                    # code of each category, by first appearance
+            table = data.categories[j]
+            categories = [table[c] for c in order]
+            if self.encoding == "code-as-ordinal":
+                vals = ranks.astype(float)
+                mean = float(vals.mean())
+                std = float(vals.std())
+                self.stats.append({"kind": "ordinal", "mode": table[mode],
+                                   "codes": {c: float(i) for i, c in enumerate(categories)},
+                                   "mean": mean, "std": std if std > 0 else 1.0})
             else:
-                mode = column_mode(cells)
-                categories: list = []
-                for v in cells:
-                    v = mode if v is None else v
-                    if v not in categories:
-                        categories.append(v)
-                if self.encoding == "code-as-ordinal":
-                    codes = {c: float(i) for i, c in enumerate(categories)}
-                    vals = np.array([codes[mode if v is None else v] for v in cells])
-                    mean = float(vals.mean())
-                    std = float(vals.std())
-                    self.stats.append({"kind": "ordinal", "mode": mode, "codes": codes,
-                                       "mean": mean, "std": std if std > 0 else 1.0})
-                else:
-                    self.stats.append({"kind": "categorical", "mode": mode,
-                                       "categories": categories})
+                self.stats.append({"kind": "categorical", "mode": table[mode],
+                                   "categories": categories})
         return self
 
-    def transform(self, data: Dataset, positions: list[int]) -> np.ndarray:
+    def transform(self, data: Dataset, positions) -> np.ndarray:
+        rows = np.asarray(positions, dtype=np.intp)
         blocks: list[np.ndarray] = []
-        for (spec, j), st in zip(zip(self.specs, self.col_idx), self.stats):
-            cells = [data.rows[i][j] for i in positions]
+        for j, st in zip(self.col_idx, self.stats):
+            cells = data.arrays[j][rows]
             if st["kind"] == "continuous":
-                vals = np.array([st["median"] if v is None else v for v in cells],
-                                dtype=float)
+                vals = np.where(np.isnan(cells), st["median"], cells)
                 blocks.append(((vals - st["mean"]) / st["std"])[:, None])
-            elif st["kind"] == "ordinal":
-                vals = np.array([
-                    st["codes"].get(st["mode"] if v is None else v, -1.0)
-                    for v in cells
-                ])
+                continue
+            # One entry per code of this dataset's category table, then the
+            # mode's entry, which missing cells (code -1) pick up.
+            labels = [*data.categories[j], st["mode"]]
+            if st["kind"] == "ordinal":
+                vals = np.array([st["codes"].get(c, -1.0) for c in labels])[cells]
                 blocks.append(((vals - st["mean"]) / st["std"])[:, None])
             else:
-                cats = st["categories"][1:]           # first category = reference
-                block = np.zeros((len(cells), len(cats)))
-                lookup = {c: i for i, c in enumerate(cats)}
-                for r, v in enumerate(cells):
-                    v = st["mode"] if v is None else v
-                    col = lookup.get(v)
-                    if col is not None:
-                        block[r, col] = 1.0
+                column_of = {c: i for i, c in enumerate(st["categories"][1:])}  # first = reference
+                cols = np.array([column_of.get(c, -1) for c in labels], dtype=np.intp)[cells]
+                block = np.zeros((rows.size, len(column_of)))
+                hit = np.flatnonzero(cols >= 0)
+                block[hit, cols[hit]] = 1.0
                 blocks.append(block)
         if not blocks:
-            return np.zeros((len(positions), 0))
+            return np.zeros((rows.size, 0))
         return np.hstack(blocks)
 
 
@@ -277,9 +280,8 @@ def fold_assignment(row_ids: np.ndarray, labels: np.ndarray, n_folds: int,
         np.sort(keys[labels == cls]) for cls in (0, 1)
     ]
     for group in groups:
-        perm = rng.permutation(group.size)
-        for position, which in enumerate(perm):
-            fold_of[int(group[which])] = position % n_folds
+        dealt = group[rng.permutation(group.size)]
+        fold_of.update(zip(dealt.tolist(), (np.arange(group.size) % n_folds).tolist()))
     return fold_of
 
 
@@ -314,12 +316,12 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
     # Canonical row order = stable key order; makes reports invariant to
     # prior shuffling of the input rows.
     order = np.argsort(data.row_ids, kind="stable")
-    data = data.subset(list(order))
+    data = data.subset(order)
     y = binary_target(data)
 
     fold_of = fold_assignment(data.row_ids, y, protocol.n_folds, protocol.seed,
                               protocol.stratified)
-    folds = np.array([fold_of[int(k)] for k in data.row_ids])
+    folds = np.array(list(map(fold_of.__getitem__, data.row_ids.tolist())), dtype=np.int64)
     for f in range(protocol.n_folds):
         members = y[folds == f]
         if members.size == 0:
@@ -329,8 +331,8 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
 
     per_fold: list[tuple[float, float, float]] = []
     for f in range(protocol.n_folds):
-        train_pos = [int(i) for i in np.where(folds != f)[0]]
-        test_pos = [int(i) for i in np.where(folds == f)[0]]
+        train_pos = np.flatnonzero(folds != f)
+        test_pos = np.flatnonzero(folds == f)
         fold_selected = selected
         if strict_selector is not None:
             fold_selected = strict_selector(data.subset(train_pos))

@@ -5,6 +5,13 @@ missing markers ("?" or empty cell) as missing, and discretizes continuous
 features into integer bins so that downstream information estimates only
 ever see integer codes.
 
+A loaded ``Dataset`` is columnar: one float64 array per continuous column
+(NaN marks a missing cell) and one int64 code array per categorical,
+binary or target column (-1 marks a missing cell) with a tuple of the raw
+labels the codes index.  Missing-value resolution, target coding and
+discretization work on whole columns; ``Dataset.rows`` is a row-tuple view
+rebuilt on demand, not a stored copy.
+
 Column roles and kinds come from a small declarative schema file, one
 column per line::
 
@@ -19,7 +26,6 @@ class 1 (the "bad" / non-creditworthy class in the credit datasets).
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,30 +59,56 @@ class ColumnSpec:
             raise SchemaError(f"column {self.name!r}: unknown role {self.role!r}")
 
 
-@dataclass
 class Dataset:
-    """Raw tabular samples with typed columns and a binary target.
+    """Typed tabular samples stored column by column, with a binary target.
 
-    Cells are ``float`` for continuous columns, ``str`` for categorical /
-    binary / target columns, and ``None`` where the file had a missing
-    marker.  ``row_ids`` are stable keys (original file order) used for
-    deterministic cross-validation fold assignment.
+    Column ``j`` of ``columns`` lives in ``arrays[j]``, one entry per row:
+
+    - continuous: float64 values, NaN where the file had a missing marker
+      (``load_csv`` rejects non-finite cells, so NaN means missing);
+    - categorical, binary and target: int64 codes into ``categories[j]``,
+      the column's tuple of raw labels, with -1 where the cell is missing.
+
+    ``categories[j]`` is ``()`` for a continuous column.  ``subset`` indexes
+    the arrays and shares the category tuples, so a code means the same
+    label in every subset; codes are in first-appearance order only in the
+    loaded file, and consumers that need subset order (``discretize``,
+    ``DesignEncoder``) recode.  ``row_ids`` are stable keys (original file
+    order) used for deterministic cross-validation fold assignment.
+
+    ``Dataset(columns, rows)`` builds the arrays from row tuples of
+    ``float`` / ``str`` / ``None`` cells; ``rows`` gives such tuples back as
+    a view rebuilt on every access, never stored beside the arrays.
     """
 
-    columns: list[ColumnSpec]
-    rows: list[tuple]
-    row_ids: np.ndarray = None
-    name: str = ""
+    def __init__(self, columns: list[ColumnSpec], rows, row_ids=None, name: str = ""):
+        columns = list(columns)
+        cells = list(zip(*rows)) or [()] * len(columns)
+        if len(cells) != len(columns):
+            raise ValueError(f"rows have {len(cells)} cells, schema has {len(columns)} columns")
+        coded = [_code_cells(spec, column) for spec, column in zip(columns, cells)]
+        self._assign(columns, [a for a, _ in coded], [c for _, c in coded], row_ids, name)
 
-    def __post_init__(self):
-        if self.row_ids is None:
-            self.row_ids = np.arange(len(self.rows), dtype=np.int64)
-        else:
-            self.row_ids = np.asarray(self.row_ids, dtype=np.int64)
+    @classmethod
+    def from_arrays(cls, columns: list[ColumnSpec], arrays: list[np.ndarray],
+                    categories: list[tuple], row_ids=None, name: str = "") -> "Dataset":
+        """Dataset over ready-made column arrays (see the class docstring)."""
+        data = cls.__new__(cls)
+        data._assign(list(columns), list(arrays), list(categories), row_ids, name)
+        return data
+
+    def _assign(self, columns, arrays, categories, row_ids, name):
+        self.columns = columns
+        self.arrays = arrays
+        self.categories = categories
+        n = arrays[0].size if arrays else 0
+        self.row_ids = (np.arange(n, dtype=np.int64) if row_ids is None
+                        else np.asarray(row_ids, dtype=np.int64))
+        self.name = name
 
     @property
     def n_samples(self) -> int:
-        return len(self.rows)
+        return int(self.row_ids.size)
 
     @property
     def n_features(self) -> int:
@@ -100,19 +132,45 @@ class Dataset:
                 return i
         raise KeyError(name)
 
+    def _cells(self, j: int) -> list:
+        """Column ``j`` as ``float`` / ``str`` cells, ``None`` where missing."""
+        values = self.arrays[j]
+        if self.columns[j].kind == "continuous":
+            out = values.astype(object)
+            out[np.isnan(values)] = None
+        else:
+            labels = np.empty(len(self.categories[j]) + 1, dtype=object)
+            labels[:-1] = self.categories[j]
+            out = labels[values]                     # code -1 picks the trailing None
+        return out.tolist()
+
     def feature_cells(self, name: str) -> list:
-        j = self.column_index(name)
-        return [row[j] for row in self.rows]
+        return self._cells(self.column_index(name))
+
+    @property
+    def rows(self) -> list[tuple]:
+        """Row tuples of ``float`` / ``str`` / ``None`` cells, rebuilt on each access."""
+        return list(zip(*(self._cells(j) for j in range(len(self.columns)))))
 
     def subset(self, positions) -> "Dataset":
         """New Dataset holding the given row positions (row_ids preserved)."""
-        positions = list(positions)
-        return Dataset(
-            columns=self.columns,
-            rows=[self.rows[i] for i in positions],
-            row_ids=self.row_ids[positions],
-            name=self.name,
-        )
+        idx = np.asarray(positions, dtype=np.intp)
+        return Dataset.from_arrays(self.columns, [a[idx] for a in self.arrays],
+                                   self.categories, self.row_ids[idx], self.name)
+
+
+def missing_cells(spec: ColumnSpec, values: np.ndarray) -> np.ndarray:
+    """Mask of the missing entries of one column's array (NaN, or code -1)."""
+    return np.isnan(values) if spec.kind == "continuous" else values < 0
+
+
+def _code_cells(spec: ColumnSpec, cells) -> tuple[np.ndarray, tuple]:
+    """One column of Python cells as (array, category tuple); None is missing."""
+    if spec.kind == "continuous":
+        return np.array([np.nan if v is None else v for v in cells], dtype=np.float64), ()
+    index: dict = {}
+    codes = [-1 if v is None else index.setdefault(v, len(index)) for v in cells]
+    return np.array(codes, dtype=np.int64), tuple(index)
 
 
 @dataclass(frozen=True)
@@ -221,6 +279,12 @@ def load_schema(path) -> list[ColumnSpec]:
 # CSV loading
 # ---------------------------------------------------------------------------
 
+# Rows are split into Python strings this many cells at a time, so loading a
+# wide file never holds more than one block of cell strings at once (splitting
+# all 600 lines of a 300-column file first raised the peak RSS by about 5 MB).
+PARSE_BLOCK_CELLS = 1 << 14
+
+
 def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
              header: bool = False, name: str = "") -> Dataset:
     """Load a delimiter-separated file against a schema.
@@ -229,7 +293,9 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     space-delimited).  Rows keep file order; "?" and empty cells are
     recorded as missing, not dropped.  A continuous cell must parse to a
     finite number: "nan", "inf" and overflowing values such as "1e999" are
-    rejected with the file, line and column.
+    rejected with the file, line and column, as are a missing target label
+    and a third distinct target label.  When a file has several faults, the
+    first one in file order is reported.
     """
     path = Path(path)
     try:
@@ -237,44 +303,101 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
 
-    lines = text.splitlines()
-    if header and lines:
-        lines = lines[1:]
-
+    first_lineno = 2 if header else 1
+    lines = text.splitlines()[first_lineno - 1:]
     n_cols = len(schema)
-    rows: list[tuple] = []
-    for lineno, raw in enumerate(lines, start=2 if header else 1):
-        if not raw.strip():
-            continue
-        cells = raw.split() if delimiter is None else raw.split(delimiter)
-        if len(cells) != n_cols:
-            raise DataError(
-                f"{path}, line {lineno}: expected {n_cols} cells, got {len(cells)}"
-            )
-        row = []
-        for spec, cell in zip(schema, cells):
-            cell = cell.strip()
-            if cell in MISSING_MARKERS:
-                row.append(None)
-                continue
+    step = max(1, PARSE_BLOCK_CELLS // n_cols)
+    parts: list[list] = [[] for _ in schema]     # per column, one array per block
+    linenos: list[int] = []                      # file line of each parsed row
+    errors = []                                  # (row, column, message)
+    ragged = None
+    for lo in range(0, len(lines), step):
+        numbered = [(lineno, raw.split(delimiter)) for lineno, raw
+                    in enumerate(lines[lo:lo + step], start=first_lineno + lo)
+                    if raw.strip()]
+        good = next((i for i, (_, cells) in enumerate(numbered) if len(cells) != n_cols),
+                    len(numbered))
+        columns = zip(*(cells for _, cells in numbered[:good]))
+        for j, (spec, column) in enumerate(zip(schema, columns)):
             if spec.kind == "continuous":
-                try:
-                    value = float(cell)
-                    if not math.isfinite(value):
-                        raise ValueError(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}, line {lineno}: non-numeric or non-finite value"
-                        f" {cell!r} in continuous column {spec.name!r}"
-                    ) from None
-                row.append(value)
+                values, bad = _parse_numbers(column)
+                if bad is not None:
+                    errors.append((len(linenos) + bad, j, f"non-numeric or non-finite value"
+                                   f" {column[bad].strip()!r} in continuous column {spec.name!r}"))
+                parts[j].append(values)
             else:
-                row.append(cell)
-        rows.append(tuple(row))
+                parts[j].append(np.char.strip(np.array(column, dtype=str)))
+        linenos += [lineno for lineno, _ in numbered[:good]]
+        if good < len(numbered):
+            ragged = numbered[good]
+        if errors or ragged:
+            break
 
-    if not rows:
+    arrays, categories = [], []
+    for j, (spec, blocks) in enumerate(zip(schema, parts)):
+        column = np.concatenate(blocks) if blocks else np.empty(0, dtype=str)
+        if spec.kind == "continuous":
+            arrays.append(column)
+            categories.append(())
+            continue
+        codes, labels = _code_labels(column, np.isin(column, MISSING_MARKERS))
+        arrays.append(codes)
+        categories.append(labels)
+        if spec.role != "target":
+            continue
+        if (codes < 0).any():
+            errors.append((int(np.argmax(codes < 0)), j,
+                           f"missing label in target column {spec.name!r}"))
+        if len(labels) > 2:
+            errors.append((int(np.argmax(codes == 2)), j, f"third distinct label"
+                           f" {labels[2]!r} in target column {spec.name!r}; expected two"
+                           f" ({labels[0]!r}, {labels[1]!r} seen before)"))
+    if errors:
+        row, _, message = min(errors)
+        raise DataError(f"{path}, line {linenos[row]}: {message}")
+    if ragged:
+        lineno, cells = ragged
+        raise DataError(f"{path}, line {lineno}: expected {n_cols} cells, got {len(cells)}")
+    if not linenos:
         raise DataError(f"{path}: zero data rows")
-    return Dataset(columns=list(schema), rows=rows, name=name or path.stem)
+    return Dataset.from_arrays(schema, arrays, categories, name=name or path.stem)
+
+
+def _parse_numbers(column: tuple[str, ...]) -> tuple[np.ndarray, int | None]:
+    """Float values of one column's cells (NaN where missing), and the row of
+    the first cell that is not a finite number."""
+    try:
+        values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
+        missing = np.zeros(values.size, dtype=bool)
+    except ValueError:                           # missing markers, or a cell that is no number
+        cells = np.char.strip(np.array(column, dtype=str))
+        missing = np.isin(cells, MISSING_MARKERS)
+        try:
+            values = np.fromiter(map(float, np.where(missing, "nan", cells).tolist()),
+                                 dtype=np.float64, count=cells.size)
+        except ValueError:
+            return np.empty(0), next(i for i, cell in enumerate(cells.tolist())
+                                     if not (missing[i] or _is_number(cell)))
+    bad = np.flatnonzero(~missing & ~np.isfinite(values))
+    return values, int(bad[0]) if bad.size else None
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _code_labels(cells: np.ndarray, missing: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Codes in first-appearance order (-1 where missing) and the label of each code."""
+    codes = np.full(cells.size, -1, dtype=np.int64)
+    present, n_labels = first_appearance_codes(cells[~missing])
+    codes[~missing] = present
+    labels = np.empty(n_labels, dtype=cells.dtype)
+    labels[present] = cells[~missing]
+    return codes, tuple(labels.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +412,11 @@ def binary_target(data: Dataset) -> np.ndarray:
     """
     spec = data.target_column
     j = data.column_index(spec.name)
-    raw = [row[j] for row in data.rows]
-    if any(v is None for v in raw):
+    codes = data.arrays[j]
+    if (codes < 0).any():
         raise DataError(f"target column {spec.name!r} has missing labels")
-    labels = sorted(set(raw), key=_label_sort_key)
+    table = data.categories[j]
+    labels = sorted((table[c] for c in np.unique(codes)), key=_label_sort_key)
     if len(labels) < 2:
         raise DataError(f"target column {spec.name!r} has a single label {labels[0]!r}")
     if len(labels) > 2:
@@ -308,8 +432,7 @@ def binary_target(data: Dataset) -> np.ndarray:
         positive = spec.positive_label
     else:
         positive = labels[1]
-    return np.fromiter((1 if v == positive else 0 for v in raw), dtype=np.int64,
-                       count=len(raw))
+    return (codes == table.index(positive)).astype(np.int64)
 
 
 def _label_sort_key(value: str):
@@ -323,61 +446,59 @@ def _label_sort_key(value: str):
 # Missing-value resolution
 # ---------------------------------------------------------------------------
 
-def column_mode(cells):
-    """Most frequent non-missing value; ties go to the earliest-seen value."""
-    counts: dict = {}
-    order: dict = {}
-    for i, v in enumerate(cells):
-        if v is None:
-            continue
-        counts[v] = counts.get(v, 0) + 1
-        order.setdefault(v, i)
-    if not counts:
+def column_mode(values):
+    """Most frequent value of a column with no missing entries.
+
+    Ties go to the value seen first.  The result is the first occurrence
+    itself, so values that compare equal (0.0 and -0.0) yield the earliest.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
         raise DataError("all-missing column")
-    best = max(counts, key=lambda v: (counts[v], -order[v]))
-    return best
+    _, first, counts = np.unique(values, return_index=True, return_counts=True)
+    return values[first[counts == counts.max()].min()]
 
 
-def _impute_column(cells, spec: ColumnSpec, policy: DiscretizationPolicy):
-    present = [v for v in cells if v is not None]
-    if not present:
+def _impute_column(values: np.ndarray, spec: ColumnSpec,
+                   policy: DiscretizationPolicy) -> np.ndarray:
+    missing = missing_cells(spec, values)
+    if missing.all():
         raise DataError(f"column {spec.name!r} is all-missing")
-    if None not in cells:
-        return list(cells)
+    if not missing.any():
+        return values
+    present = values[~missing]
     if spec.kind == "continuous" and policy.missing_policy != "impute-mode":
-        fill = float(np.median(np.asarray(present, dtype=float)))
+        fill = float(np.median(present))
     else:
-        fill = column_mode(cells)
-    return [fill if v is None else v for v in cells]
+        fill = column_mode(present)
+    return np.where(missing, fill, values)
 
 
 def resolve_missing(data: Dataset, policy: DiscretizationPolicy) -> Dataset:
     """Return a Dataset with no missing feature cells, per the policy.
 
-    Imputation statistics are computed on the full column.  Under
-    ``drop-row`` the surviving rows keep their original row_ids.
+    Imputation statistics are computed on the full column; a categorical
+    column takes its mode's code.  Under ``drop-row`` the surviving rows
+    keep their original row_ids.
     """
-    feature_idx = [data.column_index(c.name) for c in data.feature_columns]
+    features = [j for j, c in enumerate(data.columns) if c.role == "feature"]
     if policy.missing_policy == "drop-row":
-        keep = [
-            i for i, row in enumerate(data.rows)
-            if all(row[j] is not None for j in feature_idx)
-        ]
-        if not keep:
+        complete = np.ones(data.n_samples, dtype=bool)
+        for j in features:
+            complete &= ~missing_cells(data.columns[j], data.arrays[j])
+        keep = np.flatnonzero(complete)
+        if keep.size == 0:
             raise DataError("drop-row removed every sample")
-        if len(keep) < data.n_samples:
-            logger.info("drop-row removed %d of %d rows", data.n_samples - len(keep),
+        if keep.size < data.n_samples:
+            logger.info("drop-row removed %d of %d rows", data.n_samples - keep.size,
                         data.n_samples)
         return data.subset(keep)
 
-    new_cols: list[list] = []
-    for j, spec in enumerate(data.columns):
-        cells = [row[j] for row in data.rows]
-        if spec.role == "feature":
-            cells = _impute_column(cells, spec, policy)
-        new_cols.append(cells)
-    rows = [tuple(col[i] for col in new_cols) for i in range(data.n_samples)]
-    return Dataset(columns=data.columns, rows=rows, row_ids=data.row_ids, name=data.name)
+    arrays = list(data.arrays)
+    for j in features:
+        arrays[j] = _impute_column(arrays[j], data.columns[j], policy)
+    return Dataset.from_arrays(data.columns, arrays, data.categories, data.row_ids,
+                               data.name)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +511,13 @@ def _dense_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return inv.astype(np.int64), int(uniq.size)
 
 
-def first_appearance_codes(cells) -> tuple[np.ndarray, int]:
+def first_appearance_codes(values) -> tuple[np.ndarray, int]:
     """Code symbols by first-appearance order (A,B,A,C -> 0,1,0,2)."""
-    mapping: dict = {}
-    out = np.empty(len(cells), dtype=np.int64)
-    for i, v in enumerate(cells):
-        out[i] = mapping.setdefault(v, len(mapping))
-    return out, len(mapping)
+    values = np.asarray(values)
+    uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    return rank[inverse], int(uniq.size)
 
 
 def equal_frequency_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]:
@@ -440,15 +561,14 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
     if target.min() == target.max():
         raise DataError("target has a single label after missing-value handling")
 
-    features = data.feature_columns
+    features = [(spec, values) for spec, values in zip(data.columns, data.arrays)
+                if spec.role == "feature"]
     n, m = data.n_samples, len(features)
     codes = np.empty((n, m), dtype=np.int64)
     bin_counts = np.empty(m, dtype=np.int64)
 
-    for j, spec in enumerate(features):
-        cells = data.feature_cells(spec.name)
+    for j, (spec, values) in enumerate(features):
         if spec.kind == "continuous":
-            values = np.asarray(cells, dtype=float)
             if np.unique(values).size == 1:
                 logger.warning(
                     "constant continuous column %r: falling back to a single bin",
@@ -462,7 +582,7 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
             else:
                 codes[:, j], bin_counts[j] = equal_width_codes(values, policy.n_bins)
         else:
-            col_codes, n_codes = first_appearance_codes(cells)
+            col_codes, n_codes = first_appearance_codes(values)
             if spec.kind == "binary" and n_codes > 2:
                 raise DataError(
                     f"binary column {spec.name!r} has {n_codes} distinct values"
@@ -474,7 +594,7 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
         feature_codes=codes,
         target=target,
         bin_counts=bin_counts,
-        feature_names=[c.name for c in features],
+        feature_names=[spec.name for spec, _ in features],
         provenance=policy,
         row_ids=data.row_ids,
         name=data.name,

@@ -264,6 +264,25 @@ class TestConfigAndErrors:
         assert code == EXIT_CONFIG
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    @pytest.mark.parametrize("label, message", [
+        ("?", "missing label in target column 'label'"),
+        ("", "missing label in target column 'label'"),
+        ("7", "third distinct label '7' in target column 'label'"),
+    ])
+    def test_bad_target_label_exits_data_naming_line(self, capsys, synth_files, command,
+                                                     label, message):
+        data, schema = synth_files
+        lines = data.read_text().splitlines()
+        labels = [line.rsplit(",", 1)[1] for line in lines]
+        row = max(labels.index("0"), labels.index("1")) + 1     # both labels seen before
+        lines[row] = lines[row].rsplit(",", 1)[0] + "," + label
+        data.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, command, "--data", str(data), "--schema", str(schema),
+                             "--method", "maxrel", "--k", "2")
+        assert code == EXIT_DATA
+        assert f"{data}, line {row + 1}: {message}" in err
+
     @pytest.mark.parametrize("flag, value, name", [
         ("--relieff-neighbors", "-3", "relieff_neighbors"),
         ("--relieff-neighbors", "0", "relieff_neighbors"),

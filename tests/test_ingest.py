@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qpfs import ingest
 from qpfs.cli import main
 from qpfs.errors import DataError, SchemaError
 from qpfs.ingest import (ColumnSpec, Dataset, DiscretizationPolicy, binary_target,
@@ -124,6 +125,112 @@ class TestLoadCsv:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv", basic_columns())
+
+
+class TestMalformedCells:
+    """Seeded fuzz over ``load_csv``: one malformed cell or line per file.
+
+    Every rejection must name the file and the line, and a malformed cell
+    must also name its column.  Small parse blocks put the fault on either
+    side of a block boundary.
+    """
+
+    KINDS = ("too-many", "too-few", "non-numeric", "non-finite", "missing-label",
+             "third-label")
+
+    def clean_lines(self, rng, n):
+        lines = []
+        for i in range(n):
+            label = "good" if i % 3 else "bad"
+            lines.append([f"{rng.normal():.4f}", str(rng.choice(["A", "B", "?"])),
+                          f"{rng.uniform(0, 9):.2f}", label])
+        return lines
+
+    @pytest.mark.parametrize("block_cells", [4, 20, 1 << 14])
+    @pytest.mark.parametrize("delimiter", [",", None])
+    def test_fault_named_with_file_line_and_column(self, tmp_path, monkeypatch,
+                                                   block_cells, delimiter):
+        monkeypatch.setattr(ingest, "PARSE_BLOCK_CELLS", block_cells)
+        schema = [ColumnSpec("x", "continuous"), ColumnSpec("c", "categorical"),
+                  ColumnSpec("z", "continuous"), ColumnSpec("y", "binary", "target")]
+        rng = np.random.default_rng(block_cells + (delimiter is None))
+        sep = " " if delimiter is None else delimiter
+        for case in range(36):
+            kind = self.KINDS[case % len(self.KINDS)]
+            lines = self.clean_lines(rng, int(rng.integers(3, 30)))
+            row = int(rng.integers(0, len(lines)))
+            column = None
+            if kind == "too-many":
+                lines[row].append("1.0")
+            elif kind == "too-few":
+                lines[row].pop(int(rng.integers(0, 4)))
+            elif kind == "non-numeric":
+                column = str(rng.choice(["x", "z"]))
+                lines[row][0 if column == "x" else 2] = str(rng.choice(
+                    ["abc", "1.2.3", "--1", "0x1f", "1,5" if delimiter is None else "1e"]))
+            elif kind == "non-finite":
+                column = str(rng.choice(["x", "z"]))
+                lines[row][0 if column == "x" else 2] = str(rng.choice(
+                    ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]))
+            elif kind == "missing-label":
+                column = "y"
+                lines[row][3] = "?" if delimiter is None else str(rng.choice(["?", ""]))
+            else:                                # after both labels have been seen
+                column = "y"
+                row = int(rng.integers(2, len(lines)))
+                lines[row][3] = "ugly"
+            path = tmp_path / f"case{case}.dat"
+            path.write_text("\n".join(sep.join(cells) for cells in lines) + "\n")
+
+            with pytest.raises(DataError) as exc:
+                load_csv(path, schema, delimiter=delimiter)
+            message = str(exc.value)
+            assert str(path) in message, (kind, message)
+            assert f"line {row + 1}:" in message, (kind, row, message)
+            if column is not None:
+                assert f"column {column!r}" in message, (kind, message)
+
+    def test_earliest_fault_in_the_file_wins(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,A,1\n2.0,B,?\nbad,B,2\n3.0,B\n")
+        with pytest.raises(DataError, match="line 2: missing label in target column 'y'"):
+            load_csv(p, basic_columns())
+
+    @pytest.mark.parametrize("cell, message", [
+        ("oops", "non-numeric or non-finite value 'oops'"),
+        ("nan", "non-numeric or non-finite value 'nan'"),
+        (" 1e999 ", "non-numeric or non-finite value '1e999'"),
+    ])
+    def test_fault_after_a_missing_marker_in_a_continuous_column(self, tmp_path, cell,
+                                                                 message):
+        p = tmp_path / "d.csv"
+        p.write_text(f"?,A,1\n 2.5 ,B,2\n,A,1\n{cell},B,2\n")
+        with pytest.raises(DataError, match=f"line 4: {message} in continuous column 'x'"):
+            load_csv(p, basic_columns())
+
+    def test_missing_markers_in_a_continuous_column_read_as_nan(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("?,A,1\n 2.5 ,B,2\n,A,1\n-0.0,B,2\n")
+        values = load_csv(p, basic_columns()).arrays[0]
+        assert np.array_equal(values, [np.nan, 2.5, np.nan, -0.0], equal_nan=True)
+        assert np.signbit(values[3])
+
+    def test_loads_without_numpy_strings_module(self, tmp_path, monkeypatch):
+        # numpy.strings exists only from NumPy 2.0; the declared floor is 1.23
+        monkeypatch.delattr(np, "strings", raising=False)
+        p = tmp_path / "d.csv"
+        p.write_text("?,A,1\n2.0, B ,2\n3.0,?,1\n")
+        data = load_csv(p, basic_columns())
+        assert data.rows == [(None, "A", "1"), (2.0, "B", "2"), (3.0, None, "1")]
+
+    def test_third_label_first_seen_in_a_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "PARSE_BLOCK_CELLS", 6)          # two rows per block
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,A,1\n2.0,B,1\n3.0,A,2\n4.0,A,1\n5.0,B,3\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, basic_columns())
+        assert "line 5: third distinct label '3' in target column 'y'" in str(exc.value)
+        assert "'1', '2' seen before" in str(exc.value)
 
 
 class TestBinaryTarget:
