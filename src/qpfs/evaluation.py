@@ -99,13 +99,24 @@ def loglik_and_grad(features: np.ndarray, labels: np.ndarray, beta: np.ndarray,
     excludes the intercept so a constant-only model can match the label
     mean exactly.
     """
-    X = np.column_stack([np.ones(features.shape[0]), features])
-    eta = X @ beta
+    design = np.column_stack([np.ones(features.shape[0]), features])
+    return _loglik_and_grad(design, labels, beta, ridge, _penalty_mask(len(beta)))
+
+
+def _penalty_mask(d1: int) -> np.ndarray:
+    """Ones over the d1 coefficients except the unpenalized intercept."""
+    mask = np.ones(d1)
+    mask[0] = 0.0
+    return mask
+
+
+def _loglik_and_grad(design: np.ndarray, labels: np.ndarray, beta: np.ndarray,
+                     ridge: float, penalty_mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """``loglik_and_grad`` on a design that already carries the intercept column."""
+    eta = design @ beta
     ll = float(labels @ eta - np.logaddexp(0.0, eta).sum())
-    penalty_mask = np.ones_like(beta)
-    penalty_mask[0] = 0.0
     ll -= 0.5 * ridge * float((penalty_mask * beta) @ beta)
-    grad = X.T @ (labels - _sigmoid(eta)) - ridge * penalty_mask * beta
+    grad = design.T @ (labels - _sigmoid(eta)) - ridge * penalty_mask * beta
     return ll, grad
 
 
@@ -127,11 +138,10 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
 
     d1 = X.shape[1] + 1
     beta = np.zeros(d1)
-    penalty = np.ones(d1)
-    penalty[0] = 0.0
+    penalty = _penalty_mask(d1)
     Xd = np.column_stack([np.ones(X.shape[0]), X])
 
-    ll, grad = loglik_and_grad(X, y, beta, ridge)
+    ll, grad = _loglik_and_grad(Xd, y, beta, ridge, penalty)
     for _ in range(max_iter):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= grad_tol:
@@ -147,7 +157,7 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
         improved = False
         for _ in range(60):
             candidate = beta + t * step
-            new_ll, new_grad = loglik_and_grad(X, y, candidate, ridge)
+            new_ll, new_grad = _loglik_and_grad(Xd, y, candidate, ridge, penalty)
             if new_ll > ll:
                 beta, ll, grad = candidate, new_ll, new_grad
                 improved = True

@@ -294,8 +294,8 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     recorded as missing, not dropped.  A continuous cell must parse to a
     finite number: "nan", "inf" and overflowing values such as "1e999" are
     rejected with the file, line and column, as are a missing target label
-    and a third distinct target label.  When a file has several faults, the
-    first one in file order is reported.
+    and a third distinct label in the target or a binary feature column.
+    When a file has several faults, the first one in file order is reported.
     """
     path = Path(path)
     try:
@@ -343,14 +343,13 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
         codes, labels = _code_labels(column, np.isin(column, MISSING_MARKERS))
         arrays.append(codes)
         categories.append(labels)
-        if spec.role != "target":
-            continue
-        if (codes < 0).any():
+        if spec.role == "target" and (codes < 0).any():
             errors.append((int(np.argmax(codes < 0)), j,
                            f"missing label in target column {spec.name!r}"))
-        if len(labels) > 2:
+        if len(labels) > 2 and (spec.role == "target" or spec.kind == "binary"):
+            where = "target" if spec.role == "target" else "binary"
             errors.append((int(np.argmax(codes == 2)), j, f"third distinct label"
-                           f" {labels[2]!r} in target column {spec.name!r}; expected two"
+                           f" {labels[2]!r} in {where} column {spec.name!r}; expected two"
                            f" ({labels[0]!r}, {labels[1]!r} seen before)"))
     if errors:
         row, _, message = min(errors)

@@ -10,8 +10,6 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 
-import numpy as np
-
 from . import baselines, infotheory, qp
 from .errors import ConfigError, DataError
 from .evaluation import CvProtocol, EvaluationReport, evaluate
@@ -129,14 +127,12 @@ def inspect_quantities(data: Dataset, config: SelectionConfig) -> dict:
     """Deterministic dump of Q, F, alpha-hat, lambda_min, and psd_shift."""
     dd = discretize(data, config.policy)
     Q, F, alpha, problem = quadratic_problem(dd, config)
-    unshifted = problem.Q_eff - problem.psd_shift * np.eye(problem.m)
-    lam_min = float(np.linalg.eigvalsh(unshifted)[0]) if problem.m else 0.0
     return {
         "feature_names": dd.feature_names,
         "Q": Q,
         "F": F,
         "alpha": alpha,
-        "lambda_min": lam_min,
+        "lambda_min": problem.lambda_min,
         "psd_shift": problem.psd_shift,
         "bin_counts": dd.bin_counts,
     }

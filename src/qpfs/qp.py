@@ -3,8 +3,12 @@
 Assembles  minimize  0.5 * x' Q_eff x - f_eff' x  over the probability
 simplex {x >= 0, sum(x) = 1}, where Q_eff = (1 - alpha) * Q and
 f_eff = alpha * F, estimates the balancing parameter alpha from the data,
-solves with a dual active-set method (projected-gradient fallback on
-degeneracy), and ranks features by solution weight.
+solves, and ranks features by solution weight.
+
+``solve`` follows one rule.  An all-zero Q_eff is a linear program, solved
+at a vertex.  Otherwise the dual active-set method runs, and projected
+gradient runs only when the active set reports degeneracy or its iterate
+misses the KKT tolerance; the iterate with the lower residual is kept.
 """
 
 from __future__ import annotations
@@ -28,12 +32,17 @@ def _as_vector(F) -> np.ndarray:
 
 @dataclass
 class QpProblem:
-    """Effective quadratic/linear terms after alpha-balancing and PSD repair."""
+    """Effective quadratic/linear terms after alpha-balancing and PSD repair.
+
+    ``lambda_min`` is the smallest eigenvalue of (1 - alpha) * Q before the
+    repair (0.0 when that matrix is all zero or empty).
+    """
 
     Q_eff: np.ndarray
     f_eff: np.ndarray
     alpha: float
     psd_shift: float = 0.0
+    lambda_min: float = 0.0
 
     @property
     def m(self) -> int:
@@ -53,7 +62,10 @@ class FeatureWeights:
     kkt_residual: float
     solver: str                  # "active-set", "projected-gradient", or "vertex"
     iterations: int
-    fallback_used: bool = False
+
+    @property
+    def fallback_used(self) -> bool:
+        return self.solver == "projected-gradient"
 
 
 def estimate_alpha(Q, F) -> float:
@@ -93,12 +105,14 @@ def assemble(Q, F, alpha: float) -> QpProblem:
     Q_eff = 0.5 * (Q_eff + Q_eff.T)      # exact symmetry for eigvalsh/solvers
     f_eff = alpha * Fv
     psd_shift = 0.0
+    lam_min = 0.0
     if Q_eff.shape[0] > 0 and np.any(Q_eff):
         lam_min = float(np.linalg.eigvalsh(Q_eff)[0])
         if lam_min < -1e-9:
             psd_shift = abs(lam_min) + 1e-9
             Q_eff = Q_eff + psd_shift * np.eye(Q_eff.shape[0])
-    return QpProblem(Q_eff=Q_eff, f_eff=f_eff, alpha=float(alpha), psd_shift=psd_shift)
+    return QpProblem(Q_eff=Q_eff, f_eff=f_eff, alpha=float(alpha), psd_shift=psd_shift,
+                     lambda_min=lam_min)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +151,11 @@ def kkt_residual(Q_eff: np.ndarray, f_eff: np.ndarray, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
+
+# Projected gradient counts a step as stalled when the objective falls by less
+# than this fraction of its magnitude.
+STALL_TOL = 1e-12
+
 
 class _Degenerate(Exception):
     """Internal: active-set method cannot proceed; use the fallback."""
@@ -259,17 +278,16 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
             del active[blocker]
 
 
-def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, x0: np.ndarray | None,
-                              max_iter: int, rel_tol: float = 1e-12):
-    """Fixed-step (1/L) projected gradient with objective-decrease stopping.
+def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, max_iter: int):
+    """Fixed-step (1/L) projected gradient from the simplex centre.
 
-    The stall test (five consecutive relative decreases below ``rel_tol``)
+    The stall test (five consecutive relative decreases below ``STALL_TOL``)
     only ends the run once the iterate also meets the KKT certificate;
     otherwise iteration continues until the budget runs out, returning the
     lowest-residual iterate seen.
     """
     m = f.shape[0]
-    x = np.full(m, 1.0 / m) if x0 is None else project_simplex(np.asarray(x0, float))
+    x = np.full(m, 1.0 / m)
     if np.any(Q):
         lipschitz = float(np.linalg.eigvalsh(Q)[-1])
     else:
@@ -287,7 +305,7 @@ def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, x0: np.ndarray | Non
     for iterations in range(1, max_iter + 1):
         x = project_simplex(x - step * (Q @ x - f))
         cur = objective(x)
-        if prev - cur <= rel_tol * max(1.0, abs(prev)):
+        if prev - cur <= STALL_TOL * max(1.0, abs(prev)):
             stalled += 1
         else:
             stalled = 0
@@ -309,15 +327,15 @@ def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, x0: np.ndarray | Non
     return best_x, iterations
 
 
-def solve(problem: QpProblem, method: str = "auto",
-          x0: np.ndarray | None = None) -> FeatureWeights:
+def solve(problem: QpProblem) -> FeatureWeights:
     """Minimize over the simplex and certify the result with a KKT residual.
 
-    ``method`` is "auto" (active set, falling back to projected gradient on
-    degeneracy), "active-set", or "projected-gradient".  ``x0`` seeds the
-    projected-gradient path only; the active-set method is start-free.
-    Raises SolverError (with the best iterate attached) if no path reaches
-    the KKT tolerance.
+    An all-zero Q_eff goes to the vertex solution.  Otherwise the dual
+    active-set method runs; projected gradient runs only when it raises
+    ``_Degenerate`` or its polished iterate misses ``KKT_TOL``, and the
+    iterate with the lower residual is kept.  Raises SolverError (with the
+    best iterate and its residual attached) if that residual still misses
+    the tolerance.
 
     The problem is normalized by its largest coefficient before solving, so
     the certificate (and the tolerance it is held to) is invariant to a
@@ -333,48 +351,23 @@ def solve(problem: QpProblem, method: str = "auto",
         coeff_scale = 1.0
     Q = problem.Q_eff / coeff_scale
     f = problem.f_eff / coeff_scale
-    max_as_iter = 100 * m
-    fallback_budget = 100_000
-
-    x = None
-    used = ""
-    iterations = 0
-    fallback_used = False
 
     if not np.any(Q):
-        x = _solve_vertex(f)
-        used = "vertex"
-    elif method == "active-set":
-        try:
-            x, iterations = _solve_active_set(Q, f, max_as_iter)
-            used = "active-set"
-        except _Degenerate as exc:
-            raise SolverError(f"active-set method reported degeneracy: {exc}") from exc
-    elif method == "projected-gradient":
-        x, iterations = _solve_projected_gradient(Q, f, x0, fallback_budget)
-        used = "projected-gradient"
-    elif method == "auto":
-        try:
-            x, iterations = _solve_active_set(Q, f, max_as_iter)
-            used = "active-set"
-        except _Degenerate:
-            x, iterations = _solve_projected_gradient(Q, f, x0, fallback_budget)
-            used = "projected-gradient"
-            fallback_used = True
+        x, iterations, used = _solve_vertex(f), 0, "vertex"
+        residual = kkt_residual(Q, f, x)
     else:
-        raise DataError(f"unknown solve method {method!r}")
-
-    x = _polish_feasibility(x)
-    residual = kkt_residual(Q, f, x)
-    if residual > KKT_TOL and used == "active-set":
-        # Certificate failed; retry with the fallback before giving up.
-        x2, it2 = _solve_projected_gradient(Q, f, x0, fallback_budget)
-        x2 = _polish_feasibility(x2)
-        r2 = kkt_residual(Q, f, x2)
-        if r2 < residual:
-            x, residual, iterations = x2, r2, it2
-            used = "projected-gradient"
-            fallback_used = True
+        try:
+            x, iterations = _solve_active_set(Q, f, 100 * m)
+            x = _polish_feasibility(x)
+            residual, used = kkt_residual(Q, f, x), "active-set"
+        except _Degenerate:
+            x, residual = None, float("inf")
+        if residual > KKT_TOL:
+            x_pg, it_pg = _solve_projected_gradient(Q, f, 100_000)
+            x_pg = _polish_feasibility(x_pg)
+            r_pg = kkt_residual(Q, f, x_pg)
+            if x is None or r_pg < residual:
+                x, residual, iterations, used = x_pg, r_pg, it_pg, "projected-gradient"
     if residual > KKT_TOL:
         raise SolverError(
             f"no solver reached KKT tolerance {KKT_TOL:g} (best residual {residual:.3e})",
@@ -388,7 +381,6 @@ def solve(problem: QpProblem, method: str = "auto",
         kkt_residual=residual,
         solver=used,
         iterations=iterations,
-        fallback_used=fallback_used,
     )
 
 

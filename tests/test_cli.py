@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from qpfs import qp
 from qpfs.cli import main, read_config_file
 
 from conftest import write_synthetic_files, write_uci_like_files
 
-EXIT_OK, EXIT_CONFIG, EXIT_DATA = 0, 2, 3
+EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL = 0, 2, 3, 4
 
 
 def run(capsys, *argv):
@@ -282,6 +283,18 @@ class TestConfigAndErrors:
                              "--method", "maxrel", "--k", "2")
         assert code == EXIT_DATA
         assert f"{data}, line {row + 1}: {message}" in err
+
+    def test_uncertified_qp_exits_numerical(self, capsys, monkeypatch, synth_files):
+        def degenerate(Q, f, max_iter):
+            raise qp._Degenerate("singular")
+        monkeypatch.setattr(qp, "_solve_active_set", degenerate)
+        monkeypatch.setattr(qp, "_solve_projected_gradient",
+                            lambda Q, f, max_iter: (np.full(f.shape, np.nan), max_iter))
+        data, schema = synth_files
+        code, out, err = run(capsys, "select", "--data", str(data), "--schema", str(schema),
+                             "--method", "quadratic", "--k", "2")
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: no solver reached KKT tolerance" in err
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--relieff-neighbors", "-3", "relieff_neighbors"),

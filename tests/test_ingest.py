@@ -136,14 +136,15 @@ class TestMalformedCells:
     """
 
     KINDS = ("too-many", "too-few", "non-numeric", "non-finite", "missing-label",
-             "third-label")
+             "third-label", "third-binary-value")
 
     def clean_lines(self, rng, n):
         lines = []
         for i in range(n):
             label = "good" if i % 3 else "bad"
+            flag = "yes" if i % 2 else "no"
             lines.append([f"{rng.normal():.4f}", str(rng.choice(["A", "B", "?"])),
-                          f"{rng.uniform(0, 9):.2f}", label])
+                          f"{rng.uniform(0, 9):.2f}", str(rng.choice([flag, "?"])), label])
         return lines
 
     @pytest.mark.parametrize("block_cells", [4, 20, 1 << 14])
@@ -152,10 +153,11 @@ class TestMalformedCells:
                                                    block_cells, delimiter):
         monkeypatch.setattr(ingest, "PARSE_BLOCK_CELLS", block_cells)
         schema = [ColumnSpec("x", "continuous"), ColumnSpec("c", "categorical"),
-                  ColumnSpec("z", "continuous"), ColumnSpec("y", "binary", "target")]
+                  ColumnSpec("z", "continuous"), ColumnSpec("b", "binary"),
+                  ColumnSpec("y", "binary", "target")]
         rng = np.random.default_rng(block_cells + (delimiter is None))
         sep = " " if delimiter is None else delimiter
-        for case in range(36):
+        for case in range(42):
             kind = self.KINDS[case % len(self.KINDS)]
             lines = self.clean_lines(rng, int(rng.integers(3, 30)))
             row = int(rng.integers(0, len(lines)))
@@ -163,7 +165,7 @@ class TestMalformedCells:
             if kind == "too-many":
                 lines[row].append("1.0")
             elif kind == "too-few":
-                lines[row].pop(int(rng.integers(0, 4)))
+                lines[row].pop(int(rng.integers(0, 5)))
             elif kind == "non-numeric":
                 column = str(rng.choice(["x", "z"]))
                 lines[row][0 if column == "x" else 2] = str(rng.choice(
@@ -174,11 +176,13 @@ class TestMalformedCells:
                     ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]))
             elif kind == "missing-label":
                 column = "y"
-                lines[row][3] = "?" if delimiter is None else str(rng.choice(["?", ""]))
+                lines[row][4] = "?" if delimiter is None else str(rng.choice(["?", ""]))
             else:                                # after both labels have been seen
-                column = "y"
+                column = "y" if kind == "third-label" else "b"
                 row = int(rng.integers(2, len(lines)))
-                lines[row][3] = "ugly"
+                for earlier, flag in ((0, "no"), (1, "yes")):
+                    lines[earlier][3] = flag
+                lines[row][4 if column == "y" else 3] = "ugly"
             path = tmp_path / f"case{case}.dat"
             path.write_text("\n".join(sep.join(cells) for cells in lines) + "\n")
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qpfs.errors import DataError
+from qpfs import qp
+from qpfs.errors import DataError, SolverError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
 from qpfs.qp import (FeatureWeights, QpProblem, assemble, estimate_alpha,
                      kkt_residual, project_simplex, rank, ranking_of, solve,
@@ -137,14 +138,14 @@ class TestSolve:
             assert abs(w.objective - oracle_val) <= 1e-4
 
     def test_restart_stability_strictly_convex(self):
+        # projected gradient starts at the simplex centre, the active set at the
+        # equality-constrained minimum; a strictly convex problem has one optimum
         rng = np.random.default_rng(4)
         for _ in range(30):
             Q, f = random_psd_instance(rng)
-            p = QpProblem(Q, f, alpha=0.5)
-            base = solve(p)
-            for start in (np.eye(p.m)[0], rng.dirichlet(np.ones(p.m))):
-                again = solve(p, method="projected-gradient", x0=start)
-                assert np.max(np.abs(base.x - again.x)) <= 1e-5
+            base = solve(QpProblem(Q, f, alpha=0.5))
+            again, _ = qp._solve_projected_gradient(Q, f, 100_000)
+            assert np.max(np.abs(base.x - again)) <= 1e-5
 
     def test_feasibility_and_certificate_invariants(self):
         rng = np.random.default_rng(5)
@@ -161,6 +162,35 @@ class TestSolve:
         assert w.fallback_used
         assert w.solver == "projected-gradient"
         assert w.kkt_residual <= 1e-6
+
+    def test_uncertified_active_set_iterate_routes_to_fallback(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        Q, f = random_psd_instance(rng, 5)
+        p = QpProblem(Q, f, alpha=0.5)
+        certified = solve(p)
+        assert certified.solver == "active-set"
+        monkeypatch.setattr(qp, "_solve_active_set", lambda Q, f, max_iter: (np.eye(5)[0], 3))
+        w = solve(p)
+        assert w.solver == "projected-gradient" and w.fallback_used
+        assert w.kkt_residual <= 1e-6
+        assert np.max(np.abs(w.x - certified.x)) <= 1e-5
+
+    @pytest.mark.parametrize("active_set_result", ["uncertified", "degenerate"])
+    def test_both_paths_uncertified_raise_with_best_iterate(self, monkeypatch,
+                                                            active_set_result):
+        # Q = I, f = 0: the optimum is uniform.  Residual of e_0 is 1 (its
+        # complementarity), of (1/2, 1/2, 0) is 1/3 (its stationarity gap).
+        def active_set(Q, f, max_iter):
+            if active_set_result == "degenerate":
+                raise qp._Degenerate("singular")
+            return np.array([1.0, 0.0, 0.0]), 2
+        monkeypatch.setattr(qp, "_solve_active_set", active_set)
+        monkeypatch.setattr(qp, "_solve_projected_gradient",
+                            lambda Q, f, max_iter: (np.array([0.5, 0.5, 0.0]), max_iter))
+        with pytest.raises(SolverError, match="best residual 3.333e-01") as exc:
+            solve(QpProblem(np.eye(3), np.zeros(3), alpha=0.0))
+        assert exc.value.best_x.tolist() == [0.5, 0.5, 0.0]
+        assert exc.value.residual == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_monotone_relevance_alpha_one(self):
         rng = np.random.default_rng(6)
