@@ -26,6 +26,7 @@ class 1 (the "bad" / non-creditworthy class in the credit datasets).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -458,6 +459,21 @@ def column_mode(values):
     return values[first[counts == counts.max()].min()]
 
 
+def column_median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty column, kept finite on finite values.
+
+    The two middle values of an even count average as (a + b) / 2, as in
+    ``np.median``, unless a + b overflows float64; then as a/2 + b/2.
+    """
+    with np.errstate(over="ignore"):
+        median = float(np.median(values))
+    if math.isinf(median):
+        k = values.size // 2
+        a, b = np.partition(values, (k - 1, k))[k - 1:k + 1]
+        median = float(a / 2 + b / 2)
+    return median
+
+
 def _impute_column(values: np.ndarray, spec: ColumnSpec,
                    policy: DiscretizationPolicy) -> np.ndarray:
     missing = missing_cells(spec, values)
@@ -467,7 +483,7 @@ def _impute_column(values: np.ndarray, spec: ColumnSpec,
         return values
     present = values[~missing]
     if spec.kind == "continuous" and policy.missing_policy != "impute-mode":
-        fill = float(np.median(present))
+        fill = column_median(present)
     else:
         fill = column_mode(present)
     return np.where(missing, fill, values)
@@ -533,12 +549,19 @@ def equal_frequency_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, 
 
 
 def equal_width_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]:
-    """Fixed-width codes over [min, max]; empty bins compacted away."""
+    """Fixed-width codes over [min, max]; empty bins compacted away.
+
+    Raises ``DataError`` when the bin width is not a positive finite
+    float64: max - min overflows, or a subnormal range divides to zero.
+    """
     lo = float(values.min())
     hi = float(values.max())
     if hi == lo:
         return np.zeros(values.size, dtype=np.int64), 1
     width = (hi - lo) / n_bins
+    if not 0.0 < width < math.inf:
+        raise DataError(f"range [{lo!r}, {hi!r}] has no {n_bins} equal-width"
+                        " bins in float64")
     provisional = np.minimum((values - lo) // width, n_bins - 1).astype(np.int64)
     return _dense_codes(provisional)
 
@@ -579,7 +602,10 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
             if policy.method == "equal-frequency":
                 codes[:, j], bin_counts[j] = equal_frequency_codes(values, policy.n_bins)
             else:
-                codes[:, j], bin_counts[j] = equal_width_codes(values, policy.n_bins)
+                try:
+                    codes[:, j], bin_counts[j] = equal_width_codes(values, policy.n_bins)
+                except DataError as exc:
+                    raise DataError(f"continuous column {spec.name!r}: {exc}") from None
         else:
             col_codes, n_codes = first_appearance_codes(values)
             if spec.kind == "binary" and n_codes > 2:

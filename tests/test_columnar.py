@@ -8,6 +8,8 @@ the columnar code to the same codes, bin counts, targets, row_ids and
 design matrices, bit for bit, on seeded random datasets.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,15 @@ def oracle_first_appearance_codes(cells):
     return out, len(mapping)
 
 
+def oracle_median(present):
+    ordered = sorted(present)
+    k = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[k]
+    a, b = ordered[k - 1], ordered[k]
+    return a / 2 + b / 2 if math.isinf((a + b) / 2) else (a + b) / 2
+
+
 def oracle_binary_target(columns, rows):
     j, spec = next((j, c) for j, c in enumerate(columns) if c.role == "target")
     raw = [row[j] for row in rows]
@@ -69,7 +80,7 @@ def oracle_resolve_missing(columns, rows, row_ids, policy):
         if spec.role == "feature" and None in cells:
             present = [v for v in cells if v is not None]
             if spec.kind == "continuous" and policy.missing_policy != "impute-mode":
-                fill = float(np.median(np.asarray(present, dtype=float)))
+                fill = oracle_median(present)
             else:
                 fill = oracle_column_mode(cells)
             cells = [fill if v is None else v for v in cells]
@@ -200,6 +211,50 @@ def random_table(rng, n, missing_rate=0.08):
     return columns, rows
 
 
+EXTREMES = np.array([-1.7976931348623157e308, -1e308, -3e300, -1.0, -5e-324, 0.0,
+                     5e-324, 2.2250738585072014e-308, 1.0, 3e300, 1e308,
+                     1.7976931348623157e308])
+
+
+def fuzz_table(rng):
+    """(columns, rows) of random width and kinds: continuous columns drawn from
+    normals, ties, a constant or extreme finite magnitudes, categorical and
+    binary columns (sometimes with a third value or a constant), and missing
+    feature cells.  Rows 0-3 are complete and carry both target labels, so
+    any DataError comes from a feature column."""
+    n = int(rng.integers(4, 40))
+    columns, cols = [], []
+    for j in range(int(rng.integers(1, 6))):
+        kind = ("continuous", "categorical", "binary")[int(rng.integers(3))]
+        columns.append(ColumnSpec(f"{kind[0]}{j}", kind))
+        if kind == "continuous":
+            draw = int(rng.integers(4))
+            if draw == 0:
+                cells = rng.normal(0, 3, n)
+            elif draw == 1:
+                cells = rng.integers(-2, 3, n).astype(float)
+            elif draw == 2:
+                cells = np.full(n, rng.choice(EXTREMES))
+            else:
+                cells = rng.choice(rng.choice(EXTREMES, int(rng.integers(2, 6)),
+                                              replace=False), n)
+            if rng.random() < 0.3:
+                cells = np.where(rng.random(n) < 0.3, rng.choice(EXTREMES, n), cells)
+            cells = cells.tolist()
+        else:
+            labels = ["a", "b", "c", "d"][: (2 if kind == "binary" else 4)]
+            if rng.random() < 0.15:
+                labels = labels[:1] if rng.random() < 0.5 else ["a", "b", "c"]
+            cells = rng.choice(labels, n).tolist()
+        for i in np.flatnonzero(rng.random(n) < 0.15):
+            if i >= 4:
+                cells[i] = None
+        cols.append(cells)
+    columns.append(ColumnSpec("label", "binary", "target"))
+    cols.append(["bad", "good", "bad", "good"] + rng.choice(["bad", "good"], n - 4).tolist())
+    return columns, list(zip(*cols))
+
+
 def assert_discretized_equal(dd, expected):
     codes, bin_counts, target, row_ids = expected
     assert np.array_equal(dd.feature_codes, codes)
@@ -277,6 +332,40 @@ class TestDiscretizeOracle:
         pos = rng.permutation(80)[:50]
         assert np.array_equal(binary_target(data.subset(pos)),
                               oracle_binary_target(columns, [rows[i] for i in pos]))
+
+
+class TestDiscretizeFuzz:
+    def test_named_error_or_ordered_dense_codes_matching_oracle(self):
+        # Every outcome is a DataError naming a feature column, or dense codes
+        # that keep value order within each continuous column and equal the
+        # row-wise oracle's.
+        rng = np.random.default_rng(2027)
+        outcomes = {"codes": 0, "error": 0}
+        for _ in range(120):
+            columns, rows = fuzz_table(rng)
+            data = Dataset(columns, rows)
+            ids = np.arange(len(rows))
+            for policy in POLICIES:
+                try:
+                    dd = discretize(data, policy)
+                except DataError as exc:
+                    assert any(repr(c.name) in str(exc) for c in columns[:-1]), exc
+                    outcomes["error"] += 1
+                    continue
+                outcomes["codes"] += 1
+                assert_discretized_equal(dd, oracle_discretize(columns, rows, ids, policy))
+                for j, spec in enumerate(columns[:-1]):
+                    codes = dd.feature_codes[:, j]
+                    assert np.array_equal(np.unique(codes), np.arange(dd.bin_counts[j]))
+                    if spec.kind != "continuous":
+                        continue
+                    assert dd.bin_counts[j] <= policy.n_bins
+                    present = {(rows[i][j], int(c)) for i, c in zip(dd.row_ids, codes)
+                               if rows[i][j] is not None}
+                    assert len(present) == len({v for v, _ in present})   # ties share
+                    by_value = [c for _, c in sorted(present)]
+                    assert by_value == sorted(by_value)
+        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestEncoderOracle:

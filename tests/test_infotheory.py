@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qpfs import infotheory
 from qpfs.errors import DataError
 from qpfs.infotheory import (ContingencyTable, RedundancyMatrix, build_redundancy_matrix,
                              build_relevance_vector, contingency, entropy,
@@ -152,6 +153,46 @@ INFORMATION_CASES = {
     "single-column": lambda rng: rng.integers(0, 5, (90, 1)),
     "target-last": _with_target_last,
 }
+
+
+def _fuzz_codes(rng):
+    """[features | target] with n down to 1, p down to 1, constant, negative and
+    non-contiguous columns, many bin counts, and sometimes one column whose
+    every row has its own code."""
+    n = int(rng.choice([1, 2, 3, 8, 40, 150]))
+    columns = []
+    for _ in range(int(rng.integers(1, 9))):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            columns.append(np.full(n, rng.integers(-9, 9)))
+        elif kind == 1:
+            columns.append(rng.choice(rng.choice(np.arange(-60, 60), 5, replace=False), n))
+        else:
+            columns.append(rng.integers(0, int(rng.integers(1, 9)), n))
+    if rng.random() < 0.3:
+        columns[int(rng.integers(len(columns)))] = rng.permutation(n) * 7 - n
+    target = rng.integers(0, 2, n)
+    target[:2] = [0, 1][:n]
+    return np.column_stack(columns + [target])
+
+
+class TestInformationFuzz:
+    def test_batched_kernel_equals_pairwise_oracle_bit_for_bit(self, monkeypatch):
+        # Pins, on the installed numpy, that a contiguous row of a stacked
+        # reduction is summed like the 1-D array of one pair; tiny block
+        # sizes run many blocks and term flushes within one call.
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            monkeypatch.setattr(infotheory, "PAIR_BLOCK_CELLS",
+                                int(rng.choice([1, 5, 64, 1 << 16])))
+            codes = _fuzz_codes(rng)
+            info = information_matrix(codes)
+            assert np.array_equal(info, pairwise_oracle(codes))
+            assert np.array_equal(information_matrix(codes[:, :-1]),
+                                  pairwise_oracle(codes[:, :-1]))
+            if codes.shape[0] >= 2:
+                dd = make_dd(codes[:, :-1], codes[:, -1])
+                assert np.array_equal(build_relevance_vector(dd).values, info[:-1, -1])
 
 
 class TestRedundancyMatrix:

@@ -7,7 +7,7 @@ from qpfs import ingest
 from qpfs.cli import main
 from qpfs.errors import DataError, SchemaError
 from qpfs.ingest import (ColumnSpec, Dataset, DiscretizationPolicy, binary_target,
-                         column_mode, discretize, equal_frequency_codes,
+                         column_median, column_mode, discretize, equal_frequency_codes,
                          equal_width_codes, first_appearance_codes, load_csv,
                          load_schema, parse_schema_text, resolve_missing)
 
@@ -294,6 +294,15 @@ class TestMissingResolution:
     def test_mode_tie_goes_to_earliest_seen(self):
         assert column_mode(["Q", "P", "Q", "P"]) == "Q"
 
+    def test_median_of_huge_middle_pair_stays_finite(self):
+        assert column_median(np.array([1.5e308, 1e308, -3.0, 1.7e308])) == 1.25e308
+        assert column_median(np.array([3.0, 1.0, 2.0, 10.0])) == 2.5
+        assert column_median(np.array([-1.7e308, 1e308, -1.7e308])) == -1.7e308
+        cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
+        rows = [(1e308, "0"), (1.5e308, "1"), (None, "0")]
+        filled = resolve_missing(Dataset(cols, rows), DiscretizationPolicy())
+        assert filled.arrays[0].tolist() == [1e308, 1.5e308, 1.25e308]
+
 
 class TestBinning:
     def test_median_split(self):
@@ -359,6 +368,28 @@ class TestDiscretize:
         rows = [("a", "0"), ("b", "1"), ("c", "0")]
         with pytest.raises(DataError, match="binary"):
             discretize(Dataset(cols, rows), DiscretizationPolicy())
+
+    @pytest.mark.parametrize("values", [
+        [-1e308, 1e308, 0.0, 5.0, -5.0],                 # max - min overflows
+        [0.0, 5e-324, 1e-323, 0.0, 5e-324],              # width underflows to 0
+    ])
+    def test_equal_width_without_float64_width_names_column(self, tmp_path, capsys,
+                                                            values):
+        cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
+        rows = [(v, str(i % 2)) for i, v in enumerate(values)]
+        with pytest.raises(DataError, match="continuous column 'x': range"):
+            discretize(Dataset(cols, rows), DiscretizationPolicy(method="equal-width"))
+        ranks = discretize(Dataset(cols, rows), DiscretizationPolicy(n_bins=5))
+        order = np.argsort(values, kind="stable")
+        assert np.all(np.diff(ranks.feature_codes[order, 0]) >= 0)
+
+        data, schema = tmp_path / "x.csv", tmp_path / "x.schema"
+        data.write_text("".join(f"{v!r},{y}\n" for v, y in rows))
+        schema.write_text("x continuous feature\ny binary target positive=1\n")
+        code = main(["select", "--data", str(data), "--schema", str(schema),
+                     "--binning", "equal-width", "--method", "maxrel", "--k", "1"])
+        assert code == 3
+        assert "continuous column 'x': range" in capsys.readouterr().err
 
     def test_needs_two_rows(self):
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
