@@ -158,6 +158,13 @@ def resolve_protocol(options: dict) -> CvProtocol:
                                error_convention="convention"))
 
 
+def run_record(sel_config: SelectionConfig, protocol: CvProtocol, strict: bool) -> dict:
+    """Every setting of a run, as ``report.json`` and ``results.json`` record it."""
+    return {"selection": dataclasses.asdict(sel_config),
+            "protocol": {**dataclasses.asdict(protocol), "strict": strict},
+            "version": __version__}
+
+
 def _write(out_dir: Path, filename: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / filename
@@ -212,8 +219,7 @@ def cmd_evaluate(options: dict) -> int:
     print(f"type2_error = {report.type2_error:.3f}")
 
     if "out" in options:
-        payload = report.to_dict()
-        payload["protocol"] = {**dataclasses.asdict(protocol), "strict": strict}
+        payload = {**dataclasses.asdict(report), **run_record(sel_config, protocol, strict)}
         _write(Path(options["out"]), "report.json",
                json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -241,12 +247,10 @@ def cmd_reproduce(options: dict) -> int:
             delta = format_delta_table(key, reports, ref_methods)
             print(delta)
             _write(out_dir, f"delta_{key}.txt", delta)
-    run_info = {"seed": protocol.seed, "n_folds": protocol.n_folds,
-                "ridge": protocol.ridge, "convention": protocol.convention,
-                "strict": strict, "binning": sel_config.policy.method,
-                "bins": sel_config.policy.n_bins, "q_diagonal": sel_config.q_diagonal,
-                "version": __version__}
-    _write(out_dir, "results.json", reports_to_json(all_reports, extras=run_info))
+    record = run_record(sel_config, protocol, strict)
+    for key in ("method", "k"):            # every table runs each method at its own k
+        del record["selection"][key]
+    _write(out_dir, "results.json", reports_to_json(all_reports, extras=record))
     print(f"artifacts written to {out_dir}/")
     return EXIT_OK
 

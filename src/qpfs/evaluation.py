@@ -6,18 +6,23 @@ error rates under stratified cross-validation.  Class 1 is the
 non-creditworthy ("bad") class: Type I error is the fraction of
 creditworthy cases predicted bad, Type II the fraction of bad cases
 predicted good; an alternative convention flag swaps the two.
+
+The path works on arrays: a fold per row, code lookups fitted on each
+training split, and IRLS on the resulting design matrices.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .ingest import (Dataset, binary_target, column_mode, first_appearance_codes,
-                     missing_cells)
+from .ingest import (Dataset, binary_target, column_median, column_mode,
+                     first_appearance_codes, missing_cells)
 
 ENCODINGS = ("one-hot", "code-as-ordinal")
 CONVENTIONS = ("bad-positive", "good-positive")
@@ -66,17 +71,6 @@ class EvaluationReport:
     type2_error: float
     per_fold: list[tuple[float, float, float]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "k": self.k,
-            "test_error": self.test_error,
-            "type1_error": self.type1_error,
-            "type2_error": self.type2_error,
-            "per_fold": [list(t) for t in self.per_fold],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Ridge logistic regression via IRLS
@@ -99,8 +93,14 @@ def loglik_and_grad(features: np.ndarray, labels: np.ndarray, beta: np.ndarray,
     excludes the intercept so a constant-only model can match the label
     mean exactly.
     """
-    design = np.column_stack([np.ones(features.shape[0]), features])
-    return _loglik_and_grad(design, labels, beta, ridge, _penalty_mask(len(beta)))
+    ll, grad, _ = _loglik_and_grad(_with_intercept(features), labels, beta, ridge,
+                                   _penalty_mask(len(beta)))
+    return ll, grad
+
+
+def _with_intercept(features: np.ndarray) -> np.ndarray:
+    """The design ``[1 | features]``: a leading column of ones for the intercept."""
+    return np.column_stack([np.ones(features.shape[0]), features])
 
 
 def _penalty_mask(d1: int) -> np.ndarray:
@@ -111,13 +111,15 @@ def _penalty_mask(d1: int) -> np.ndarray:
 
 
 def _loglik_and_grad(design: np.ndarray, labels: np.ndarray, beta: np.ndarray,
-                     ridge: float, penalty_mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """``loglik_and_grad`` on a design that already carries the intercept column."""
+                     ridge: float, penalty_mask: np.ndarray
+                     ) -> tuple[float, np.ndarray, np.ndarray]:
+    """``loglik_and_grad`` on a ``_with_intercept`` design, plus the probabilities."""
     eta = design @ beta
     ll = float(labels @ eta - np.logaddexp(0.0, eta).sum())
     ll -= 0.5 * ridge * float((penalty_mask * beta) @ beta)
-    grad = design.T @ (labels - _sigmoid(eta)) - ridge * penalty_mask * beta
-    return ll, grad
+    p = _sigmoid(eta)
+    grad = design.T @ (labels - p) - ridge * penalty_mask * beta
+    return ll, grad, p
 
 
 def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
@@ -125,7 +127,9 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
     """Fit by IRLS with step-halving; returns (d+1,) coefficients, intercept first.
 
     Converged when the penalized log-likelihood gradient has 2-norm at most
-    ``grad_tol``.  Deterministic: no randomness anywhere in the fit.
+    ``grad_tol``.  Each Newton step weights the Hessian with the
+    probabilities already computed at the accepted iterate.  Deterministic:
+    no randomness anywhere in the fit.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -139,14 +143,13 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
     d1 = X.shape[1] + 1
     beta = np.zeros(d1)
     penalty = _penalty_mask(d1)
-    Xd = np.column_stack([np.ones(X.shape[0]), X])
+    Xd = _with_intercept(X)
 
-    ll, grad = _loglik_and_grad(Xd, y, beta, ridge, penalty)
+    ll, grad, p = _loglik_and_grad(Xd, y, beta, ridge, penalty)
     for _ in range(max_iter):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= grad_tol:
             return beta
-        p = _sigmoid(Xd @ beta)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         hess = Xd.T @ (w[:, None] * Xd) + ridge * np.diag(penalty)
         try:
@@ -154,23 +157,18 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         t = 1.0
-        improved = False
         for _ in range(60):
             candidate = beta + t * step
-            new_ll, new_grad = _loglik_and_grad(Xd, y, candidate, ridge, penalty)
-            if new_ll > ll:
-                beta, ll, grad = candidate, new_ll, new_grad
-                improved = True
-                break
-            # Terminal phase: the likelihood gain underflows float64 near the
-            # optimum while Newton still contracts the gradient quadratically.
-            if (new_ll >= ll - 1e-9 * (1.0 + abs(ll))
-                    and np.linalg.norm(new_grad) < 0.5 * gnorm):
-                beta, ll, grad = candidate, new_ll, new_grad
-                improved = True
+            new_ll, new_grad, new_p = _loglik_and_grad(Xd, y, candidate, ridge, penalty)
+            # Accept a likelihood gain, or a loss below 1e-9 relative that
+            # halves the gradient: near the optimum the gain underflows
+            # float64 while Newton still contracts the gradient quadratically.
+            if new_ll > ll or (new_ll >= ll - 1e-9 * (1.0 + abs(ll))
+                               and np.linalg.norm(new_grad) < 0.5 * gnorm):
+                beta, ll, grad, p = candidate, new_ll, new_grad, new_p
                 break
             t *= 0.5
-        if not improved:
+        else:
             break                        # at numerical precision; check below
     gnorm = float(np.linalg.norm(grad))
     if gnorm <= grad_tol:
@@ -182,8 +180,7 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
 
 
 def predict_proba(features: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    X = np.column_stack([np.ones(features.shape[0]), features])
-    return _sigmoid(X @ beta)
+    return _sigmoid(_with_intercept(features) @ beta)
 
 
 # ---------------------------------------------------------------------------
@@ -191,81 +188,76 @@ def predict_proba(features: np.ndarray, beta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class DesignEncoder:
-    """Per-fold feature encoding with train-split statistics.
+    """Per-fold design matrices for the selected features of one Dataset.
 
-    Categorical and binary features: mode imputation, then one-hot with the
-    first train-split category as reference (or a single standardized code
-    column under "code-as-ordinal").  Continuous features: median
-    imputation, then standardization to zero mean / unit variance.
-    Categories unseen in training encode to all zeros.  Fitted statistics
-    name categories by label, so ``transform`` accepts any Dataset with the
-    same columns.
+    ``fit(train_positions)`` stores one entry per selected column, taken
+    from the training rows only; ``transform(positions)`` encodes rows of
+    the same Dataset with one fancy-index per column.
+
+    - continuous: (median, scale, mean, std).  Missing cells take the
+      median; values are divided by ``scale`` (1.0 unless the mean or std
+      overflows float64, then the largest magnitude) and standardized.
+    - categorical and binary: design rows indexed by code, plus a last row,
+      the mode's, for the missing code -1.  A row is one-hot with the first
+      training category as the all-zero reference, or the standardized
+      first-appearance rank under "code-as-ordinal"; a category unseen in
+      training is all zeros, or rank -1.
     """
 
     def __init__(self, data: Dataset, selected: list[int],
                  encoding: str = CvProtocol.encoding):
-        self.specs = [data.feature_columns[i] for i in selected]
-        self.col_idx = [data.column_index(s.name) for s in self.specs]
+        features = [j for j, spec in enumerate(data.columns) if spec.role == "feature"]
+        self.data = data
+        self.col_idx = [features[i] for i in selected]
         self.encoding = encoding
-        self.stats: list[dict] = []
 
-    def fit(self, data: Dataset, train_positions) -> "DesignEncoder":
+    def fit(self, train_positions) -> "DesignEncoder":
         train = np.asarray(train_positions, dtype=np.intp)
-        self.stats = []
-        for spec, j in zip(self.specs, self.col_idx):
-            cells = data.arrays[j][train]
-            missing = missing_cells(spec, cells)
-            if missing.all():
-                raise DataError(f"column {spec.name!r} all-missing in training split")
-            if spec.kind == "continuous":
-                median = float(np.median(cells[~missing]))
-                filled = np.where(missing, median, cells)
-                mean = float(filled.mean())
-                std = float(filled.std())
-                self.stats.append({"kind": "continuous", "median": median,
-                                   "mean": mean, "std": std if std > 0 else 1.0})
-                continue
-            mode = column_mode(cells[~missing])
-            filled = np.where(missing, mode, cells)
-            ranks, n_categories = first_appearance_codes(filled)
-            order = np.empty(n_categories, dtype=np.int64)
-            order[ranks] = filled                    # code of each category, by first appearance
-            table = data.categories[j]
-            categories = [table[c] for c in order]
-            if self.encoding == "code-as-ordinal":
-                vals = ranks.astype(float)
-                mean = float(vals.mean())
-                std = float(vals.std())
-                self.stats.append({"kind": "ordinal", "mode": table[mode],
-                                   "codes": {c: float(i) for i, c in enumerate(categories)},
-                                   "mean": mean, "std": std if std > 0 else 1.0})
-            else:
-                self.stats.append({"kind": "categorical", "mode": table[mode],
-                                   "categories": categories})
+        self.stats = [self._fit_column(j, train) for j in self.col_idx]
         return self
 
-    def transform(self, data: Dataset, positions) -> np.ndarray:
+    def _fit_column(self, j: int, train: np.ndarray):
+        spec = self.data.columns[j]
+        cells = self.data.arrays[j][train]
+        missing = missing_cells(spec, cells)
+        if missing.all():
+            raise DataError(f"column {spec.name!r} all-missing in training split")
+        if spec.kind == "continuous":
+            median = column_median(cells[~missing])
+            filled = np.where(missing, median, cells)
+            scale = 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std = float(filled.mean()), float(filled.std())
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                scale = float(np.abs(filled).max())
+                filled = filled / scale
+                mean, std = float(filled.mean()), float(filled.std())
+            return median, scale, mean, std if std > 0 else 1.0
+
+        mode = column_mode(cells[~missing])
+        filled = np.where(missing, mode, cells)
+        ranks, n_categories = first_appearance_codes(filled)
+        rank_of = np.full(len(self.data.categories[j]) + 1, -1, dtype=np.int64)
+        rank_of[filled] = ranks                  # by code; unseen codes keep -1
+        rank_of[-1] = rank_of[mode]              # missing cells (code -1) take the mode's
+        if self.encoding == "code-as-ordinal":
+            vals = ranks.astype(float)
+            std = float(vals.std())
+            return ((rank_of - float(vals.mean())) / (std if std > 0 else 1.0))[:, None]
+        # rank 0 is the reference category; ranks 1.. get one column each
+        return (rank_of[:, None] == np.arange(1, n_categories)).astype(float)
+
+    def transform(self, positions) -> np.ndarray:
         rows = np.asarray(positions, dtype=np.intp)
         blocks: list[np.ndarray] = []
-        for j, st in zip(self.col_idx, self.stats):
-            cells = data.arrays[j][rows]
-            if st["kind"] == "continuous":
-                vals = np.where(np.isnan(cells), st["median"], cells)
-                blocks.append(((vals - st["mean"]) / st["std"])[:, None])
-                continue
-            # One entry per code of this dataset's category table, then the
-            # mode's entry, which missing cells (code -1) pick up.
-            labels = [*data.categories[j], st["mode"]]
-            if st["kind"] == "ordinal":
-                vals = np.array([st["codes"].get(c, -1.0) for c in labels])[cells]
-                blocks.append(((vals - st["mean"]) / st["std"])[:, None])
+        for j, stat in zip(self.col_idx, self.stats):
+            cells = self.data.arrays[j][rows]
+            if self.data.columns[j].kind == "continuous":
+                median, scale, mean, std = stat
+                vals = np.where(np.isnan(cells), median, cells) / scale
+                blocks.append(((vals - mean) / std)[:, None])
             else:
-                column_of = {c: i for i, c in enumerate(st["categories"][1:])}  # first = reference
-                cols = np.array([column_of.get(c, -1) for c in labels], dtype=np.intp)[cells]
-                block = np.zeros((rows.size, len(column_of)))
-                hit = np.flatnonzero(cols >= 0)
-                block[hit, cols[hit]] = 1.0
-                blocks.append(block)
+                blocks.append(stat[cells])
         if not blocks:
             return np.zeros((rows.size, 0))
         return np.hstack(blocks)
@@ -276,23 +268,23 @@ class DesignEncoder:
 # ---------------------------------------------------------------------------
 
 def fold_assignment(row_ids: np.ndarray, labels: np.ndarray, n_folds: int,
-                    seed: int, stratified: bool = CvProtocol.stratified) -> dict[int, int]:
-    """Map stable row key -> fold, independent of current row order.
+                    seed: int, stratified: bool = CvProtocol.stratified) -> np.ndarray:
+    """The fold of each row, as an int64 array aligned with ``row_ids``.
 
-    Keys are processed in sorted order per class and dealt round-robin
-    after a seeded shuffle, so shuffling the dataset rows (keys intact)
-    cannot change the assignment.
+    Rows are taken in order of their (distinct) keys, per class when
+    stratified, and dealt round-robin after a seeded shuffle, so a row's
+    fold depends on its key, never on the current row order.
     """
     keys = np.asarray(row_ids)
-    fold_of: dict[int, int] = {}
+    folds = np.empty(keys.size, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    groups = [np.unique(keys)] if not stratified else [
-        np.sort(keys[labels == cls]) for cls in (0, 1)
+    groups = [np.arange(keys.size)] if not stratified else [
+        np.flatnonzero(labels == cls) for cls in (0, 1)
     ]
     for group in groups:
-        dealt = group[rng.permutation(group.size)]
-        fold_of.update(zip(dealt.tolist(), (np.arange(group.size) % n_folds).tolist()))
-    return fold_of
+        by_key = group[np.argsort(keys[group], kind="stable")]
+        folds[by_key[rng.permutation(by_key.size)]] = np.arange(by_key.size) % n_folds
+    return folds
 
 
 def _confusion_rates(y_true: np.ndarray, y_pred: np.ndarray,
@@ -329,9 +321,8 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
     data = data.subset(order)
     y = binary_target(data)
 
-    fold_of = fold_assignment(data.row_ids, y, protocol.n_folds, protocol.seed,
-                              protocol.stratified)
-    folds = np.array(list(map(fold_of.__getitem__, data.row_ids.tolist())), dtype=np.int64)
+    folds = fold_assignment(data.row_ids, y, protocol.n_folds, protocol.seed,
+                            protocol.stratified)
     for f in range(protocol.n_folds):
         members = y[folds == f]
         if members.size == 0:
@@ -346,10 +337,9 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
         fold_selected = selected
         if strict_selector is not None:
             fold_selected = strict_selector(data.subset(train_pos))
-        encoder = DesignEncoder(data, list(fold_selected), protocol.encoding)
-        encoder.fit(data, train_pos)
-        X_train = encoder.transform(data, train_pos)
-        X_test = encoder.transform(data, test_pos)
+        encoder = DesignEncoder(data, list(fold_selected), protocol.encoding).fit(train_pos)
+        X_train = encoder.transform(train_pos)
+        X_test = encoder.transform(test_pos)
         beta = train_logistic(X_train, y[train_pos], ridge=protocol.ridge)
         pred = (predict_proba(X_test, beta) > 0.5).astype(int)
         per_fold.append(_confusion_rates(y[test_pos], pred, protocol.convention))
@@ -362,7 +352,7 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
         test_error=float(triples[:, 0].mean()),
         type1_error=float(triples[:, 1].mean()),
         type2_error=float(triples[:, 2].mean()),
-        per_fold=[tuple(t) for t in per_fold],
+        per_fold=per_fold,
     )
 
 
@@ -421,7 +411,7 @@ def reports_to_json(all_reports: dict[str, dict[str, EvaluationReport]],
     payload: dict = {"datasets": {}}
     for dataset, reports in sorted(all_reports.items()):
         payload["datasets"][dataset] = {
-            method: report.to_dict() for method, report in sorted(reports.items())
+            method: dataclasses.asdict(report) for method, report in sorted(reports.items())
         }
     if extras:
         payload["run"] = extras

@@ -571,8 +571,10 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
 
     Categorical and binary columns pass through with first-appearance codes
     (their natural categories are the bins); continuous columns are binned
-    per the policy after missing values are resolved.  Row order is
-    preserved: feature_codes row i corresponds to Dataset row i.
+    per the policy after missing values are resolved.  A continuous column
+    that bins to a single bin (constant, or collapsed by ties under
+    equal-frequency) carries no information, and a warning names it.  Row
+    order is preserved: feature_codes row i corresponds to Dataset row i.
     """
     policy = policy or DiscretizationPolicy()
     if data.n_samples < 2:
@@ -591,14 +593,6 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
 
     for j, (spec, values) in enumerate(features):
         if spec.kind == "continuous":
-            if np.unique(values).size == 1:
-                logger.warning(
-                    "constant continuous column %r: falling back to a single bin",
-                    spec.name,
-                )
-                codes[:, j] = 0
-                bin_counts[j] = 1
-                continue
             if policy.method == "equal-frequency":
                 codes[:, j], bin_counts[j] = equal_frequency_codes(values, policy.n_bins)
             else:
@@ -606,6 +600,9 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
                     codes[:, j], bin_counts[j] = equal_width_codes(values, policy.n_bins)
                 except DataError as exc:
                     raise DataError(f"continuous column {spec.name!r}: {exc}") from None
+            if bin_counts[j] == 1:
+                logger.warning("continuous column %r: binning gives a single bin",
+                               spec.name)
         else:
             col_codes, n_codes = first_appearance_codes(values)
             if spec.kind == "binary" and n_codes > 2:

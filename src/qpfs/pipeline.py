@@ -164,22 +164,14 @@ def evaluate_method(data: Dataset, config: SelectionConfig, protocol: CvProtocol
                     strict_selector=strict_selector)
 
 
-def run_method_suite(data: Dataset, k: int, base_config: SelectionConfig,
-                     protocol: CvProtocol, strict: bool = False,
-                     methods: tuple = METHODS) -> dict[str, EvaluationReport]:
-    """Evaluate every selector at the same k under one protocol."""
-    return {method: evaluate_method(data, replace(base_config, method=method, k=k),
-                                    protocol, strict)
-            for method in methods}
-
-
 def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
                      base_config: SelectionConfig | None = None,
                      protocol: CvProtocol | None = None,
                      strict: bool = False) -> dict[str, dict[str, EvaluationReport]]:
     """Run every method on every dataset at its table's selection size.
 
-    ``datasets`` maps a dataset key (e.g. "german") to (Dataset, k).
+    ``datasets`` maps a dataset key (e.g. "german") to (Dataset, k); each
+    method runs with ``base_config``'s other settings under one protocol.
     Returns {dataset: {method: report}}; formatting and deltas live in
     the evaluation module.
     """
@@ -187,5 +179,7 @@ def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
     protocol = protocol or CvProtocol()
     if not datasets:
         raise DataError("no datasets to reproduce")
-    return {name: run_method_suite(data, k, base_config, protocol, strict)
+    return {name: {method: evaluate_method(data, replace(base_config, method=method, k=k),
+                                           protocol, strict)
+                   for method in METHODS}
             for name, (data, k) in datasets.items()}

@@ -288,11 +288,7 @@ def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, max_iter: int):
     """
     m = f.shape[0]
     x = np.full(m, 1.0 / m)
-    if np.any(Q):
-        lipschitz = float(np.linalg.eigvalsh(Q)[-1])
-    else:
-        lipschitz = 0.0
-    step = 1.0 / max(lipschitz, 1e-12)
+    step = 1.0 / max(float(np.linalg.eigvalsh(Q)[-1]), 1e-12)
 
     def objective(v):
         return float(0.5 * v @ Q @ v - f @ v)

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, config merging, exit codes, artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,42 @@ class TestEvaluateCommand:
         assert stratified == {"default": True, "config": False, "flag": False,
                               "flag-wins": True}
 
+    def test_huge_finite_continuous_values_evaluate_cleanly(self, capsys, tmp_path):
+        # the training mean and std of "x" overflow float64 unless it is rescaled
+        rng = np.random.default_rng(0)
+        values = [1e308, 1.5e308, -1.7e308, 3.0]
+        y = rng.integers(0, 2, 120)
+        x = rng.integers(0, 4, 120)
+        z = rng.normal(size=120) + y
+        data = tmp_path / "big.csv"
+        data.write_text("".join(f"{values[a]!r},{b!r},{c}\n"
+                                for a, b, c in zip(x, z.tolist(), y)))
+        schema = tmp_path / "big.schema"
+        schema.write_text("x continuous feature\nz continuous feature\n"
+                          "label binary target positive=1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "evaluate", "--data", str(data),
+                                 "--schema", str(schema), "--method", "maxrel",
+                                 "--k", "2", "--folds", "4")
+        assert code == EXIT_OK, err
+        assert "test_error" in out
+
+    def test_report_records_every_setting(self, capsys, synth_files, tmp_path):
+        data, schema = synth_files
+        out_dir = tmp_path / "ev"
+        code, _, _ = run(capsys, "evaluate", "--data", str(data), "--schema", str(schema),
+                         "--method", "relieff", "--k", "2", "--folds", "4",
+                         "--missing", "drop-row", "--seed", "5", "--out", str(out_dir))
+        assert code == EXIT_OK
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["selection"]["method"] == "relieff"
+        assert payload["selection"]["seed"] == 5
+        assert payload["selection"]["policy"]["missing_policy"] == "drop-row"
+        assert payload["protocol"]["n_folds"] == 4
+        assert payload["protocol"]["strict"] is False
+        assert "version" in payload
+
     def test_missing_dataset_file_names_path(self, capsys, tmp_path):
         schema = tmp_path / "s.schema"
         schema.write_text("x continuous feature\ny binary target\n")
@@ -248,6 +285,24 @@ class TestReproduceCommand:
             assert code == EXIT_OK
             blobs.append((out_dir / "results.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_run_record_tells_settings_apart(self, capsys, tmp_path):
+        data_dir = write_uci_like_files(tmp_path / "d", n_german=200, n_australian=200)
+        runs = {}
+        for case, extra in {"default": [], "unstratified": ["--no-stratified"],
+                            "drop-row": ["--missing", "drop-row"]}.items():
+            out_dir = tmp_path / case
+            code, _, err = run(capsys, "reproduce", "--data-dir", str(data_dir), "--only",
+                               "german", "--out", str(out_dir), "--folds", "3", *extra)
+            assert code == EXIT_OK, err
+            runs[case] = json.loads((out_dir / "results.json").read_text())["run"]
+        assert runs["default"]["protocol"]["stratified"] is True
+        assert runs["unstratified"]["protocol"]["stratified"] is False
+        assert runs["default"]["selection"]["policy"]["missing_policy"] == "impute-median"
+        assert runs["drop-row"]["selection"]["policy"]["missing_policy"] == "drop-row"
+        assert runs["default"] != runs["unstratified"]
+        assert runs["default"] != runs["drop-row"]
+        assert not {"method", "k"} & set(runs["default"]["selection"])
 
     def test_missing_data_dir(self, capsys, tmp_path):
         code, _, err = run(capsys, "reproduce", "--data-dir", str(tmp_path / "void"))

@@ -385,17 +385,30 @@ class TestEncoderOracle:
         test = [i for i in range(n) if i not in set(train)]
         selected = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
 
-        encoder = DesignEncoder(data, list(selected), encoding).fit(data, train)
+        encoder = DesignEncoder(data, list(selected), encoding).fit(train)
         want_train, want_test = oracle_encode(columns, shuffled, selected, train, test,
                                               encoding)
-        assert np.array_equal(encoder.transform(data, train), want_train)
-        assert np.array_equal(encoder.transform(data, test), want_test)
+        assert np.array_equal(encoder.transform(train), want_train)
+        assert np.array_equal(encoder.transform(test), want_test)
+
+    @pytest.mark.parametrize("encoding", ["one-hot", "code-as-ordinal"])
+    def test_fit_on_subset_transform_subset_of_it(self, encoding):
+        rng = np.random.default_rng(7)
+        columns, rows = random_table(rng, 150)
+        data = Dataset(columns, rows)
+        train = sorted(rng.choice(150, size=90, replace=False).tolist())
+        inner = [train[i] for i in rng.permutation(len(train))[:40]]
+        selected = list(range(data.n_features))
+
+        encoder = DesignEncoder(data, selected, encoding).fit(train)
+        _, want = oracle_encode(columns, rows, selected, train, inner, encoding)
+        assert np.array_equal(encoder.transform(inner), want)
 
     def test_all_missing_categorical_training_column_is_named(self):
         cols = [ColumnSpec("c", "categorical"), ColumnSpec("y", "binary", "target")]
         data = Dataset(cols, [(None, "0"), (None, "1"), ("A", "0")])
         with pytest.raises(DataError, match="column 'c' all-missing in training split"):
-            DesignEncoder(data, [0]).fit(data, [0, 1])
+            DesignEncoder(data, [0]).fit([0, 1])
 
 
 class TestRowsView:

@@ -81,16 +81,128 @@ class TestTrainLogistic:
         assert np.array_equal(train_logistic(X, y), train_logistic(X, y))
 
 
+def oracle_sigmoid(eta):
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    expe = np.exp(eta[~pos])
+    out[~pos] = expe / (1.0 + expe)
+    return out
+
+
+def oracle_loglik_and_grad(design, labels, beta, ridge, penalty_mask):
+    eta = design @ beta
+    ll = float(labels @ eta - np.logaddexp(0.0, eta).sum())
+    ll -= 0.5 * ridge * float((penalty_mask * beta) @ beta)
+    grad = design.T @ (labels - oracle_sigmoid(eta)) - ridge * penalty_mask * beta
+    return ll, grad
+
+
+def oracle_train_logistic(X, y, ridge, paths, max_iter=200, grad_tol=1e-8):
+    """IRLS that recomputes the probabilities before every Newton step.
+
+    Adds "lstsq" and "terminal" to ``paths`` when those branches run.
+    """
+    d1 = X.shape[1] + 1
+    beta = np.zeros(d1)
+    penalty = np.ones(d1)
+    penalty[0] = 0.0
+    Xd = np.column_stack([np.ones(X.shape[0]), X])
+    ll, grad = oracle_loglik_and_grad(Xd, y, beta, ridge, penalty)
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= grad_tol:
+            return beta
+        p = oracle_sigmoid(Xd @ beta)
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        hess = Xd.T @ (w[:, None] * Xd) + ridge * np.diag(penalty)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            paths.add("lstsq")
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        t = 1.0
+        improved = False
+        for _ in range(60):
+            candidate = beta + t * step
+            new_ll, new_grad = oracle_loglik_and_grad(Xd, y, candidate, ridge, penalty)
+            if new_ll > ll:
+                beta, ll, grad = candidate, new_ll, new_grad
+                improved = True
+                break
+            if (new_ll >= ll - 1e-9 * (1.0 + abs(ll))
+                    and np.linalg.norm(new_grad) < 0.5 * gnorm):
+                paths.add("terminal")
+                beta, ll, grad = candidate, new_ll, new_grad
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    assert np.linalg.norm(grad) <= grad_tol
+    return beta
+
+
+class TestIrlsOracle:
+    """``train_logistic`` reuses the accepted iterate's probabilities; the
+    coefficients must equal those of the fit that recomputes them."""
+
+    @staticmethod
+    def design(seed, n):
+        rng = np.random.default_rng(seed)
+        y = (rng.random(n) < 0.4).astype(float)
+        return rng, y
+
+    def check(self, X, y, ridge, expect_path=None):
+        paths = set()
+        want = oracle_train_logistic(X, y, ridge, paths)
+        assert np.array_equal(train_logistic(X, y, ridge=ridge), want)
+        if expect_path is not None:
+            assert expect_path in paths
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ridge_zero(self, seed):
+        rng, y = self.design(seed, 200)
+        X = rng.normal(size=(200, 3)) + 0.5 * y[:, None]
+        self.check(X, y, 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rank_deficient_design_takes_lstsq(self, seed):
+        rng, y = self.design(seed, 200)
+        x = rng.normal(size=(200, 2)) + y[:, None]
+        self.check(np.column_stack([x, x[:, 0]]), y, 0.0, expect_path="lstsq")
+
+    def test_near_separable_takes_terminal_phase(self):
+        rng, y = self.design(0, 1000)
+        X = np.column_stack([np.where(y == 1, 2.0, -2.0) + rng.normal(size=1000),
+                             rng.normal(size=(1000, 3))])
+        self.check(X, y, 1e-6, expect_path="terminal")
+
+
+def oracle_fold_assignment(row_ids, labels, n_folds, seed, stratified=True):
+    """The dict-returning ``fold_assignment``: stable row key -> fold."""
+    keys = np.asarray(row_ids)
+    fold_of = {}
+    rng = np.random.default_rng(seed)
+    groups = [np.unique(keys)] if not stratified else [
+        np.sort(keys[labels == cls]) for cls in (0, 1)
+    ]
+    for group in groups:
+        dealt = group[rng.permutation(group.size)]
+        fold_of.update(zip(dealt.tolist(), (np.arange(group.size) % n_folds).tolist()))
+    return fold_of
+
+
 class TestFoldAssignment:
     def test_stratified_balances_classes(self):
         rng = np.random.default_rng(3)
         labels = (rng.random(200) < 0.3).astype(int)
         keys = np.arange(200)
-        fold_of = fold_assignment(keys, labels, 10, seed=5)
+        folds = fold_assignment(keys, labels, 10, seed=5)
+        assert folds.dtype == np.int64 and folds.shape == keys.shape
         for f in range(10):
-            members = [k for k in keys if fold_of[k] == f]
-            assert any(labels[k] == 0 for k in members)
-            assert any(labels[k] == 1 for k in members)
+            members = labels[folds == f]
+            assert (members == 0).any() and (members == 1).any()
 
     def test_shuffle_invariant(self):
         rng = np.random.default_rng(4)
@@ -99,7 +211,19 @@ class TestFoldAssignment:
         a = fold_assignment(keys, labels, 5, seed=9)
         perm = rng.permutation(100)
         b = fold_assignment(keys[perm], labels[perm], 5, seed=9)
-        assert a == b
+        assert np.array_equal(a[perm], b)
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_oracle_through_keys(self, seed, stratified):
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(20, 300))
+        keys = rng.choice(10 * n, size=n, replace=False)     # distinct, shuffled, gappy
+        labels = (rng.random(n) < rng.uniform(0.2, 0.6)).astype(int)
+        n_folds = int(rng.integers(2, 11))
+        folds = fold_assignment(keys, labels, n_folds, seed, stratified)
+        fold_of = oracle_fold_assignment(keys, labels, n_folds, seed, stratified)
+        assert np.array_equal(folds, [fold_of[k] for k in keys.tolist()])
 
 
 def constant_feature_dataset(n_bad=300, n_good=700, seed=3):
@@ -135,9 +259,9 @@ class TestEvaluate:
         y = binary_target(data)
         protocol = CvProtocol(n_folds=6, seed=11)
         report = evaluate(data, [0, 3, 5], protocol)
-        fold_of = fold_assignment(data.row_ids, y, 6, 11)
+        folds = fold_assignment(data.row_ids, y, 6, 11)
         for f, (test, t1, t2) in enumerate(report.per_fold):
-            members = np.array([fold_of[int(k)] == f for k in data.row_ids])
+            members = folds == f
             n0 = int(((y == 0) & members).sum())
             n1 = int(((y == 1) & members).sum())
             assert test == pytest.approx((t1 * n0 + t2 * n1) / (n0 + n1), abs=1e-12)
@@ -209,8 +333,8 @@ class TestEncoder:
 
     def test_one_hot_drop_first_and_unseen_zero(self):
         data = self.make()
-        enc = DesignEncoder(data, [0, 1]).fit(data, [0, 1, 2])
-        X = enc.transform(data, [0, 1, 2, 3])
+        enc = DesignEncoder(data, [0, 1]).fit([0, 1, 2])
+        X = enc.transform([0, 1, 2, 3])
         # continuous standardized on train; categorical: reference category A
         assert X.shape == (4, 2)
         assert X[:3, 0] == pytest.approx((np.array([1, 2, 3]) - 2.0) / np.std([1, 2, 3]))
@@ -221,8 +345,8 @@ class TestEncoder:
 
     def test_ordinal_encoding(self):
         data = self.make()
-        enc = DesignEncoder(data, [1], encoding="code-as-ordinal").fit(data, [0, 1, 2])
-        X = enc.transform(data, [0, 1, 2])
+        enc = DesignEncoder(data, [1], encoding="code-as-ordinal").fit([0, 1, 2])
+        X = enc.transform([0, 1, 2])
         assert X.shape == (3, 1)
         assert X[0, 0] == X[2, 0]          # both category A
 

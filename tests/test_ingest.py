@@ -363,6 +363,21 @@ class TestDiscretize:
         assert dd.bin_counts[0] == 1
         assert "single bin" in caplog.text
 
+        # "t" is not constant, but its 50 zeros in 1000 rows share the ones'
+        # bucket under 10 equal-frequency bins; equal-width keeps two bins
+        cols = [ColumnSpec("x", "continuous"), ColumnSpec("t", "continuous"),
+                ColumnSpec("y", "binary", "target")]
+        rows = [(5.0, float(i >= 50), str(i % 2)) for i in range(1000)]
+        for method, counts in (("equal-frequency", [1, 1]), ("equal-width", [1, 2])):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="qpfs.ingest"):
+                dd = discretize(Dataset(cols, rows), DiscretizationPolicy(method=method))
+            assert dd.bin_counts.tolist() == counts
+            warned = [r.getMessage() for r in caplog.records if "single bin" in r.getMessage()]
+            assert len(warned) == counts.count(1)
+            assert "'x'" in warned[0]
+            assert ("'t'" in warned[-1]) == (counts[1] == 1)
+
     def test_binary_column_with_three_values_rejected(self):
         cols = [ColumnSpec("b", "binary"), ColumnSpec("y", "binary", "target")]
         rows = [("a", "0"), ("b", "1"), ("c", "0")]
