@@ -31,7 +31,7 @@ from .evaluation import (CONVENTIONS, ENCODINGS, CvProtocol, format_delta_table,
 from .fetch import SOURCES, fetch_dataset
 from .ingest import (METHODS_DISCRETIZE, MISSING_POLICIES, DiscretizationPolicy,
                      Dataset, load_csv, load_schema, parse_schema_text)
-from .pipeline import (METHODS, Q_DIAGONALS, SelectionConfig, evaluate_method,
+from .pipeline import (METHODS, Q_DIAGONALS, SelectionConfig, evaluate_methods,
                        inspect_quantities, reference_results, reproduce_tables,
                        select_features)
 from .qp import weights_to_text
@@ -212,7 +212,7 @@ def cmd_evaluate(options: dict) -> int:
     protocol = resolve_protocol(options)
     strict = options.get("strict", False)
 
-    report = evaluate_method(data, sel_config, protocol, strict)
+    report = evaluate_methods(data, [sel_config], protocol, strict)[sel_config.method]
     print(f"dataset = {report.dataset}, method = {report.method}, k = {report.k}")
     print(f"test_error  = {report.test_error:.3f}")
     print(f"type1_error = {report.type1_error:.3f}")
@@ -298,14 +298,23 @@ def _add_dataset_flags(sub):
     sub.add_argument("--header", action="store_true", help="first row is a header")
 
 
-def _add_selection_flags(sub):
+# A subcommand takes only the selection flags it reads: `inspect` builds the
+# quadratic problem alone, and `reproduce` sets each table's method and k.
+
+def _add_method_flags(sub):
     sub.add_argument("--method", choices=METHODS)
     sub.add_argument("--k", type=int, help="selection size")
+
+
+def _add_selection_flags(sub):
     sub.add_argument("--alpha", type=float, help="override the estimated alpha")
     sub.add_argument("--q-diagonal", dest="q_diagonal", choices=Q_DIAGONALS)
     sub.add_argument("--binning", choices=METHODS_DISCRETIZE)
     sub.add_argument("--bins", type=int, help="bins for continuous features")
     sub.add_argument("--missing", choices=MISSING_POLICIES)
+
+
+def _add_relieff_flags(sub):
     sub.add_argument("--relieff-neighbors", dest="relieff_neighbors", type=int)
     sub.add_argument("--relieff-iterations", dest="relieff_iterations", type=int)
     sub.add_argument("--seed", type=int, help="selector seed (ReliefF sampling)")
@@ -347,13 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("select", cmd_select, "rank and select features")
     _add_dataset_flags(p)
+    _add_method_flags(p)
     _add_selection_flags(p)
+    _add_relieff_flags(p)
     p.add_argument("--out", help="directory for selection artifacts")
     p.add_argument("--config")
 
     p = subcommand("evaluate", cmd_evaluate, "cross-validated error rates for a selection")
     _add_dataset_flags(p)
+    _add_method_flags(p)
     _add_selection_flags(p)
+    _add_relieff_flags(p)
     _add_protocol_flags(p)
     p.add_argument("--out")
     p.add_argument("--config")
@@ -363,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", choices=sorted(SOURCES))
     p.add_argument("--out")
     _add_selection_flags(p)
+    _add_relieff_flags(p)
     _add_protocol_flags(p)
     p.add_argument("--config")
 

@@ -8,7 +8,8 @@ creditworthy cases predicted bad, Type II the fraction of bad cases
 predicted good; an alternative convention flag swaps the two.
 
 The path works on arrays: a fold per row, code lookups fitted on each
-training split, and IRLS on the resulting design matrices.
+training split, and IRLS on the resulting design matrices.  Every method
+of a dataset shares the folds and each fold's encoding.
 """
 
 from __future__ import annotations
@@ -208,13 +209,25 @@ class DesignEncoder:
                  encoding: str = CvProtocol.encoding):
         features = [j for j, spec in enumerate(data.columns) if spec.role == "feature"]
         self.data = data
-        self.col_idx = [features[i] for i in selected]
+        self.selected = list(selected)
+        self.col_idx = [features[i] for i in self.selected]
         self.encoding = encoding
 
     def fit(self, train_positions) -> "DesignEncoder":
         train = np.asarray(train_positions, dtype=np.intp)
         self.stats = [self._fit_column(j, train) for j in self.col_idx]
+        widths = [1 if isinstance(stat, tuple) else stat.shape[1] for stat in self.stats]
+        starts = np.cumsum([0] + widths)
+        self._design_columns = {feature: np.arange(starts[i], starts[i + 1])
+                                for i, feature in enumerate(self.selected)}
         return self
+
+    def columns(self, selected) -> np.ndarray:
+        """Design-column indices of ``selected`` (a subset of the encoder's
+        features, in any order) after ``fit``: the columns its own encoder
+        would produce, in selection order.  A one-hot column with a single
+        training category contributes none."""
+        return np.concatenate([self._design_columns[feature] for feature in selected])
 
     def _fit_column(self, j: int, train: np.ndarray):
         spec = self.data.columns[j]
@@ -302,18 +315,24 @@ def _confusion_rates(y_true: np.ndarray, y_pred: np.ndarray,
     return test, t1, t2
 
 
-def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = None,
-             method: str = "", strict_selector=None) -> EvaluationReport:
-    """Cross-validated error rates for a feature subset.
+def evaluate(data: Dataset, selections: dict[str, list[int]],
+             protocol: CvProtocol | None = None,
+             strict_selectors: dict | None = None) -> dict[str, EvaluationReport]:
+    """Cross-validated error rates for each method's feature subset.
 
-    Encoding and imputation statistics are fitted on each training split
-    only.  ``strict_selector``, when given, re-selects features inside each
-    fold from the training rows alone (leakage-free mode) instead of using
-    ``selected``.
+    ``selections`` maps a method name to its selected feature indices; all
+    methods share the folds.  Encoding and imputation statistics are fitted
+    on each training split only, once per fold over the union of the
+    selected columns; each method's design matrix is its slice of that
+    encoding, equal to what an encoder of its own columns would give.
+    ``strict_selectors``, when given, maps each method to a function that
+    re-selects features from a fold's training rows alone (leakage-free
+    mode); the selectors of one fold share its training Dataset.
     """
     protocol = protocol or CvProtocol()
-    if not selected:
-        raise DataError("empty feature selection")
+    for method, selected in selections.items():
+        if not selected:
+            raise DataError(f"empty feature selection for method {method!r}")
 
     # Canonical row order = stable key order; makes reports invariant to
     # prior shuffling of the input rows.
@@ -330,30 +349,40 @@ def evaluate(data: Dataset, selected: list[int], protocol: CvProtocol | None = N
         if protocol.stratified and members.min() == members.max():
             raise DataError(f"fold {f} lost a class; reduce n_folds")
 
-    per_fold: list[tuple[float, float, float]] = []
+    per_fold: dict[str, list[tuple[float, float, float]]] = {m: [] for m in selections}
     for f in range(protocol.n_folds):
         train_pos = np.flatnonzero(folds != f)
         test_pos = np.flatnonzero(folds == f)
-        fold_selected = selected
-        if strict_selector is not None:
-            fold_selected = strict_selector(data.subset(train_pos))
-        encoder = DesignEncoder(data, list(fold_selected), protocol.encoding).fit(train_pos)
+        fold_selections = selections
+        if strict_selectors is not None:
+            train = data.subset(train_pos)
+            fold_selections = {m: strict_selectors[m](train) for m in selections}
+        union = dict.fromkeys(j for selected in fold_selections.values() for j in selected)
+        encoder = DesignEncoder(data, list(union), protocol.encoding).fit(train_pos)
         X_train = encoder.transform(train_pos)
         X_test = encoder.transform(test_pos)
-        beta = train_logistic(X_train, y[train_pos], ridge=protocol.ridge)
-        pred = (predict_proba(X_test, beta) > 0.5).astype(int)
-        per_fold.append(_confusion_rates(y[test_pos], pred, protocol.convention))
+        for method, selected in fold_selections.items():
+            # take() keeps the slice C-ordered like a method's own design
+            # matrix, so IRLS runs the same BLAS calls on the same bits.
+            cols = encoder.columns(selected)
+            beta = train_logistic(X_train.take(cols, axis=1), y[train_pos],
+                                  ridge=protocol.ridge)
+            pred = (predict_proba(X_test.take(cols, axis=1), beta) > 0.5).astype(int)
+            per_fold[method].append(_confusion_rates(y[test_pos], pred, protocol.convention))
 
-    triples = np.array(per_fold)
-    return EvaluationReport(
-        method=method,
-        dataset=data.name,
-        k=len(selected),
-        test_error=float(triples[:, 0].mean()),
-        type1_error=float(triples[:, 1].mean()),
-        type2_error=float(triples[:, 2].mean()),
-        per_fold=per_fold,
-    )
+    reports = {}
+    for method, selected in selections.items():
+        triples = np.array(per_fold[method])
+        reports[method] = EvaluationReport(
+            method=method,
+            dataset=data.name,
+            k=len(selected),
+            test_error=float(triples[:, 0].mean()),
+            type1_error=float(triples[:, 1].mean()),
+            type2_error=float(triples[:, 2].mean()),
+            per_fold=per_fold[method],
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------

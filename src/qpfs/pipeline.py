@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 
 from . import baselines, infotheory, qp
@@ -148,20 +149,26 @@ def reference_results() -> dict:
         return json.load(fh)
 
 
-def evaluate_method(data: Dataset, config: SelectionConfig, protocol: CvProtocol,
-                    strict: bool = False) -> EvaluationReport:
-    """Select features with ``config`` and cross-validate the selection.
+def evaluate_methods(data: Dataset, configs: list[SelectionConfig], protocol: CvProtocol,
+                     strict: bool = False) -> dict[str, EvaluationReport]:
+    """Select features with each config and cross-validate every selection.
 
-    Under ``strict`` the same config re-selects inside every training fold
-    from the training rows alone (the leakage-free variant).
+    One ``evaluate`` call serves all configs, so they share the folds and
+    each fold's encoding.  Under ``strict`` every config re-selects inside
+    every training fold from the training rows alone (the leakage-free
+    variant); the full-data selection then only fixes the report's ``k``.
     """
-    output = select_features(data, config)
-    strict_selector = None
+    selections = {config.method: select_features(data, config).result.selected
+                  for config in configs}
+    strict_selectors = None
     if strict:
-        def strict_selector(train):
-            return select_features(train, config).result.selected
-    return evaluate(data, output.result.selected, protocol, method=config.method,
-                    strict_selector=strict_selector)
+        strict_selectors = {config.method: partial(_reselect, config=config)
+                            for config in configs}
+    return evaluate(data, selections, protocol, strict_selectors)
+
+
+def _reselect(train: Dataset, config: SelectionConfig) -> list[int]:
+    return select_features(train, config).result.selected
 
 
 def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
@@ -171,15 +178,15 @@ def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
     """Run every method on every dataset at its table's selection size.
 
     ``datasets`` maps a dataset key (e.g. "german") to (Dataset, k); each
-    method runs with ``base_config``'s other settings under one protocol.
-    Returns {dataset: {method: report}}; formatting and deltas live in
-    the evaluation module.
+    method runs with ``base_config``'s other settings under one protocol,
+    and all methods of a dataset share its folds.  Returns
+    {dataset: {method: report}}; formatting and deltas live in the
+    evaluation module.
     """
     base_config = base_config or SelectionConfig()
     protocol = protocol or CvProtocol()
     if not datasets:
         raise DataError("no datasets to reproduce")
-    return {name: {method: evaluate_method(data, replace(base_config, method=method, k=k),
-                                           protocol, strict)
-                   for method in METHODS}
+    return {name: evaluate_methods(data, [replace(base_config, method=method, k=k)
+                                          for method in METHODS], protocol, strict)
             for name, (data, k) in datasets.items()}

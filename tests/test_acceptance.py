@@ -189,7 +189,7 @@ def test_criterion_08_quadratic_test_error(german_dataset, australian_dataset):
     measured = {}
     for name, (data, k, bound) in bounds.items():
         out = quadratic_selection(data, k)
-        report = evaluate(data, out.result.selected, CvProtocol(), method="quadratic")
+        report = evaluate(data, {"quadratic": out.result.selected}, CvProtocol())["quadratic"]
         measured[name] = report.test_error
         assert report.test_error <= bound, (name, report.test_error)
     note("criterion 8", f"PASS - test error german {measured['german']:.3f} (<= 0.28),"
@@ -207,9 +207,8 @@ def test_criterion_09_quadratic_beats_or_ties_mrmr(german_dataset, australian_da
 
         def errors(seed):
             protocol = CvProtocol(seed=seed)
-            q = evaluate(data, quad_sel, protocol).test_error
-            m = evaluate(data, mrmr_sel, protocol).test_error
-            return q, m
+            reports = evaluate(data, {"quadratic": quad_sel, "mrmr": mrmr_sel}, protocol)
+            return reports["quadratic"].test_error, reports["mrmr"].test_error
 
         q, m = errors(20130101)
         if q <= m:

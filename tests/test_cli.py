@@ -153,6 +153,28 @@ class TestInspect:
         assert q_lines[1].split("\t") == ["f0", "0", "0"]
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--method", "mrmr"), ("--k", "1"), ("--relieff-neighbors", "3"),
+        ("--relieff-iterations", "5"), ("--seed", "4")])
+    def test_flags_it_does_not_read_rejected(self, capsys, toy_files, flag, value):
+        # inspect builds the quadratic problem only: no method, k or ReliefF
+        data, schema = toy_files
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", "--data", str(data), "--schema", str(schema), flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_config_keys_of_other_commands_skipped(self, capsys, toy_files, tmp_path):
+        data, schema = toy_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data}\nschema = {schema}\ndelimiter = whitespace\n"
+                       "method = mrmr\nk = 1\nrelieff_neighbors = 3\n"
+                       "relieff_iterations = 5\nseed = 4\n")
+        code, out, err = run(capsys, "inspect", "--config", str(cfg))
+        assert code == EXIT_OK, err
+        assert "alpha = 0.000000" in out
+
+
 class TestEvaluateCommand:
     def test_prints_three_rates_and_persists(self, capsys, synth_files, tmp_path):
         data, schema = synth_files
@@ -303,6 +325,27 @@ class TestReproduceCommand:
         assert runs["default"] != runs["unstratified"]
         assert runs["default"] != runs["drop-row"]
         assert not {"method", "k"} & set(runs["default"]["selection"])
+
+    @pytest.mark.parametrize("flag, value", [("--method", "mrmr"), ("--k", "3")])
+    def test_per_table_selection_flags_rejected(self, capsys, tmp_path, flag, value):
+        # every table sets its own method and k, so the flags would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--data-dir", str(tmp_path), flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_config_method_and_k_skipped_as_other_commands_keys(self, capsys, tmp_path):
+        data_dir = write_uci_like_files(tmp_path / "d", n_german=200, n_australian=200)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = mrmr\nk = 3\n")
+        blobs = []
+        for sub, extra in (("plain", []), ("cfg", ["--config", str(cfg)])):
+            code, _, err = run(capsys, "reproduce", "--data-dir", str(data_dir), "--only",
+                               "german", "--folds", "3", "--out", str(tmp_path / sub),
+                               *extra)
+            assert code == EXIT_OK, err
+            blobs.append((tmp_path / sub / "results.json").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_missing_data_dir(self, capsys, tmp_path):
         code, _, err = run(capsys, "reproduce", "--data-dir", str(tmp_path / "void"))

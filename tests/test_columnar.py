@@ -404,6 +404,26 @@ class TestEncoderOracle:
         _, want = oracle_encode(columns, rows, selected, train, inner, encoding)
         assert np.array_equal(encoder.transform(inner), want)
 
+    @pytest.mark.parametrize("encoding", ["one-hot", "code-as-ordinal"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_union_slice_equals_own_encoder(self, encoding, seed):
+        # c_const is a zero-width one-hot block; c_rare may be one when its
+        # rare label misses the training rows
+        rng = np.random.default_rng(300 + seed)
+        columns, rows = random_table(rng, int(rng.integers(60, 200)))
+        data = Dataset(columns, rows)
+        n, m = data.n_samples, data.n_features
+        train = rng.choice(n, size=int(0.7 * n), replace=False)
+        encoded = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        members = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        union = DesignEncoder(data, list(members), encoding).fit(train)
+        X = union.transform(encoded)
+        for _ in range(6):
+            selected = list(rng.choice(members, size=int(rng.integers(1, members.size + 1)),
+                                       replace=False))
+            own = DesignEncoder(data, selected, encoding).fit(train).transform(encoded)
+            assert np.array_equal(X[:, union.columns(selected)], own)
+
     def test_all_missing_categorical_training_column_is_named(self):
         cols = [ColumnSpec("c", "categorical"), ColumnSpec("y", "binary", "target")]
         data = Dataset(cols, [(None, "0"), (None, "1"), ("A", "0")])

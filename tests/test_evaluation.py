@@ -1,15 +1,18 @@
 """Logistic-regression training, CV evaluation, and report generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qpfs import evaluation
 from qpfs.errors import ConfigError, DataError
-from qpfs.evaluation import (CvProtocol, DesignEncoder, EvaluationReport, evaluate,
-                             fold_assignment, format_delta_table, format_report_table,
-                             loglik_and_grad, predict_proba, reports_to_json,
-                             train_logistic)
-from qpfs.ingest import ColumnSpec, Dataset
-from qpfs.pipeline import reproduce_tables
+from qpfs.evaluation import (ENCODINGS, CvProtocol, DesignEncoder, EvaluationReport,
+                             evaluate, fold_assignment, format_delta_table,
+                             format_report_table, loglik_and_grad, predict_proba,
+                             reports_to_json, train_logistic)
+from qpfs.ingest import ColumnSpec, Dataset, DiscretizationPolicy, binary_target
+from qpfs.pipeline import METHODS, SelectionConfig, reproduce_tables, select_features
 
 from conftest import synthetic_credit_dataset
 
@@ -239,16 +242,16 @@ class TestEvaluate:
     def test_forced_majority_oracle(self):
         # 300 of 1000 bad; intercept-only model predicts the majority class,
         # so every bad case is missed and no good case is flagged
-        report = evaluate(constant_feature_dataset(), [0], CvProtocol(seed=1))
+        report = evaluate(constant_feature_dataset(), {"x": [0]}, CvProtocol(seed=1))["x"]
         assert report.test_error == pytest.approx(0.300, abs=1e-12)
         assert report.type1_error == 0.0
         assert report.type2_error == 1.0
 
     def test_convention_swap_is_exact(self):
         data = synthetic_credit_dataset(seed=6, n=300)
-        base = evaluate(data, [0, 3], CvProtocol(n_folds=5, seed=2))
-        flipped = evaluate(data, [0, 3],
-                           CvProtocol(n_folds=5, seed=2, convention="good-positive"))
+        base = evaluate(data, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, seed=2))["x0,c0"]
+        flipped = evaluate(data, {"x0,c0": [0, 3]},
+                           CvProtocol(n_folds=5, seed=2, convention="good-positive"))["x0,c0"]
         assert flipped.type1_error == base.type2_error
         assert flipped.type2_error == base.type1_error
         assert flipped.test_error == base.test_error
@@ -258,7 +261,7 @@ class TestEvaluate:
         from qpfs.ingest import binary_target
         y = binary_target(data)
         protocol = CvProtocol(n_folds=6, seed=11)
-        report = evaluate(data, [0, 3, 5], protocol)
+        report = evaluate(data, {"x0,c0,b0": [0, 3, 5]}, protocol)["x0,c0,b0"]
         folds = fold_assignment(data.row_ids, y, 6, 11)
         for f, (test, t1, t2) in enumerate(report.per_fold):
             members = folds == f
@@ -268,7 +271,7 @@ class TestEvaluate:
 
     def test_mean_lies_between_fold_extremes(self):
         data = synthetic_credit_dataset(seed=8, n=300)
-        report = evaluate(data, [0, 3], CvProtocol(n_folds=5, seed=3))
+        report = evaluate(data, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, seed=3))["x0,c0"]
         tests = [t for t, _, _ in report.per_fold]
         assert min(tests) <= report.test_error <= max(tests)
         for value in (report.test_error, report.type1_error, report.type2_error):
@@ -285,16 +288,17 @@ class TestEvaluate:
                 ColumnSpec("y", "binary", "target")]
         rows = [(float(x[i]), float(x[i]), str(y[i])) for i in range(n)]
         data = Dataset(cols, rows, name="dup")
-        single = evaluate(data, [0], CvProtocol(n_folds=4, seed=5, ridge=1e-6))
-        doubled = evaluate(data, [0, 1], CvProtocol(n_folds=4, seed=5, ridge=1e-6))
+        reports = evaluate(data, {"single": [0], "doubled": [0, 1]},
+                           CvProtocol(n_folds=4, seed=5, ridge=1e-6))
+        single, doubled = reports["single"], reports["doubled"]
         assert single.per_fold == doubled.per_fold
 
     def test_shuffle_invariance_with_stable_keys(self):
         data = synthetic_credit_dataset(seed=10, n=200)
-        report = evaluate(data, [0, 3], CvProtocol(n_folds=5, seed=7))
+        report = evaluate(data, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, seed=7))["x0,c0"]
         perm = np.random.default_rng(0).permutation(200)
         shuffled = data.subset(list(perm))
-        report2 = evaluate(shuffled, [0, 3], CvProtocol(n_folds=5, seed=7))
+        report2 = evaluate(shuffled, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, seed=7))["x0,c0"]
         assert report.per_fold == report2.per_fold
         assert report.test_error == report2.test_error
 
@@ -306,8 +310,8 @@ class TestEvaluate:
             calls.append(train.n_samples)
             return [0, 3]
 
-        report = evaluate(data, [0, 3], CvProtocol(n_folds=5, seed=1),
-                          strict_selector=selector)
+        report = evaluate(data, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, seed=1),
+                          strict_selectors={"x0,c0": selector})["x0,c0"]
         assert len(calls) == 5
         assert all(c < 200 for c in calls)
         assert 0.0 <= report.test_error <= 1.0
@@ -321,7 +325,12 @@ class TestEvaluate:
 
     def test_empty_selection_rejected(self):
         with pytest.raises(DataError):
-            evaluate(constant_feature_dataset(), [], CvProtocol())
+            evaluate(constant_feature_dataset(), {"none": []}, CvProtocol())
+
+    def test_empty_selection_names_its_method(self):
+        data = synthetic_credit_dataset(seed=11, n=120)
+        with pytest.raises(DataError, match="empty feature selection for method 'mrmr'"):
+            evaluate(data, {"quadratic": [0, 3], "mrmr": [], "cfs": [1]}, CvProtocol())
 
 
 class TestEncoder:
@@ -387,3 +396,124 @@ class TestReports:
         delta = format_delta_table("alpha", all_reports["alpha"], reference)
         assert "Quadratic" in delta and "MaxRel" in delta
         assert "+" in delta or "-" in delta
+
+
+# ---------------------------------------------------------------------------
+# Method-major evaluation, as it stood before the methods shared each fold's
+# encoding: the oracle for the fold-major `evaluate` and `reproduce_tables`
+# ---------------------------------------------------------------------------
+
+def oracle_evaluate(data, selected, protocol, method="", strict_selector=None):
+    """One method's cross-validation with its own encoder in every fold."""
+    order = np.argsort(data.row_ids, kind="stable")
+    data = data.subset(order)
+    y = binary_target(data)
+    folds = fold_assignment(data.row_ids, y, protocol.n_folds, protocol.seed,
+                            protocol.stratified)
+    per_fold = []
+    for f in range(protocol.n_folds):
+        train_pos = np.flatnonzero(folds != f)
+        test_pos = np.flatnonzero(folds == f)
+        fold_selected = selected
+        if strict_selector is not None:
+            fold_selected = strict_selector(data.subset(train_pos))
+        encoder = DesignEncoder(data, list(fold_selected), protocol.encoding).fit(train_pos)
+        X_train = encoder.transform(train_pos)
+        X_test = encoder.transform(test_pos)
+        # looked up on the module so a test can count these fits too
+        beta = evaluation.train_logistic(X_train, y[train_pos], ridge=protocol.ridge)
+        pred = (predict_proba(X_test, beta) > 0.5).astype(int)
+        per_fold.append(evaluation._confusion_rates(y[test_pos], pred, protocol.convention))
+    triples = np.array(per_fold)
+    return EvaluationReport(
+        method=method, dataset=data.name, k=len(selected),
+        test_error=float(triples[:, 0].mean()), type1_error=float(triples[:, 1].mean()),
+        type2_error=float(triples[:, 2].mean()), per_fold=per_fold)
+
+
+def oracle_reproduce_tables(datasets, base_config, protocol, strict):
+    """Every method of every dataset, one full cross-validation after another."""
+    tables = {}
+    for name, (data, k) in datasets.items():
+        tables[name] = {}
+        for method in METHODS:
+            config = replace(base_config, method=method, k=k)
+            selected = select_features(data, config).result.selected
+            strict_selector = None
+            if strict:
+                def strict_selector(train, config=config):
+                    return select_features(train, config).result.selected
+            tables[name][method] = oracle_evaluate(data, selected, protocol, method,
+                                                   strict_selector)
+    return tables
+
+
+def with_missing_cells(data, rng, rate=0.06):
+    """The same table with a share of its feature cells blanked out."""
+    target = data.columns.index(data.target_column)
+    rows = [tuple(None if j != target and rng.random() < rate else cell
+                  for j, cell in enumerate(row)) for row in data.rows]
+    return Dataset(data.columns, rows, name=data.name)
+
+
+class TestFoldMajorOracle:
+    @pytest.fixture()
+    def betas(self, monkeypatch):
+        """Every train_logistic result, in call order."""
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(train_logistic(*args, **kwargs))
+            return fits[-1]
+        monkeypatch.setattr(evaluation, "train_logistic", recording)
+        return fits
+
+    @pytest.mark.parametrize("missing", ["impute-median", "drop-row"])
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_reports_and_fits_equal_method_major_oracle(self, betas, strict, encoding,
+                                                        missing):
+        rng = np.random.default_rng(31)
+        datasets = {"alpha": (with_missing_cells(
+                        synthetic_credit_dataset(seed=14, n=150, name="alpha"), rng), 3),
+                    "beta": (with_missing_cells(
+                        synthetic_credit_dataset(seed=15, n=130, name="beta"), rng), 2)}
+        config = SelectionConfig(policy=DiscretizationPolicy(missing_policy=missing))
+        protocol = CvProtocol(n_folds=3, seed=8, encoding=encoding)
+
+        got = reproduce_tables(datasets, config, protocol, strict=strict)
+        fold_major = list(betas)
+        want = oracle_reproduce_tables(datasets, config, protocol, strict)
+        method_major = betas[len(fold_major):]
+
+        assert got == want
+        n_d, n_m, n_f = len(datasets), len(METHODS), protocol.n_folds
+        assert len(fold_major) == len(method_major) == n_d * n_m * n_f
+        for d in range(n_d):
+            for m in range(n_m):
+                for f in range(n_f):
+                    assert np.array_equal(fold_major[(d * n_f + f) * n_m + m],
+                                          method_major[(d * n_m + m) * n_f + f])
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_single_training_category_is_a_zero_width_block(self, betas, encoding):
+        # "rare" is "B" in one row only: the fold that tests that row trains on
+        # "A" alone, so its one-hot block there has no columns.
+        data = synthetic_credit_dataset(seed=16, n=120)
+        columns = data.columns[:-1] + [ColumnSpec("rare", "categorical"), data.columns[-1]]
+        rows = [row[:-1] + ("B" if i == 17 else "A", row[-1])
+                for i, row in enumerate(data.rows)]
+        data = Dataset(columns, rows, name="rare")
+        rare = data.n_features - 1
+        protocol = CvProtocol(n_folds=4, seed=3, encoding=encoding)
+        folds = fold_assignment(data.row_ids, binary_target(data), 4, 3)
+        train = np.flatnonzero(folds != folds[17])
+        width = DesignEncoder(data, [rare], encoding).fit(train).columns([rare]).size
+        assert width == (0 if encoding == "one-hot" else 1)
+
+        selections = {"alone": [rare], "first": [rare, 0, 3], "last": [5, 1, rare],
+                      "without": [2, 4]}
+        got = evaluate(data, selections, protocol)
+        assert len(betas) == len(selections) * protocol.n_folds
+        for method, selected in selections.items():
+            assert got[method] == oracle_evaluate(data, selected, protocol, method)
