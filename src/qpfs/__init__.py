@@ -16,9 +16,8 @@ from .errors import (ConfigError, DataError, NumericalError, QpfsError,
                      SchemaError, SolverError)
 from .evaluation import (CvProtocol, EvaluationReport, evaluate, predict_proba,
                          train_logistic)
-from .infotheory import (ContingencyTable, RedundancyMatrix, RelevanceVector,
-                         build_redundancy_matrix, build_relevance_vector,
-                         contingency, entropy, information_matrix, mutual_information)
+from .infotheory import (build_redundancy_matrix, build_relevance_vector, contingency,
+                         entropy, information_matrix, mutual_information)
 from .ingest import (ColumnSpec, Dataset, DiscretizationPolicy,
                      DiscretizedDataset, discretize, load_csv, load_schema,
                      parse_schema_text)
@@ -31,7 +30,6 @@ __all__ = [
     "__version__",
     "ColumnSpec", "Dataset", "DiscretizationPolicy", "DiscretizedDataset",
     "discretize", "load_csv", "load_schema", "parse_schema_text",
-    "ContingencyTable", "RedundancyMatrix", "RelevanceVector",
     "contingency", "entropy", "mutual_information", "information_matrix",
     "build_redundancy_matrix", "build_relevance_vector",
     "QpProblem", "FeatureWeights", "estimate_alpha", "assemble", "solve",

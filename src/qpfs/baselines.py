@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError
 from .infotheory import (build_relevance_vector, contingency, entropy,
                          information_matrix, mutual_information)
 from .ingest import DiscretizedDataset
-from .qp import _as_matrix, _as_vector, _check_k, ranking_of
+from .qp import _check_k, ranking_of
 
 
 @dataclass
@@ -58,8 +58,8 @@ def mrmr_greedy(Q, F, k: int) -> SelectionResult:
     candidate j maximizing F[j] - mean(Q[j, s] for already-selected s),
     the additive (difference) form of the criterion.
     """
-    Qv = _as_matrix(Q)
-    Fv = _as_vector(F)
+    Qv = np.asarray(Q, dtype=float)
+    Fv = np.asarray(F, dtype=float)
     m = Fv.shape[0]
     _check_k(k, m)
 
@@ -77,7 +77,7 @@ def mrmr_greedy(Q, F, k: int) -> SelectionResult:
 
 def max_rel(F, k: int) -> SelectionResult:
     """Top-k by relevance alone."""
-    Fv = _as_vector(F)
+    Fv = np.asarray(F, dtype=float)
     _check_k(k, Fv.shape[0])
     return SelectionResult(method="maxrel", selected=ranking_of(Fv)[:k].tolist(),
                            scores=Fv.copy(), k=k)
@@ -86,7 +86,7 @@ def max_rel(F, k: int) -> SelectionResult:
 def information_gain(data: DiscretizedDataset, k: int) -> SelectionResult:
     """Top-k by I(y; x_i): the relevance vector's values, ranked."""
     _check_k(k, data.n_features)
-    scores = build_relevance_vector(data).values
+    scores = build_relevance_vector(data)
     return SelectionResult(method="infogain", selected=ranking_of(scores)[:k].tolist(),
                            scores=scores, k=k)
 
@@ -200,11 +200,15 @@ def cfs_merit(subset, su_target: np.ndarray, su_pairs: np.ndarray) -> float:
     return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
 
 
-def cfs(data: DiscretizedDataset, stall_limit: int = 5) -> SelectionResult:
+# Consecutive non-improving expansions after which cfs's best-first search stops.
+CFS_STALL_LIMIT = 5
+
+
+def cfs(data: DiscretizedDataset) -> SelectionResult:
     """Correlation-based feature selection by best-first forward search.
 
     Maximizes the merit of symmetric-uncertainty correlations; the search
-    stops after ``stall_limit`` consecutive non-improving expansions.  The
+    stops after ``CFS_STALL_LIMIT`` consecutive non-improving expansions.  The
     subset size is emergent, and ``selected`` keeps the order in which
     features entered the winning subset.
     """
@@ -241,7 +245,7 @@ def cfs(data: DiscretizedDataset, stall_limit: int = 5) -> SelectionResult:
             stalled = 0
         else:
             stalled += 1
-            if stalled >= stall_limit:
+            if stalled >= CFS_STALL_LIMIT:
                 break
         for j in range(m):
             if j in subset:

@@ -29,6 +29,7 @@ from .errors import ConfigError, DataError, NumericalError, QpfsError
 from .evaluation import (CONVENTIONS, ENCODINGS, CvProtocol, format_delta_table,
                          format_report_table, reports_to_json)
 from .fetch import SOURCES, fetch_dataset
+from .infotheory import matrix_to_text, vector_to_text
 from .ingest import (METHODS_DISCRETIZE, MISSING_POLICIES, DiscretizationPolicy,
                      Dataset, load_csv, load_schema, parse_schema_text)
 from .pipeline import (METHODS, Q_DIAGONALS, SelectionConfig, evaluate_methods,
@@ -265,12 +266,14 @@ def cmd_inspect(options: dict) -> int:
     print(f"psd_shift = {quantities['psd_shift']:.6e}")
     print(f"bin_counts = {list(map(int, quantities['bin_counts']))}")
     print()
-    print(quantities["F"].to_text(), end="")
+    names = quantities["feature_names"]
+    f_text = vector_to_text(quantities["F"], names)
+    print(f_text, end="")
 
     if "out" in options:
         out_dir = Path(options["out"])
-        _write(out_dir, "Q.txt", quantities["Q"].to_text())
-        _write(out_dir, "F.txt", quantities["F"].to_text())
+        _write(out_dir, "Q.txt", matrix_to_text(quantities["Q"], names))
+        _write(out_dir, "F.txt", f_text)
         summary = {
             "alpha": quantities["alpha"],
             "lambda_min": quantities["lambda_min"],

@@ -20,24 +20,14 @@ Its transient memory is bounded by ``PAIR_BLOCK_CELLS`` cells per array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
 from .ingest import DiscretizedDataset
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Joint counts over the observed code sets of two vectors."""
-
-    counts: np.ndarray
-    total: int
-
-
-def contingency(codes_a, codes_b) -> ContingencyTable:
-    """Cross-tabulate two equal-length code vectors.
+def contingency(codes_a, codes_b) -> np.ndarray:
+    """Cross-tabulate two equal-length code vectors into an (r, c) count array.
 
     counts[u][v] is the number of indices i with codes_a[i] = u-th observed
     code of a and codes_b[i] = v-th observed code of b.
@@ -52,13 +42,12 @@ def contingency(codes_a, codes_b) -> ContingencyTable:
     _, ib = np.unique(b, return_inverse=True)
     r = int(ia.max()) + 1
     c = int(ib.max()) + 1
-    counts = np.bincount(ia * c + ib, minlength=r * c).reshape(r, c)
-    return ContingencyTable(counts=counts, total=int(a.size))
+    return np.bincount(ia * c + ib, minlength=r * c).reshape(r, c)
 
 
-def mutual_information(table: ContingencyTable) -> float:
-    """I(A;B) in bits from a contingency table, clamped below at 0."""
-    counts = np.asarray(table.counts, dtype=float)
+def mutual_information(counts) -> float:
+    """I(A;B) in bits from an (r, c) contingency count array, clamped below at 0."""
+    counts = np.asarray(counts, dtype=float)
     total = counts.sum()
     if total <= 0:
         raise DataError("empty contingency table")
@@ -78,46 +67,6 @@ def entropy(codes) -> float:
     _, counts = np.unique(a, return_counts=True)
     p = counts / a.size
     return float(-np.sum(p * np.log2(p)))
-
-
-@dataclass
-class RedundancyMatrix:
-    """Pairwise feature similarity: MI off the diagonal, entropy on it.
-
-    Symmetric by construction (see ``information_matrix``).
-    ``with_zero_diagonal`` supports the alternative objective reading where
-    self-similarity is excluded.
-    """
-
-    values: np.ndarray
-    feature_names: list[str]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    def with_zero_diagonal(self) -> "RedundancyMatrix":
-        values = self.values.copy()
-        np.fill_diagonal(values, 0.0)
-        return RedundancyMatrix(values=values, feature_names=list(self.feature_names))
-
-    def to_text(self) -> str:
-        return matrix_to_text(self.values, self.feature_names)
-
-
-@dataclass
-class RelevanceVector:
-    """Mutual information between each feature and the class label."""
-
-    values: np.ndarray
-    feature_names: list[str]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    def to_text(self) -> str:
-        return vector_to_text(self.values, self.feature_names)
 
 
 # Cells per transient array of the pair kernel (see ``information_matrix``).
@@ -224,14 +173,13 @@ def information_matrix(codes) -> np.ndarray:
     return values
 
 
-def build_redundancy_matrix(data: DiscretizedDataset) -> RedundancyMatrix:
-    """m x m matrix: off-diagonal MI between feature pairs, diagonal H(x_i)."""
-    return RedundancyMatrix(values=information_matrix(data.feature_codes),
-                            feature_names=list(data.feature_names))
+def build_redundancy_matrix(data: DiscretizedDataset) -> np.ndarray:
+    """Q, the (m, m) matrix: off-diagonal MI between feature pairs, diagonal H(x_i)."""
+    return information_matrix(data.feature_codes)
 
 
-def build_relevance_vector(data: DiscretizedDataset) -> RelevanceVector:
-    """Length-m vector of MI between each feature and the target.
+def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
+    """F, the (m,) vector of MI between each feature and the target.
 
     The pairs (feature i, target) go through the kernel that builds Q, so
     each value equals ``information_matrix`` of [features | target] at
@@ -242,8 +190,7 @@ def build_relevance_vector(data: DiscretizedDataset) -> RelevanceVector:
         raise DataError("single-label target")
     m = data.n_features
     dense, sizes = _dense_columns(np.column_stack([data.feature_codes, target]))
-    values = _pair_information(dense, sizes, np.arange(m), np.full(m, m))
-    return RelevanceVector(values=values, feature_names=list(data.feature_names))
+    return _pair_information(dense, sizes, np.arange(m), np.full(m, m))
 
 
 # ---------------------------------------------------------------------------

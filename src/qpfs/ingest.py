@@ -145,9 +145,6 @@ class Dataset:
             out = labels[values]                     # code -1 picks the trailing None
         return out.tolist()
 
-    def feature_cells(self, name: str) -> list:
-        return self._cells(self.column_index(name))
-
     @property
     def rows(self) -> list[tuple]:
         """Row tuples of ``float`` / ``str`` / ``None`` cells, rebuilt on each access."""
@@ -204,9 +201,7 @@ class DiscretizedDataset:
     target: np.ndarray                 # (N,) labels in {0, 1}
     bin_counts: np.ndarray             # (m,) distinct bins per feature
     feature_names: list[str]
-    provenance: DiscretizationPolicy
     row_ids: np.ndarray = None
-    name: str = ""
 
     def __post_init__(self):
         if self.row_ids is None:
@@ -617,7 +612,5 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
         target=target,
         bin_counts=bin_counts,
         feature_names=[spec.name for spec, _ in features],
-        provenance=policy,
         row_ids=data.row_ids,
-        name=data.name,
     )

@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
 
+import numpy as np
+
 from . import baselines, infotheory, qp
 from .errors import ConfigError, DataError
 from .evaluation import CvProtocol, EvaluationReport, evaluate
@@ -63,17 +65,15 @@ class SelectionOutput:
     result: baselines.SelectionResult
     weights: qp.FeatureWeights | None
     discretized: DiscretizedDataset
-    redundancy: infotheory.RedundancyMatrix | None
-    relevance: infotheory.RelevanceVector | None
     alpha: float | None
     problem: qp.QpProblem | None
 
 
 def information_quantities(discretized: DiscretizedDataset, q_diagonal: str):
-    """Redundancy matrix (with the requested diagonal) and relevance vector."""
+    """Redundancy matrix Q (with the requested diagonal) and relevance vector F."""
     Q = infotheory.build_redundancy_matrix(discretized)
     if q_diagonal == "zero":
-        Q = Q.with_zero_diagonal()
+        np.fill_diagonal(Q, 0.0)     # Q is freshly built, so zero it in place
     F = infotheory.build_relevance_vector(discretized)
     return Q, F
 
@@ -94,11 +94,9 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
     weights = None
     problem = None
     alpha = None
-    Q = None
-    F = None
 
     if config.method == "quadratic":
-        Q, F, alpha, problem = quadratic_problem(dd, config)
+        _, _, alpha, problem = quadratic_problem(dd, config)
         weights = qp.solve(problem)
         selected = qp.rank(weights, config.k)
         result = baselines.SelectionResult(
@@ -121,7 +119,7 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
         result = baselines.truncate_selection(baselines.cfs(dd), config.k)
 
     return SelectionOutput(result=result, weights=weights, discretized=dd,
-                           redundancy=Q, relevance=F, alpha=alpha, problem=problem)
+                           alpha=alpha, problem=problem)
 
 
 def inspect_quantities(data: Dataset, config: SelectionConfig) -> dict:

@@ -22,14 +22,6 @@ from .errors import DataError, SolverError
 KKT_TOL = 1e-6
 
 
-def _as_matrix(Q) -> np.ndarray:
-    return np.asarray(getattr(Q, "values", Q), dtype=float)
-
-
-def _as_vector(F) -> np.ndarray:
-    return np.asarray(getattr(F, "values", F), dtype=float)
-
-
 @dataclass
 class QpProblem:
     """Effective quadratic/linear terms after alpha-balancing and PSD repair.
@@ -74,8 +66,8 @@ def estimate_alpha(Q, F) -> float:
     Raises DataError when both means are zero (no information content);
     silent defaulting would hide a degenerate pipeline upstream.
     """
-    qm = float(np.mean(_as_matrix(Q)))
-    fm = float(np.mean(_as_vector(F)))
+    qm = float(np.mean(np.asarray(Q, dtype=float)))
+    fm = float(np.mean(np.asarray(F, dtype=float)))
     denom = qm + fm
     if denom == 0.0:
         raise DataError("all-zero redundancy and relevance; alpha is undefined")
@@ -90,8 +82,8 @@ def assemble(Q, F, alpha: float) -> QpProblem:
     diagonal is lifted by |lambda_min| + 1e-9; the shift is recorded so the
     regularization is auditable.
     """
-    Qv = _as_matrix(Q)
-    Fv = _as_vector(F)
+    Qv = np.asarray(Q, dtype=float)
+    Fv = np.asarray(F, dtype=float)
     if not 0.0 <= alpha <= 1.0:
         raise DataError(f"alpha must lie in [0, 1], got {alpha}")
     if Qv.ndim != 2 or Qv.shape[0] != Qv.shape[1]:

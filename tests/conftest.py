@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpfs.ingest import (ColumnSpec, Dataset, DiscretizationPolicy,
-                         DiscretizedDataset, equal_frequency_codes)
+from qpfs.ingest import ColumnSpec, Dataset, DiscretizedDataset, equal_frequency_codes
 
 # ---------------------------------------------------------------------------
 # Network guard
@@ -180,6 +179,17 @@ def write_uci_like_files(dir_path: Path, n_german: int = 1000, n_australian: int
     return dir_path
 
 
+def make_dd(codes, target) -> DiscretizedDataset:
+    """DiscretizedDataset over given codes, with features named f0, f1, ..."""
+    codes = np.asarray(codes)
+    return DiscretizedDataset(
+        feature_codes=codes,
+        target=np.asarray(target),
+        bin_counts=codes.max(axis=0) + 1,
+        feature_names=[f"f{j}" for j in range(codes.shape[1])],
+    )
+
+
 def random_discretized(rng, n: int = 600, m: int = 8, bins: int = 4,
                        redundancy: float = 0.5) -> DiscretizedDataset:
     """Latent-factor tabular instance: varied relevance, shared-factor redundancy."""
@@ -191,11 +201,7 @@ def random_discretized(rng, n: int = 600, m: int = 8, bins: int = 4,
         b = rng.uniform(0, redundancy)
         x = a * y + b * z + rng.normal(0, 1, n)
         codes[:, j], _ = equal_frequency_codes(x, bins)
-    return DiscretizedDataset(
-        feature_codes=codes, target=y, bin_counts=np.full(m, bins),
-        feature_names=[f"f{j}" for j in range(m)],
-        provenance=DiscretizationPolicy(),
-    )
+    return make_dd(codes, y)
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,8 @@ def test_criterion_03_scale_invariance():
     pairs = 0
     while pairs < 50:
         dd = random_discretized(rng, n=150, m=5)
-        Q = build_redundancy_matrix(dd).values
-        F = build_relevance_vector(dd).values
+        Q = build_redundancy_matrix(dd)
+        F = build_relevance_vector(dd)
         if Q.sum() + F.sum() == 0:
             continue
         pairs += 1
@@ -123,7 +123,7 @@ def test_criterion_05_greedy_within_top_decile():
         Q = build_redundancy_matrix(dd)
         F = build_relevance_vector(dd)
         picked = set(mrmr_greedy(Q, F, 4).selected)
-        scored = exhaustive_subset_objective(Q.values, F.values, 4)
+        scored = exhaustive_subset_objective(Q, F, 4)
         mine = next(obj for obj, S in scored if set(S) == picked)
         position = sum(1 for obj, _ in scored if obj < mine - 1e-12) + 1
         positions.append(position)

@@ -8,21 +8,9 @@ from qpfs.baselines import (RELIEFF_BLOCK, SelectionResult, cfs, cfs_merit,
                             symmetric_uncertainty, truncate_selection)
 from qpfs.errors import ConfigError, DataError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector, entropy
-from qpfs.ingest import DiscretizationPolicy, DiscretizedDataset
 from qpfs.qp import ranking_of
 
-from conftest import exhaustive_subset_objective, random_discretized
-
-
-def make_dd(codes, target):
-    codes = np.asarray(codes)
-    return DiscretizedDataset(
-        feature_codes=codes,
-        target=np.asarray(target),
-        bin_counts=codes.max(axis=0) + 1,
-        feature_names=[f"f{j}" for j in range(codes.shape[1])],
-        provenance=DiscretizationPolicy(),
-    )
+from conftest import exhaustive_subset_objective, make_dd, random_discretized
 
 
 class TestMrmrGreedy:
@@ -57,7 +45,7 @@ class TestMrmrGreedy:
             Q = build_redundancy_matrix(dd)
             F = build_relevance_vector(dd)
             res = mrmr_greedy(Q, F, 4)
-            scored = exhaustive_subset_objective(Q.values, F.values, 4)
+            scored = exhaustive_subset_objective(Q, F, 4)
             mine = [obj for obj, S in scored if set(S) == set(res.selected)][0]
             position = sum(1 for obj, _ in scored if obj < mine - 1e-12) + 1
             gaps.append(position)
@@ -120,7 +108,7 @@ class TestInformationGain:
         dd = random_discretized(rng, n=200, m=6)
         res = information_gain(dd, 3)
         F = build_relevance_vector(dd)
-        assert np.array_equal(res.scores, F.values)
+        assert np.array_equal(res.scores, F)
 
     def test_selection_identical_to_max_rel(self):
         rng = np.random.default_rng(5)

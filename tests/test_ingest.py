@@ -452,7 +452,7 @@ class TestRealGerman:
 
     def test_loan_amount_equal_frequency_occupancy(self, german_dataset):
         # verify by sorting the column and counting quantile-bucket occupancy
-        amounts = np.asarray(german_dataset.feature_cells("credit_amount"), float)
+        amounts = german_dataset.arrays[german_dataset.column_index("credit_amount")]
         codes, nb = equal_frequency_codes(amounts, 10)
         distinct_ok = np.unique(amounts).size == amounts.size
         occupancy = np.bincount(codes)

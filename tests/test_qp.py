@@ -43,7 +43,7 @@ class TestEstimateAlpha:
         Q = build_redundancy_matrix(dd)
         F = build_relevance_vector(dd)
         a = estimate_alpha(Q, F)
-        b = estimate_alpha(Q.values, F.values)
+        b = estimate_alpha(Q.tolist(), F.tolist())      # any array-like
         assert a == b
 
 
@@ -211,8 +211,8 @@ class TestScaleInvariance:
         rng = np.random.default_rng(7)
         for _ in range(50):
             dd = random_discretized(rng, n=120, m=5)
-            Q = build_redundancy_matrix(dd).values
-            F = build_relevance_vector(dd).values
+            Q = build_redundancy_matrix(dd)
+            F = build_relevance_vector(dd)
             if Q.sum() + F.sum() == 0:
                 continue
             a0 = estimate_alpha(Q, F)
