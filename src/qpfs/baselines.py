@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .infotheory import (build_relevance_vector, contingency, entropy,
-                         information_matrix, mutual_information)
+from .infotheory import build_relevance_vector, information_matrix
 from .ingest import DiscretizedDataset
 from .qp import _check_k, ranking_of
 
@@ -175,15 +174,6 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
 # ---------------------------------------------------------------------------
 # CFS
 # ---------------------------------------------------------------------------
-
-def symmetric_uncertainty(codes_a, codes_b) -> float:
-    """2*I(a;b) / (H(a)+H(b)), with 0/0 defined as 0 (the per-pair form of ``cfs``'s SU)."""
-    ha = entropy(codes_a)
-    hb = entropy(codes_b)
-    if ha + hb == 0.0:
-        return 0.0
-    return 2.0 * mutual_information(contingency(codes_a, codes_b)) / (ha + hb)
-
 
 def cfs_merit(subset, su_target: np.ndarray, su_pairs: np.ndarray) -> float:
     """k * mean(feature-class SU) / sqrt(k + k(k-1) * mean(feature-feature SU))."""

@@ -31,9 +31,9 @@ from .evaluation import (CONVENTIONS, ENCODINGS, CvProtocol, format_delta_table,
 from .fetch import SOURCES, fetch_dataset
 from .infotheory import matrix_to_text, vector_to_text
 from .ingest import (METHODS_DISCRETIZE, MISSING_POLICIES, DiscretizationPolicy,
-                     Dataset, load_csv, load_schema, parse_schema_text)
+                     Dataset, discretize, load_csv, load_schema, parse_schema_text)
 from .pipeline import (METHODS, Q_DIAGONALS, SelectionConfig, evaluate_methods,
-                       inspect_quantities, reference_results, reproduce_tables,
+                       quadratic_problem, reference_results, reproduce_tables,
                        select_features)
 from .qp import weights_to_text
 
@@ -54,8 +54,8 @@ SWITCH_VALUES = {"true": True, "yes": True, "1": True,
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -130,6 +130,8 @@ def resolve_dataset(options: dict) -> Dataset:
         raise ConfigError("a --schema file is required with --data")
 
     delimiter = options.get("delimiter", "whitespace" if name is not None else ",")
+    if not delimiter:
+        raise ConfigError("delimiter must not be empty; give a cell separator or 'whitespace'")
     return load_csv(data_path, schema,
                     delimiter=None if delimiter == "whitespace" else delimiter,
                     header=options.get("header", False),
@@ -166,11 +168,13 @@ def run_record(sel_config: SelectionConfig, protocol: CvProtocol, strict: bool) 
             "version": __version__}
 
 
-def _write(out_dir: Path, filename: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write(out_dir: Path, filename: str, text: str) -> None:
     path = out_dir / filename
-    path.write_text(text)
-    return path
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +194,10 @@ def cmd_select(options: dict) -> int:
     data = resolve_dataset(options)
     sel_config = resolve_selection_config(options)
     output = select_features(data, sel_config)
-    names = output.discretized.feature_names
+    names = data.feature_names
 
-    if output.alpha is not None:
-        print(f"alpha = {output.alpha:.6f}"
+    if output.problem is not None:
+        print(f"alpha = {output.problem.alpha:.6f}"
               + ("" if sel_config.alpha is None else " (override)"))
         print(f"psd_shift = {output.problem.psd_shift:.3e}")
     print(f"method = {output.result.method}, k = {output.result.k}")
@@ -259,27 +263,28 @@ def cmd_reproduce(options: dict) -> int:
 def cmd_inspect(options: dict) -> int:
     data = resolve_dataset(options)
     sel_config = resolve_selection_config(options)
-    quantities = inspect_quantities(data, sel_config)
+    dd = discretize(data, sel_config.policy)
+    Q, F, problem = quadratic_problem(dd, sel_config)
+    bin_counts = [int(b) for b in dd.bin_counts]
 
-    print(f"alpha = {quantities['alpha']:.6f}")
-    print(f"lambda_min(Q_eff) = {quantities['lambda_min']:.6e}")
-    print(f"psd_shift = {quantities['psd_shift']:.6e}")
-    print(f"bin_counts = {list(map(int, quantities['bin_counts']))}")
+    print(f"alpha = {problem.alpha:.6f}")
+    print(f"lambda_min(Q_eff) = {problem.lambda_min:.6e}")
+    print(f"psd_shift = {problem.psd_shift:.6e}")
+    print(f"bin_counts = {bin_counts}")
     print()
-    names = quantities["feature_names"]
-    f_text = vector_to_text(quantities["F"], names)
+    f_text = vector_to_text(F, dd.feature_names)
     print(f_text, end="")
 
     if "out" in options:
         out_dir = Path(options["out"])
-        _write(out_dir, "Q.txt", matrix_to_text(quantities["Q"], names))
+        _write(out_dir, "Q.txt", matrix_to_text(Q, dd.feature_names))
         _write(out_dir, "F.txt", f_text)
         summary = {
-            "alpha": quantities["alpha"],
-            "lambda_min": quantities["lambda_min"],
-            "psd_shift": quantities["psd_shift"],
-            "bin_counts": [int(b) for b in quantities["bin_counts"]],
-            "feature_names": quantities["feature_names"],
+            "alpha": problem.alpha,
+            "lambda_min": problem.lambda_min,
+            "psd_shift": problem.psd_shift,
+            "bin_counts": bin_counts,
+            "feature_names": dd.feature_names,
         }
         _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

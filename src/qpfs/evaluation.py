@@ -123,12 +123,17 @@ def _loglik_and_grad(design: np.ndarray, labels: np.ndarray, beta: np.ndarray,
     return ll, grad, p
 
 
-def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
-                   max_iter: int = 200, grad_tol: float = 1e-8) -> np.ndarray:
+# Newton-step budget and gradient-norm tolerance of train_logistic's IRLS.
+IRLS_MAX_ITER = 200
+IRLS_GRAD_TOL = 1e-8
+
+
+def train_logistic(features: np.ndarray, labels: np.ndarray,
+                   ridge: float = 1e-6) -> np.ndarray:
     """Fit by IRLS with step-halving; returns (d+1,) coefficients, intercept first.
 
     Converged when the penalized log-likelihood gradient has 2-norm at most
-    ``grad_tol``.  Each Newton step weights the Hessian with the
+    ``IRLS_GRAD_TOL``.  Each Newton step weights the Hessian with the
     probabilities already computed at the accepted iterate.  Deterministic:
     no randomness anywhere in the fit.
     """
@@ -147,9 +152,9 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
     Xd = _with_intercept(X)
 
     ll, grad, p = _loglik_and_grad(Xd, y, beta, ridge, penalty)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= grad_tol:
+        if gnorm <= IRLS_GRAD_TOL:
             return beta
         w = np.clip(p * (1.0 - p), 1e-12, None)
         hess = Xd.T @ (w[:, None] * Xd) + ridge * np.diag(penalty)
@@ -172,10 +177,10 @@ def train_logistic(features: np.ndarray, labels: np.ndarray, ridge: float = 1e-6
         else:
             break                        # at numerical precision; check below
     gnorm = float(np.linalg.norm(grad))
-    if gnorm <= grad_tol:
+    if gnorm <= IRLS_GRAD_TOL:
         return beta
     raise NumericalError(
-        f"IRLS did not converge in {max_iter} iterations"
+        f"IRLS did not converge in {IRLS_MAX_ITER} iterations"
         f" (gradient norm {gnorm:.3e}, log-likelihood {ll:.6f})"
     )
 

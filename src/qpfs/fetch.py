@@ -86,8 +86,10 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
     digest_file = data_dir / (source.filename + ".sha256")
 
     if target.exists() and not force:
+        origin = target
         payload = target.read_bytes()
     else:
+        origin = source.url
         try:
             with urllib.request.urlopen(source.url, timeout=timeout) as resp:
                 payload = resp.read()
@@ -97,7 +99,10 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
                 f" {target} manually; all commands accept local paths."
             ) from exc
 
-    text = payload.decode("utf-8", errors="strict")
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{source.key}: {origin} is not valid UTF-8: {exc}") from exc
     validate_structure(text, source)
 
     observed = sha256_digest(payload)

@@ -76,33 +76,16 @@ class Dataset:
     loaded file, and consumers that need subset order (``discretize``,
     ``DesignEncoder``) recode.  ``row_ids`` are stable keys (original file
     order) used for deterministic cross-validation fold assignment.
-
-    ``Dataset(columns, rows)`` builds the arrays from row tuples of
-    ``float`` / ``str`` / ``None`` cells; ``rows`` gives such tuples back as
-    a view rebuilt on every access, never stored beside the arrays.
+    ``rows`` gives the table back as row tuples, a view rebuilt on every
+    access and never stored beside the arrays.
     """
 
-    def __init__(self, columns: list[ColumnSpec], rows, row_ids=None, name: str = ""):
-        columns = list(columns)
-        cells = list(zip(*rows)) or [()] * len(columns)
-        if len(cells) != len(columns):
-            raise ValueError(f"rows have {len(cells)} cells, schema has {len(columns)} columns")
-        coded = [_code_cells(spec, column) for spec, column in zip(columns, cells)]
-        self._assign(columns, [a for a, _ in coded], [c for _, c in coded], row_ids, name)
-
-    @classmethod
-    def from_arrays(cls, columns: list[ColumnSpec], arrays: list[np.ndarray],
-                    categories: list[tuple], row_ids=None, name: str = "") -> "Dataset":
-        """Dataset over ready-made column arrays (see the class docstring)."""
-        data = cls.__new__(cls)
-        data._assign(list(columns), list(arrays), list(categories), row_ids, name)
-        return data
-
-    def _assign(self, columns, arrays, categories, row_ids, name):
-        self.columns = columns
-        self.arrays = arrays
-        self.categories = categories
-        n = arrays[0].size if arrays else 0
+    def __init__(self, columns: list[ColumnSpec], arrays: list[np.ndarray],
+                 categories: list[tuple], row_ids=None, name: str = ""):
+        self.columns = list(columns)
+        self.arrays = list(arrays)
+        self.categories = list(categories)
+        n = self.arrays[0].size if self.arrays else 0
         self.row_ids = (np.arange(n, dtype=np.int64) if row_ids is None
                         else np.asarray(row_ids, dtype=np.int64))
         self.name = name
@@ -133,6 +116,7 @@ class Dataset:
                 return i
         raise KeyError(name)
 
+    # No src/ code reads ``rows``; it stays because bench/tracer.py fingerprints it.
     def _cells(self, j: int) -> list:
         """Column ``j`` as ``float`` / ``str`` cells, ``None`` where missing."""
         values = self.arrays[j]
@@ -153,22 +137,13 @@ class Dataset:
     def subset(self, positions) -> "Dataset":
         """New Dataset holding the given row positions (row_ids preserved)."""
         idx = np.asarray(positions, dtype=np.intp)
-        return Dataset.from_arrays(self.columns, [a[idx] for a in self.arrays],
-                                   self.categories, self.row_ids[idx], self.name)
+        return Dataset(self.columns, [a[idx] for a in self.arrays], self.categories,
+                       self.row_ids[idx], self.name)
 
 
 def missing_cells(spec: ColumnSpec, values: np.ndarray) -> np.ndarray:
     """Mask of the missing entries of one column's array (NaN, or code -1)."""
     return np.isnan(values) if spec.kind == "continuous" else values < 0
-
-
-def _code_cells(spec: ColumnSpec, cells) -> tuple[np.ndarray, tuple]:
-    """One column of Python cells as (array, category tuple); None is missing."""
-    if spec.kind == "continuous":
-        return np.array([np.nan if v is None else v for v in cells], dtype=np.float64), ()
-    index: dict = {}
-    codes = [-1 if v is None else index.setdefault(v, len(index)) for v in cells]
-    return np.array(codes, dtype=np.int64), tuple(index)
 
 
 @dataclass(frozen=True)
@@ -201,11 +176,6 @@ class DiscretizedDataset:
     target: np.ndarray                 # (N,) labels in {0, 1}
     bin_counts: np.ndarray             # (m,) distinct bins per feature
     feature_names: list[str]
-    row_ids: np.ndarray = None
-
-    def __post_init__(self):
-        if self.row_ids is None:
-            self.row_ids = np.arange(self.feature_codes.shape[0], dtype=np.int64)
 
     @property
     def n_samples(self) -> int:
@@ -265,8 +235,8 @@ def parse_schema_text(text: str, source: str = "<schema>") -> list[ColumnSpec]:
 def load_schema(path) -> list[ColumnSpec]:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
     return parse_schema_text(text, source=str(path))
 
@@ -295,8 +265,8 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
 
     first_lineno = 2 if header else 1
@@ -355,7 +325,7 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
         raise DataError(f"{path}, line {lineno}: expected {n_cols} cells, got {len(cells)}")
     if not linenos:
         raise DataError(f"{path}: zero data rows")
-    return Dataset.from_arrays(schema, arrays, categories, name=name or path.stem)
+    return Dataset(schema, arrays, categories, name=name or path.stem)
 
 
 def _parse_numbers(column: tuple[str, ...]) -> tuple[np.ndarray, int | None]:
@@ -507,8 +477,7 @@ def resolve_missing(data: Dataset, policy: DiscretizationPolicy) -> Dataset:
     arrays = list(data.arrays)
     for j in features:
         arrays[j] = _impute_column(arrays[j], data.columns[j], policy)
-    return Dataset.from_arrays(data.columns, arrays, data.categories, data.row_ids,
-                               data.name)
+    return Dataset(data.columns, arrays, data.categories, data.row_ids, data.name)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +538,9 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
     per the policy after missing values are resolved.  A continuous column
     that bins to a single bin (constant, or collapsed by ties under
     equal-frequency) carries no information, and a warning names it.  Row
-    order is preserved: feature_codes row i corresponds to Dataset row i.
+    order is preserved: feature_codes row i corresponds to row i of
+    ``resolve_missing(data, policy)``, which under ``drop-row`` keeps only
+    the complete rows.
     """
     policy = policy or DiscretizationPolicy()
     if data.n_samples < 2:
@@ -612,5 +583,4 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
         target=target,
         bin_counts=bin_counts,
         feature_names=[spec.name for spec, _ in features],
-        row_ids=data.row_ids,
     )

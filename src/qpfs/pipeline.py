@@ -64,8 +64,6 @@ class SelectionOutput:
 
     result: baselines.SelectionResult
     weights: qp.FeatureWeights | None
-    discretized: DiscretizedDataset
-    alpha: float | None
     problem: qp.QpProblem | None
 
 
@@ -79,10 +77,10 @@ def information_quantities(discretized: DiscretizedDataset, q_diagonal: str):
 
 
 def quadratic_problem(discretized: DiscretizedDataset, config: SelectionConfig):
-    """Q, F, alpha (estimated unless the config fixes it) and the assembled QP."""
+    """Q, F and the QP assembled at alpha (estimated unless the config fixes it)."""
     Q, F = information_quantities(discretized, config.q_diagonal)
     alpha = config.alpha if config.alpha is not None else qp.estimate_alpha(Q, F)
-    return Q, F, alpha, qp.assemble(Q, F, alpha)
+    return Q, F, qp.assemble(Q, F, alpha)
 
 
 def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
@@ -93,10 +91,9 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
 
     weights = None
     problem = None
-    alpha = None
 
     if config.method == "quadratic":
-        _, _, alpha, problem = quadratic_problem(dd, config)
+        _, _, problem = quadratic_problem(dd, config)
         weights = qp.solve(problem)
         selected = qp.rank(weights, config.k)
         result = baselines.SelectionResult(
@@ -118,23 +115,7 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
     else:  # cfs: emergent size, reconciled to k by entry-order truncation
         result = baselines.truncate_selection(baselines.cfs(dd), config.k)
 
-    return SelectionOutput(result=result, weights=weights, discretized=dd,
-                           alpha=alpha, problem=problem)
-
-
-def inspect_quantities(data: Dataset, config: SelectionConfig) -> dict:
-    """Deterministic dump of Q, F, alpha-hat, lambda_min, and psd_shift."""
-    dd = discretize(data, config.policy)
-    Q, F, alpha, problem = quadratic_problem(dd, config)
-    return {
-        "feature_names": dd.feature_names,
-        "Q": Q,
-        "F": F,
-        "alpha": alpha,
-        "lambda_min": problem.lambda_min,
-        "psd_shift": problem.psd_shift,
-        "bin_counts": dd.bin_counts,
-    }
+    return SelectionOutput(result=result, weights=weights, problem=problem)
 
 
 # ---------------------------------------------------------------------------

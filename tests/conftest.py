@@ -73,6 +73,29 @@ def australian_dataset():
 # Synthetic data builders
 # ---------------------------------------------------------------------------
 
+def dataset_from_rows(columns: list[ColumnSpec], rows, name: str = "") -> Dataset:
+    """Dataset over row tuples of ``float`` / ``str`` / ``None`` cells (None is missing).
+
+    Categorical, binary and target cells are coded in first-appearance
+    order, as ``load_csv`` codes a file.
+    """
+    cells = list(zip(*rows)) or [()] * len(columns)
+    if len(cells) != len(columns):
+        raise ValueError(f"rows have {len(cells)} cells, schema has {len(columns)} columns")
+    arrays, categories = [], []
+    for spec, column in zip(columns, cells):
+        if spec.kind == "continuous":
+            arrays.append(np.array([np.nan if v is None else v for v in column],
+                                   dtype=np.float64))
+            categories.append(())
+        else:
+            index: dict = {}
+            codes = [-1 if v is None else index.setdefault(v, len(index)) for v in column]
+            arrays.append(np.array(codes, dtype=np.int64))
+            categories.append(tuple(index))
+    return Dataset(columns, arrays, categories, name=name)
+
+
 def synthetic_credit_dataset(seed: int = 0, n: int = 400, name: str = "synth") -> Dataset:
     """Mixed-kind dataset with known structure: informative, redundant, noise.
 
@@ -102,7 +125,7 @@ def synthetic_credit_dataset(seed: int = 0, n: int = 400, name: str = "synth") -
          str(b0[i]), str(y[i]))
         for i in range(n)
     ]
-    return Dataset(columns=columns, rows=rows, name=name)
+    return dataset_from_rows(columns, rows, name=name)
 
 
 SYNTH_SCHEMA_TEXT = """\

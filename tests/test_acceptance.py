@@ -176,7 +176,7 @@ def test_criterion_07_alpha_estimates(german_dataset, australian_dataset):
     measured = {}
     for name, data in (("german", german_dataset), ("australian", australian_dataset)):
         out = quadratic_selection(data, 5)
-        measured[name] = out.alpha
+        measured[name] = out.problem.alpha
     assert abs(measured["german"] - 0.511) <= 0.05, measured
     assert abs(measured["australian"] - 0.489) <= 0.05, measured
     note("criterion 7", f"PASS - alpha german {measured['german']:.3f} (0.511 +/- 0.05),"

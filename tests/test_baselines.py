@@ -5,12 +5,23 @@ import pytest
 
 from qpfs.baselines import (RELIEFF_BLOCK, SelectionResult, cfs, cfs_merit,
                             information_gain, max_rel, mrmr_greedy, relieff,
-                            symmetric_uncertainty, truncate_selection)
+                            truncate_selection)
 from qpfs.errors import ConfigError, DataError
-from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector, entropy
+from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector, contingency,
+                             entropy, mutual_information)
 from qpfs.qp import ranking_of
 
 from conftest import exhaustive_subset_objective, make_dd, random_discretized
+
+
+def symmetric_uncertainty(codes_a, codes_b) -> float:
+    """2*I(a;b) / (H(a)+H(b)), with 0/0 defined as 0: the per-pair reference
+    for the symmetric uncertainty that ``cfs`` reads off one information matrix."""
+    ha = entropy(codes_a)
+    hb = entropy(codes_b)
+    if ha + hb == 0.0:
+        return 0.0
+    return 2.0 * mutual_information(contingency(codes_a, codes_b)) / (ha + hb)
 
 
 class TestMrmrGreedy:

@@ -444,6 +444,40 @@ class TestConfigAndErrors:
         assert code == EXIT_CONFIG
         assert "error_convention" in err and "bogus" in err
 
+    def test_non_utf8_config_file_exits_config(self, capsys, synth_files, tmp_path):
+        data, schema = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 2\nmethod = \xff\n")
+        code, _, err = run(capsys, "select", "--data", str(data), "--schema", str(schema),
+                           "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert f"cannot read config file {cfg}" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_delimiter_exits_config(self, capsys, synth_files, tmp_path, source):
+        data, schema = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delimiter =\n")
+        setting = ["--delimiter", ""] if source == "flag" else ["--config", str(cfg)]
+        code, _, err = run(capsys, "select", "--data", str(data), "--schema", str(schema),
+                           "--k", "1", *setting)
+        assert code == EXIT_CONFIG
+        assert "delimiter must not be empty" in err
+
+    @pytest.mark.parametrize("command", ["select", "evaluate", "inspect", "reproduce"])
+    def test_out_naming_a_file_exits_config(self, capsys, tmp_path, command):
+        data_dir = write_uci_like_files(tmp_path / "d", n_german=120, n_australian=100)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        dataset = (["--only", "german"] if command == "reproduce"
+                   else ["--name", "german"])
+        folds = ["--folds", "2"] if command in ("evaluate", "reproduce") else []
+        code, _, err = run(capsys, command, "--data-dir", str(data_dir), *dataset, *folds,
+                           "--out", str(taken))
+        assert code == EXIT_CONFIG
+        assert "cannot write" in err and str(taken) in err
+        assert taken.read_text() == "not a directory\n"
+
     def test_config_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")

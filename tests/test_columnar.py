@@ -16,10 +16,12 @@ import pytest
 from qpfs import ingest
 from qpfs.errors import DataError
 from qpfs.evaluation import DesignEncoder
-from qpfs.ingest import (ColumnSpec, Dataset, DiscretizationPolicy, binary_target,
+from qpfs.ingest import (ColumnSpec, DiscretizationPolicy, binary_target,
                          column_mode, discretize, equal_frequency_codes,
                          equal_width_codes, first_appearance_codes, load_csv,
                          resolve_missing)
+
+from conftest import dataset_from_rows
 
 POLICIES = [DiscretizationPolicy(method=method, n_bins=bins, missing_policy=missing)
             for method, bins in (("equal-frequency", 5), ("equal-width", 4))
@@ -255,12 +257,15 @@ def fuzz_table(rng):
     return columns, list(zip(*cols))
 
 
-def assert_discretized_equal(dd, expected):
+def assert_discretized_equal(data, policy, expected):
+    """``discretize(data, policy)`` equals the oracle's codes, bin counts and
+    target, on the rows (``row_ids``) that ``resolve_missing`` keeps."""
     codes, bin_counts, target, row_ids = expected
+    dd = discretize(data, policy)
     assert np.array_equal(dd.feature_codes, codes)
     assert np.array_equal(dd.bin_counts, bin_counts)
     assert np.array_equal(dd.target, target)
-    assert np.array_equal(dd.row_ids, row_ids)
+    assert np.array_equal(resolve_missing(data, policy).row_ids, row_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +300,16 @@ class TestDiscretizeOracle:
     def test_full_and_shuffled_subsets(self, policy, seed):
         rng = np.random.default_rng(seed)
         columns, rows = random_table(rng, int(rng.integers(40, 160)))
-        data = Dataset(columns, rows, name="r")
+        data = dataset_from_rows(columns, rows, name="r")
         ids = np.arange(len(rows))
-        assert_discretized_equal(discretize(data, policy),
-                                 oracle_discretize(columns, rows, ids, policy))
+        assert_discretized_equal(data, policy, oracle_discretize(columns, rows, ids, policy))
 
         for _ in range(3):                           # subsets in shuffled row order
             pos = rng.permutation(len(rows))[: int(rng.integers(len(rows) // 2, len(rows)))]
             sub_rows = [rows[i] for i in pos]
             if len({row[-1] for row in sub_rows}) < 2:
                 continue
-            assert_discretized_equal(discretize(data.subset(pos), policy),
+            assert_discretized_equal(data.subset(pos), policy,
                                      oracle_discretize(columns, sub_rows, ids[pos], policy))
 
     @pytest.mark.parametrize("policy", POLICIES[:3], ids=lambda p: p.missing_policy)
@@ -313,7 +317,7 @@ class TestDiscretizeOracle:
         rng = np.random.default_rng(99)
         columns, rows = random_table(rng, 120, missing_rate=0.15)
         pos = rng.permutation(120)[:90]
-        got = resolve_missing(Dataset(columns, rows).subset(pos), policy)
+        got = resolve_missing(dataset_from_rows(columns, rows).subset(pos), policy)
         want_rows, want_ids = oracle_resolve_missing(columns, [rows[i] for i in pos],
                                                      pos, policy)
         assert got.rows == want_rows
@@ -322,13 +326,13 @@ class TestDiscretizeOracle:
     def test_missing_first_row_takes_the_mode_code(self):
         cols = [ColumnSpec("c", "categorical"), ColumnSpec("y", "binary", "target")]
         rows = [(None, "0"), ("Z", "1"), ("A", "0"), ("A", "1"), ("Z", "0"), ("A", "1")]
-        dd = discretize(Dataset(cols, rows), DiscretizationPolicy())
+        dd = discretize(dataset_from_rows(cols, rows), DiscretizationPolicy())
         assert dd.feature_codes[:, 0].tolist() == [0, 1, 0, 0, 1, 0]   # None -> mode "A"
 
     def test_target_matches_oracle_on_subsets(self):
         rng = np.random.default_rng(5)
         columns, rows = random_table(rng, 80)
-        data = Dataset(columns, rows)
+        data = dataset_from_rows(columns, rows)
         pos = rng.permutation(80)[:50]
         assert np.array_equal(binary_target(data.subset(pos)),
                               oracle_binary_target(columns, [rows[i] for i in pos]))
@@ -343,7 +347,7 @@ class TestDiscretizeFuzz:
         outcomes = {"codes": 0, "error": 0}
         for _ in range(120):
             columns, rows = fuzz_table(rng)
-            data = Dataset(columns, rows)
+            data = dataset_from_rows(columns, rows)
             ids = np.arange(len(rows))
             for policy in POLICIES:
                 try:
@@ -353,14 +357,16 @@ class TestDiscretizeFuzz:
                     outcomes["error"] += 1
                     continue
                 outcomes["codes"] += 1
-                assert_discretized_equal(dd, oracle_discretize(columns, rows, ids, policy))
+                assert_discretized_equal(data, policy,
+                                         oracle_discretize(columns, rows, ids, policy))
+                kept = resolve_missing(data, policy).row_ids
                 for j, spec in enumerate(columns[:-1]):
                     codes = dd.feature_codes[:, j]
                     assert np.array_equal(np.unique(codes), np.arange(dd.bin_counts[j]))
                     if spec.kind != "continuous":
                         continue
                     assert dd.bin_counts[j] <= policy.n_bins
-                    present = {(rows[i][j], int(c)) for i, c in zip(dd.row_ids, codes)
+                    present = {(rows[i][j], int(c)) for i, c in zip(kept, codes)
                                if rows[i][j] is not None}
                     assert len(present) == len({v for v, _ in present})   # ties share
                     by_value = [c for _, c in sorted(present)]
@@ -375,7 +381,7 @@ class TestEncoderOracle:
         rng = np.random.default_rng(100 + seed)
         columns, rows = random_table(rng, int(rng.integers(60, 200)))
         perm = rng.permutation(len(rows))
-        data = Dataset(columns, rows).subset(perm)
+        data = dataset_from_rows(columns, rows).subset(perm)
         shuffled = [rows[i] for i in perm]
         n, m = data.n_samples, data.n_features
         rare = data.column_index("c_rare")
@@ -395,7 +401,7 @@ class TestEncoderOracle:
     def test_fit_on_subset_transform_subset_of_it(self, encoding):
         rng = np.random.default_rng(7)
         columns, rows = random_table(rng, 150)
-        data = Dataset(columns, rows)
+        data = dataset_from_rows(columns, rows)
         train = sorted(rng.choice(150, size=90, replace=False).tolist())
         inner = [train[i] for i in rng.permutation(len(train))[:40]]
         selected = list(range(data.n_features))
@@ -411,7 +417,7 @@ class TestEncoderOracle:
         # rare label misses the training rows
         rng = np.random.default_rng(300 + seed)
         columns, rows = random_table(rng, int(rng.integers(60, 200)))
-        data = Dataset(columns, rows)
+        data = dataset_from_rows(columns, rows)
         n, m = data.n_samples, data.n_features
         train = rng.choice(n, size=int(0.7 * n), replace=False)
         encoded = rng.permutation(n)[: int(rng.integers(1, n + 1))]
@@ -426,7 +432,7 @@ class TestEncoderOracle:
 
     def test_all_missing_categorical_training_column_is_named(self):
         cols = [ColumnSpec("c", "categorical"), ColumnSpec("y", "binary", "target")]
-        data = Dataset(cols, [(None, "0"), (None, "1"), ("A", "0")])
+        data = dataset_from_rows(cols, [(None, "0"), (None, "1"), ("A", "0")])
         with pytest.raises(DataError, match="column 'c' all-missing in training split"):
             DesignEncoder(data, [0]).fit([0, 1])
 
@@ -446,10 +452,9 @@ class TestRowsView:
         assert data.rows is not data.rows                # rebuilt, never stored
         assert np.array_equal(data.row_ids, np.arange(50))
         assert_discretized_equal(
-            discretize(data, POLICIES[0]),
-            oracle_discretize(columns, rows, np.arange(50), POLICIES[0]))
+            data, POLICIES[0], oracle_discretize(columns, rows, np.arange(50), POLICIES[0]))
 
     def test_rows_is_read_only(self):
-        data = Dataset([ColumnSpec("y", "binary", "target")], [("0",), ("1",)])
+        data = dataset_from_rows([ColumnSpec("y", "binary", "target")], [("0",), ("1",)])
         with pytest.raises(AttributeError):
             data.rows = []

@@ -11,10 +11,10 @@ from qpfs.evaluation import (ENCODINGS, CvProtocol, DesignEncoder, EvaluationRep
                              evaluate, fold_assignment, format_delta_table,
                              format_report_table, loglik_and_grad, predict_proba,
                              reports_to_json, train_logistic)
-from qpfs.ingest import ColumnSpec, Dataset, DiscretizationPolicy, binary_target
+from qpfs.ingest import ColumnSpec, DiscretizationPolicy, binary_target
 from qpfs.pipeline import METHODS, SelectionConfig, reproduce_tables, select_features
 
-from conftest import synthetic_credit_dataset
+from conftest import dataset_from_rows, synthetic_credit_dataset
 
 
 class TestTrainLogistic:
@@ -235,7 +235,7 @@ def constant_feature_dataset(n_bad=300, n_good=700, seed=3):
     rng.shuffle(labels)
     cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
     rows = [(0.0, str(v)) for v in labels]
-    return Dataset(cols, rows, name="constant")
+    return dataset_from_rows(cols, rows, name="constant")
 
 
 class TestEvaluate:
@@ -287,7 +287,7 @@ class TestEvaluate:
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("x_copy", "continuous"),
                 ColumnSpec("y", "binary", "target")]
         rows = [(float(x[i]), float(x[i]), str(y[i])) for i in range(n)]
-        data = Dataset(cols, rows, name="dup")
+        data = dataset_from_rows(cols, rows, name="dup")
         reports = evaluate(data, {"single": [0], "doubled": [0, 1]},
                            CvProtocol(n_folds=4, seed=5, ridge=1e-6))
         single, doubled = reports["single"], reports["doubled"]
@@ -338,7 +338,7 @@ class TestEncoder:
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("c", "categorical"),
                 ColumnSpec("y", "binary", "target")]
         rows = [(1.0, "A", "0"), (2.0, "B", "1"), (3.0, "A", "0"), (None, None, "1")]
-        return Dataset(cols, rows)
+        return dataset_from_rows(cols, rows)
 
     def test_one_hot_drop_first_and_unseen_zero(self):
         data = self.make()
@@ -453,7 +453,7 @@ def with_missing_cells(data, rng, rate=0.06):
     target = data.columns.index(data.target_column)
     rows = [tuple(None if j != target and rng.random() < rate else cell
                   for j, cell in enumerate(row)) for row in data.rows]
-    return Dataset(data.columns, rows, name=data.name)
+    return dataset_from_rows(data.columns, rows, name=data.name)
 
 
 class TestFoldMajorOracle:
@@ -503,7 +503,7 @@ class TestFoldMajorOracle:
         columns = data.columns[:-1] + [ColumnSpec("rare", "categorical"), data.columns[-1]]
         rows = [row[:-1] + ("B" if i == 17 else "A", row[-1])
                 for i, row in enumerate(data.rows)]
-        data = Dataset(columns, rows, name="rare")
+        data = dataset_from_rows(columns, rows, name="rare")
         rare = data.n_features - 1
         protocol = CvProtocol(n_folds=4, seed=3, encoding=encoding)
         folds = fold_assignment(data.row_ids, binary_target(data), 4, 3)

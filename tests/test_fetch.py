@@ -6,6 +6,7 @@ pre-placing files (fetch skips the download when the target exists).
 
 import pytest
 
+from qpfs.cli import main
 from qpfs.errors import DataError
 from qpfs.fetch import SOURCES, fetch_dataset, sha256_digest, validate_structure
 
@@ -61,6 +62,14 @@ class TestFetchOffline:
         (data_dir / "german.data").write_text("not nearly enough rows\n")
         with pytest.raises(DataError, match="columns|rows"):
             fetch_dataset("german", data_dir)
+
+    def test_non_utf8_existing_file_is_a_data_error(self, populated_dir, capsys):
+        target = populated_dir / "german.data"
+        target.write_bytes(b"\xff" + target.read_bytes())
+        with pytest.raises(DataError, match=f"german: {target} is not valid UTF-8"):
+            fetch_dataset("german", populated_dir)
+        assert main(["fetch", "--data-dir", str(populated_dir), "--only", "german"]) == 3
+        assert str(target) in capsys.readouterr().err
 
     def test_unknown_dataset_key(self, tmp_path):
         with pytest.raises(DataError, match="unknown dataset"):

@@ -6,12 +6,13 @@ import pytest
 from qpfs import ingest
 from qpfs.cli import main
 from qpfs.errors import DataError, SchemaError
-from qpfs.ingest import (ColumnSpec, Dataset, DiscretizationPolicy, binary_target,
+from qpfs.ingest import (ColumnSpec, DiscretizationPolicy, binary_target,
                          column_median, column_mode, discretize, equal_frequency_codes,
                          equal_width_codes, first_appearance_codes, load_csv,
                          load_schema, parse_schema_text, resolve_missing)
 
-from conftest import SYNTH_SCHEMA_TEXT, synthetic_credit_dataset, write_synthetic_files
+from conftest import (SYNTH_SCHEMA_TEXT, dataset_from_rows, synthetic_credit_dataset,
+                      write_synthetic_files)
 
 
 def basic_columns():
@@ -52,6 +53,14 @@ class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
             parse_schema_text("a continuous feature\na binary target\n")
+
+    def test_non_utf8_schema_file_is_a_schema_error(self, tmp_path, capsys):
+        data, schema = write_synthetic_files(tmp_path, n=40)
+        schema.write_bytes(b"x0 continuous feature\n\xff\xfe binary target\n")
+        with pytest.raises(SchemaError, match=f"cannot read schema file {schema}"):
+            load_schema(schema)
+        assert main(["select", "--data", str(data), "--schema", str(schema)]) == 2
+        assert str(schema) in capsys.readouterr().err
 
 
 class TestLoadCsv:
@@ -125,6 +134,14 @@ class TestLoadCsv:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv", basic_columns())
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path, capsys):
+        data, schema = write_synthetic_files(tmp_path, n=40)
+        data.write_bytes(b"\xff\xfe1,2\n")
+        with pytest.raises(DataError, match=f"cannot read data file {data}"):
+            load_csv(data, load_schema(schema))
+        assert main(["select", "--data", str(data), "--schema", str(schema)]) == 3
+        assert str(data) in capsys.readouterr().err
 
 
 class TestMalformedCells:
@@ -241,23 +258,23 @@ class TestBinaryTarget:
     def test_positive_label_respected(self):
         cols = [ColumnSpec("x", "continuous"),
                 ColumnSpec("y", "binary", "target", positive_label="1")]
-        data = Dataset(cols, [(0.0, "1"), (1.0, "2"), (2.0, "1")])
+        data = dataset_from_rows(cols, [(0.0, "1"), (1.0, "2"), (2.0, "1")])
         assert binary_target(data).tolist() == [1, 0, 1]
 
     def test_default_larger_label_is_positive(self):
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
-        data = Dataset(cols, [(0.0, "1"), (1.0, "2")])
+        data = dataset_from_rows(cols, [(0.0, "1"), (1.0, "2")])
         assert binary_target(data).tolist() == [0, 1]
 
     def test_more_than_two_labels_rejected(self):
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
-        data = Dataset(cols, [(0.0, "1"), (1.0, "2"), (2.0, "3")])
+        data = dataset_from_rows(cols, [(0.0, "1"), (1.0, "2"), (2.0, "3")])
         with pytest.raises(DataError):
             binary_target(data)
 
     def test_missing_target_rejected(self):
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
-        data = Dataset(cols, [(0.0, "1"), (1.0, None)])
+        data = dataset_from_rows(cols, [(0.0, "1"), (1.0, None)])
         with pytest.raises(DataError):
             binary_target(data)
 
@@ -266,7 +283,7 @@ class TestMissingResolution:
     def test_impute_median_and_mode(self):
         cols = basic_columns()
         rows = [(1.0, "A", "0"), (None, "B", "1"), (3.0, None, "0"), (10.0, "A", "1")]
-        out = resolve_missing(Dataset(cols, rows), DiscretizationPolicy())
+        out = resolve_missing(dataset_from_rows(cols, rows), DiscretizationPolicy())
         assert out.rows[1][0] == 3.0          # median of (1, 3, 10)
         assert out.rows[2][1] == "A"          # mode
         assert out.n_samples == 4
@@ -275,21 +292,21 @@ class TestMissingResolution:
         cols = basic_columns()
         rows = [(2.0, "A", "0"), (2.0, "B", "1"), (None, "A", "0"), (9.0, "A", "1")]
         policy = DiscretizationPolicy(missing_policy="impute-mode")
-        out = resolve_missing(Dataset(cols, rows), policy)
+        out = resolve_missing(dataset_from_rows(cols, rows), policy)
         assert out.rows[2][0] == 2.0
 
     def test_drop_row_preserves_row_ids(self):
         cols = basic_columns()
         rows = [(1.0, "A", "0"), (None, "B", "1"), (3.0, "C", "0"), (4.0, None, "1")]
         policy = DiscretizationPolicy(missing_policy="drop-row")
-        out = resolve_missing(Dataset(cols, rows), policy)
+        out = resolve_missing(dataset_from_rows(cols, rows), policy)
         assert out.row_ids.tolist() == [0, 2]
 
     def test_all_missing_column_is_error(self):
         cols = basic_columns()
         rows = [(None, "A", "0"), (None, "B", "1")]
         with pytest.raises(DataError, match="all-missing"):
-            resolve_missing(Dataset(cols, rows), DiscretizationPolicy())
+            resolve_missing(dataset_from_rows(cols, rows), DiscretizationPolicy())
 
     def test_mode_tie_goes_to_earliest_seen(self):
         assert column_mode(["Q", "P", "Q", "P"]) == "Q"
@@ -300,7 +317,7 @@ class TestMissingResolution:
         assert column_median(np.array([-1.7e308, 1e308, -1.7e308])) == -1.7e308
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
         rows = [(1e308, "0"), (1.5e308, "1"), (None, "0")]
-        filled = resolve_missing(Dataset(cols, rows), DiscretizationPolicy())
+        filled = resolve_missing(dataset_from_rows(cols, rows), DiscretizationPolicy())
         assert filled.arrays[0].tolist() == [1e308, 1.5e308, 1.25e308]
 
 
@@ -341,12 +358,13 @@ class TestBinning:
 class TestDiscretize:
     def test_codes_have_no_gaps_and_rows_align(self):
         data = synthetic_credit_dataset(seed=2, n=150)
-        dd = discretize(data, DiscretizationPolicy(n_bins=5))
+        policy = DiscretizationPolicy(n_bins=5)
+        dd = discretize(data, policy)
         assert dd.feature_codes.shape == (150, 6)
         for j in range(dd.n_features):
             observed = sorted(set(dd.feature_codes[:, j].tolist()))
             assert observed == list(range(dd.bin_counts[j]))
-        assert dd.row_ids.tolist() == list(range(150))
+        assert resolve_missing(data, policy).row_ids.tolist() == list(range(150))
 
     def test_deterministic(self):
         data = synthetic_credit_dataset(seed=3, n=100)
@@ -359,7 +377,7 @@ class TestDiscretize:
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
         rows = [(5.0, "0"), (5.0, "1"), (5.0, "0")]
         with caplog.at_level("WARNING", logger="qpfs.ingest"):
-            dd = discretize(Dataset(cols, rows), DiscretizationPolicy())
+            dd = discretize(dataset_from_rows(cols, rows), DiscretizationPolicy())
         assert dd.bin_counts[0] == 1
         assert "single bin" in caplog.text
 
@@ -371,7 +389,7 @@ class TestDiscretize:
         for method, counts in (("equal-frequency", [1, 1]), ("equal-width", [1, 2])):
             caplog.clear()
             with caplog.at_level("WARNING", logger="qpfs.ingest"):
-                dd = discretize(Dataset(cols, rows), DiscretizationPolicy(method=method))
+                dd = discretize(dataset_from_rows(cols, rows), DiscretizationPolicy(method=method))
             assert dd.bin_counts.tolist() == counts
             warned = [r.getMessage() for r in caplog.records if "single bin" in r.getMessage()]
             assert len(warned) == counts.count(1)
@@ -382,7 +400,7 @@ class TestDiscretize:
         cols = [ColumnSpec("b", "binary"), ColumnSpec("y", "binary", "target")]
         rows = [("a", "0"), ("b", "1"), ("c", "0")]
         with pytest.raises(DataError, match="binary"):
-            discretize(Dataset(cols, rows), DiscretizationPolicy())
+            discretize(dataset_from_rows(cols, rows), DiscretizationPolicy())
 
     @pytest.mark.parametrize("values", [
         [-1e308, 1e308, 0.0, 5.0, -5.0],                 # max - min overflows
@@ -393,8 +411,8 @@ class TestDiscretize:
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
         rows = [(v, str(i % 2)) for i, v in enumerate(values)]
         with pytest.raises(DataError, match="continuous column 'x': range"):
-            discretize(Dataset(cols, rows), DiscretizationPolicy(method="equal-width"))
-        ranks = discretize(Dataset(cols, rows), DiscretizationPolicy(n_bins=5))
+            discretize(dataset_from_rows(cols, rows), DiscretizationPolicy(method="equal-width"))
+        ranks = discretize(dataset_from_rows(cols, rows), DiscretizationPolicy(n_bins=5))
         order = np.argsort(values, kind="stable")
         assert np.all(np.diff(ranks.feature_codes[order, 0]) >= 0)
 
@@ -409,13 +427,13 @@ class TestDiscretize:
     def test_needs_two_rows(self):
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
         with pytest.raises(DataError):
-            discretize(Dataset(cols, [(1.0, "0")]), DiscretizationPolicy())
+            discretize(dataset_from_rows(cols, [(1.0, "0")]), DiscretizationPolicy())
 
     def test_single_label_target_rejected(self):
         cols = [ColumnSpec("x", "continuous"), ColumnSpec("y", "binary", "target")]
         rows = [(1.0, "0"), (2.0, "0")]
         with pytest.raises(DataError):
-            discretize(Dataset(cols, rows), DiscretizationPolicy())
+            discretize(dataset_from_rows(cols, rows), DiscretizationPolicy())
 
     def test_row_order_preserved_under_shuffle(self):
         # continuous bins are rank-derived (order-independent); categorical
