@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .infotheory import build_relevance_vector, information_matrix
+from .infotheory import information_matrix
 from .ingest import DiscretizedDataset
 from .qp import _check_k, ranking_of
 
@@ -30,7 +30,6 @@ class SelectionResult:
     method: str
     selected: list[int]
     scores: np.ndarray
-    k: int
     truncated: bool = False
 
     def __post_init__(self):
@@ -70,24 +69,24 @@ def mrmr_greedy(Q, F, k: int) -> SelectionResult:
         best = int(np.argmax(crit))          # first max: lowest index wins ties
         trace.append(float(crit[best]))
         selected.append(remaining.pop(best))
-    return SelectionResult(method="mrmr", selected=selected,
-                           scores=np.array(trace), k=k)
+    return SelectionResult(method="mrmr", selected=selected, scores=np.array(trace))
+
+
+def _top_k_relevance(method: str, F, k: int) -> SelectionResult:
+    Fv = np.asarray(F, dtype=float)
+    _check_k(k, Fv.shape[0])
+    return SelectionResult(method=method, selected=ranking_of(Fv)[:k].tolist(),
+                           scores=Fv.copy())
 
 
 def max_rel(F, k: int) -> SelectionResult:
     """Top-k by relevance alone."""
-    Fv = np.asarray(F, dtype=float)
-    _check_k(k, Fv.shape[0])
-    return SelectionResult(method="maxrel", selected=ranking_of(Fv)[:k].tolist(),
-                           scores=Fv.copy(), k=k)
+    return _top_k_relevance("maxrel", F, k)
 
 
-def information_gain(data: DiscretizedDataset, k: int) -> SelectionResult:
-    """Top-k by I(y; x_i): the relevance vector's values, ranked."""
-    _check_k(k, data.n_features)
-    scores = build_relevance_vector(data)
-    return SelectionResult(method="infogain", selected=ranking_of(scores)[:k].tolist(),
-                           scores=scores, k=k)
+def information_gain(F, k: int) -> SelectionResult:
+    """Top-k by I(y; x_i), which is the relevance vector F: MaxRel's ranking."""
+    return _top_k_relevance("infogain", F, k)
 
 
 # Visited rows per block in relieff: its transient memory is a few
@@ -168,7 +167,7 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
             weights += update                       # the rounding is the loop's
 
     return SelectionResult(method="relieff", selected=ranking_of(weights)[:k].tolist(),
-                           scores=weights, k=k)
+                           scores=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +251,7 @@ def cfs(data: DiscretizedDataset) -> SelectionResult:
         best_subset = (int(np.argmax(su_target)),)
         best_merit = cfs_merit(best_subset, su_target, su_pairs)
     selected = [int(j) for j in best_subset]
-    return SelectionResult(method="cfs", selected=selected,
-                           scores=np.array([best_merit]), k=len(selected))
+    return SelectionResult(method="cfs", selected=selected, scores=np.array([best_merit]))
 
 
 def truncate_selection(result: SelectionResult, k: int) -> SelectionResult:
@@ -262,12 +260,7 @@ def truncate_selection(result: SelectionResult, k: int) -> SelectionResult:
     Features are dropped from the end, i.e. in reverse order of entry into
     the winning subset.  Selections already at or under k pass through.
     """
-    if result.k <= k:
+    if len(result.selected) <= k:
         return result
-    return SelectionResult(
-        method=result.method,
-        selected=result.selected[:k],
-        scores=result.scores,
-        k=k,
-        truncated=True,
-    )
+    return SelectionResult(method=result.method, selected=result.selected[:k],
+                           scores=result.scores, truncated=True)

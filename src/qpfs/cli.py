@@ -156,23 +156,35 @@ def resolve_selection_config(options: dict) -> SelectionConfig:
 
 
 def resolve_protocol(options: dict) -> CvProtocol:
-    return CvProtocol(**_given(options, "stratified", "encoding", "ridge",
+    return CvProtocol(**_given(options, "stratified", "encoding", "ridge", "strict",
                                folds="n_folds", cv_seed="seed",
                                error_convention="convention"))
 
 
-def run_record(sel_config: SelectionConfig, protocol: CvProtocol, strict: bool) -> dict:
+def run_record(sel_config: SelectionConfig, protocol: CvProtocol) -> dict:
     """Every setting of a run, as ``report.json`` and ``results.json`` record it."""
     return {"selection": dataclasses.asdict(sel_config),
-            "protocol": {**dataclasses.asdict(protocol), "strict": strict},
+            "protocol": dataclasses.asdict(protocol),
             "version": __version__}
+
+
+def _out_dir(options: dict, default: str | None = None) -> Path | None:
+    """Create ``--out`` before the run, so a bad path fails fast; None if unset."""
+    path = options.get("out", default)
+    if path is None:
+        return None
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
+    return out_dir
 
 
 def _write(out_dir: Path, filename: str, text: str) -> None:
     path = out_dir / filename
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -191,6 +203,7 @@ def cmd_fetch(options: dict) -> int:
 
 
 def cmd_select(options: dict) -> int:
+    out_dir = _out_dir(options)
     data = resolve_dataset(options)
     sel_config = resolve_selection_config(options)
     output = select_features(data, sel_config)
@@ -200,11 +213,10 @@ def cmd_select(options: dict) -> int:
         print(f"alpha = {output.problem.alpha:.6f}"
               + ("" if sel_config.alpha is None else " (override)"))
         print(f"psd_shift = {output.problem.psd_shift:.3e}")
-    print(f"method = {output.result.method}, k = {output.result.k}")
+    print(f"method = {output.result.method}, k = {len(output.result.selected)}")
     print(output.result.to_text(names), end="")
 
-    if "out" in options:
-        out_dir = Path(options["out"])
+    if out_dir is not None:
         _write(out_dir, "selection.txt", output.result.to_text(names))
         if output.weights is not None:
             _write(out_dir, "weights.txt", weights_to_text(output.weights, names))
@@ -212,36 +224,35 @@ def cmd_select(options: dict) -> int:
 
 
 def cmd_evaluate(options: dict) -> int:
+    out_dir = _out_dir(options)
     data = resolve_dataset(options)
     sel_config = resolve_selection_config(options)
     protocol = resolve_protocol(options)
-    strict = options.get("strict", False)
 
-    report = evaluate_methods(data, [sel_config], protocol, strict)[sel_config.method]
+    report = evaluate_methods(data, [sel_config], protocol)[sel_config.method]
     print(f"dataset = {report.dataset}, method = {report.method}, k = {report.k}")
     print(f"test_error  = {report.test_error:.3f}")
     print(f"type1_error = {report.type1_error:.3f}")
     print(f"type2_error = {report.type2_error:.3f}")
 
-    if "out" in options:
-        payload = {**dataclasses.asdict(report), **run_record(sel_config, protocol, strict)}
-        _write(Path(options["out"]), "report.json",
+    if out_dir is not None:
+        payload = {**dataclasses.asdict(report), **run_record(sel_config, protocol)}
+        _write(out_dir, "report.json",
                json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_reproduce(options: dict) -> int:
-    out_dir = Path(options.get("out", "qpfs_out"))
     sel_config = resolve_selection_config(options)
     protocol = resolve_protocol(options)
-    strict = options.get("strict", False)
+    out_dir = _out_dir(options, "qpfs_out")
 
     keys = [options["only"]] if "only" in options else list(SOURCES)   # german first
     reference = reference_results()
     datasets = {key: (resolve_dataset({**options, "name": key}), SOURCES[key].k_published)
                 for key in keys}
 
-    all_reports = reproduce_tables(datasets, sel_config, protocol, strict=strict)
+    all_reports = reproduce_tables(datasets, sel_config, protocol)
 
     for key, reports in all_reports.items():
         table = format_report_table(key, datasets[key][1], reports)
@@ -252,7 +263,7 @@ def cmd_reproduce(options: dict) -> int:
             delta = format_delta_table(key, reports, ref_methods)
             print(delta)
             _write(out_dir, f"delta_{key}.txt", delta)
-    record = run_record(sel_config, protocol, strict)
+    record = run_record(sel_config, protocol)
     for key in ("method", "k"):            # every table runs each method at its own k
         del record["selection"][key]
     _write(out_dir, "results.json", reports_to_json(all_reports, extras=record))
@@ -261,30 +272,31 @@ def cmd_reproduce(options: dict) -> int:
 
 
 def cmd_inspect(options: dict) -> int:
+    out_dir = _out_dir(options)
     data = resolve_dataset(options)
     sel_config = resolve_selection_config(options)
     dd = discretize(data, sel_config.policy)
     Q, F, problem = quadratic_problem(dd, sel_config)
-    bin_counts = [int(b) for b in dd.bin_counts]
+    names = data.feature_names
+    bin_counts = (dd.feature_codes.max(axis=0) + 1).tolist()   # the codes are dense
 
     print(f"alpha = {problem.alpha:.6f}")
     print(f"lambda_min(Q_eff) = {problem.lambda_min:.6e}")
     print(f"psd_shift = {problem.psd_shift:.6e}")
     print(f"bin_counts = {bin_counts}")
     print()
-    f_text = vector_to_text(F, dd.feature_names)
+    f_text = vector_to_text(F, names)
     print(f_text, end="")
 
-    if "out" in options:
-        out_dir = Path(options["out"])
-        _write(out_dir, "Q.txt", matrix_to_text(Q, dd.feature_names))
+    if out_dir is not None:
+        _write(out_dir, "Q.txt", matrix_to_text(Q, names))
         _write(out_dir, "F.txt", f_text)
         summary = {
             "alpha": problem.alpha,
             "lambda_min": problem.lambda_min,
             "psd_shift": problem.psd_shift,
             "bin_counts": bin_counts,
-            "feature_names": dd.feature_names,
+            "feature_names": names,
         }
         _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,9 @@ class CvProtocol:
     into the design matrix, ``ridge`` is the logistic fit's L2 penalty
     (intercept excluded), and ``convention`` names the positive class that
     Type I and Type II errors are read against (see ``CONVENTIONS``).
-    These fields are the only home of the defaults; the CLI passes on just
-    the values a run sets.
+    ``strict`` re-selects features inside every training fold from its
+    rows alone, the leakage-free variant.  These fields are the only home
+    of the defaults; the CLI passes on just the values a run sets.
     """
 
     n_folds: int = 10
@@ -48,6 +50,7 @@ class CvProtocol:
     encoding: str = "one-hot"
     ridge: float = 1e-6
     convention: str = "bad-positive"
+    strict: bool = False
 
     def __post_init__(self):
         if self.n_folds < 2:
@@ -322,7 +325,8 @@ def _confusion_rates(y_true: np.ndarray, y_pred: np.ndarray,
 
 def evaluate(data: Dataset, selections: dict[str, list[int]],
              protocol: CvProtocol | None = None,
-             strict_selectors: dict | None = None) -> dict[str, EvaluationReport]:
+             reselect: Callable[[Dataset], dict[str, list[int]]] | None = None
+             ) -> dict[str, EvaluationReport]:
     """Cross-validated error rates for each method's feature subset.
 
     ``selections`` maps a method name to its selected feature indices; all
@@ -330,11 +334,13 @@ def evaluate(data: Dataset, selections: dict[str, list[int]],
     on each training split only, once per fold over the union of the
     selected columns; each method's design matrix is its slice of that
     encoding, equal to what an encoder of its own columns would give.
-    ``strict_selectors``, when given, maps each method to a function that
-    re-selects features from a fold's training rows alone (leakage-free
-    mode); the selectors of one fold share its training Dataset.
+    Under ``protocol.strict``, ``reselect(train)`` is called once per fold
+    with the fold's training rows and returns {method: selected}; the
+    selections given then only fix each report's ``k``.
     """
     protocol = protocol or CvProtocol()
+    if protocol.strict and reselect is None:
+        raise ConfigError("a strict protocol needs a reselect function")
     for method, selected in selections.items():
         if not selected:
             raise DataError(f"empty feature selection for method {method!r}")
@@ -358,10 +364,7 @@ def evaluate(data: Dataset, selections: dict[str, list[int]],
     for f in range(protocol.n_folds):
         train_pos = np.flatnonzero(folds != f)
         test_pos = np.flatnonzero(folds == f)
-        fold_selections = selections
-        if strict_selectors is not None:
-            train = data.subset(train_pos)
-            fold_selections = {m: strict_selectors[m](train) for m in selections}
+        fold_selections = reselect(data.subset(train_pos)) if protocol.strict else selections
         union = dict.fromkeys(j for selected in fold_selections.values() for j in selected)
         encoder = DesignEncoder(data, list(union), protocol.encoding).fit(train_pos)
         X_train = encoder.transform(train_pos)

@@ -81,7 +81,10 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
         raise DataError(f"unknown dataset {key!r}; expected one of {sorted(SOURCES)}")
     source = SOURCES[key]
     data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        data_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create data directory {data_dir}: {exc}") from exc
     target = data_dir / source.filename
     digest_file = data_dir / (source.filename + ".sha256")
 
@@ -108,12 +111,15 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
     observed = sha256_digest(payload)
     expected = source.sha256
     if expected is None and digest_file.exists():
-        expected = digest_file.read_text().split()[0]
+        expected = digest_file.read_text(encoding="utf-8").split()[0]
     if expected is not None and observed != expected:
         raise DataError(
             f"{source.key}: SHA-256 mismatch (expected {expected}, got {observed})"
         )
 
-    target.write_bytes(payload)
-    digest_file.write_text(f"{observed}  {source.filename}\n")
+    try:
+        target.write_bytes(payload)
+        digest_file.write_text(f"{observed}  {source.filename}\n", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write into data directory {data_dir}: {exc}") from exc
     return target

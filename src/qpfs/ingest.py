@@ -170,12 +170,14 @@ class DiscretizationPolicy:
 
 @dataclass
 class DiscretizedDataset:
-    """Integer-bin-coded feature matrix aligned with a {0,1} target."""
+    """Integer-bin-coded feature matrix aligned with a {0,1} target.
+
+    Each column's codes are dense, 0..B-1, so its bin count is its maximum
+    code plus one; the column order is the source Dataset's feature order.
+    """
 
     feature_codes: np.ndarray          # (N, m) non-negative bin indices
     target: np.ndarray                 # (N,) labels in {0, 1}
-    bin_counts: np.ndarray             # (m,) distinct bins per feature
-    feature_names: list[str]
 
     @property
     def n_samples(self) -> int:
@@ -555,18 +557,17 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
                 if spec.role == "feature"]
     n, m = data.n_samples, len(features)
     codes = np.empty((n, m), dtype=np.int64)
-    bin_counts = np.empty(m, dtype=np.int64)
 
     for j, (spec, values) in enumerate(features):
         if spec.kind == "continuous":
             if policy.method == "equal-frequency":
-                codes[:, j], bin_counts[j] = equal_frequency_codes(values, policy.n_bins)
+                codes[:, j], n_codes = equal_frequency_codes(values, policy.n_bins)
             else:
                 try:
-                    codes[:, j], bin_counts[j] = equal_width_codes(values, policy.n_bins)
+                    codes[:, j], n_codes = equal_width_codes(values, policy.n_bins)
                 except DataError as exc:
                     raise DataError(f"continuous column {spec.name!r}: {exc}") from None
-            if bin_counts[j] == 1:
+            if n_codes == 1:
                 logger.warning("continuous column %r: binning gives a single bin",
                                spec.name)
         else:
@@ -576,11 +577,5 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
                     f"binary column {spec.name!r} has {n_codes} distinct values"
                 )
             codes[:, j] = col_codes
-            bin_counts[j] = max(n_codes, 1)
 
-    return DiscretizedDataset(
-        feature_codes=codes,
-        target=target,
-        bin_counts=bin_counts,
-        feature_names=[spec.name for spec, _ in features],
-    )
+    return DiscretizedDataset(feature_codes=codes, target=target)

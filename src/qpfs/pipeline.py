@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -97,8 +96,7 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
         weights = qp.solve(problem)
         selected = qp.rank(weights, config.k)
         result = baselines.SelectionResult(
-            method="quadratic", selected=selected, scores=weights.x.copy(), k=config.k
-        )
+            method="quadratic", selected=selected, scores=weights.x.copy())
     elif config.method in ("mrmr", "maxrel"):
         Q, F = information_quantities(dd, config.q_diagonal)
         if config.method == "mrmr":
@@ -106,7 +104,7 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
         else:
             result = baselines.max_rel(F, config.k)
     elif config.method == "infogain":
-        result = baselines.information_gain(dd, config.k)
+        result = baselines.information_gain(infotheory.build_relevance_vector(dd), config.k)
     elif config.method == "relieff":
         result = baselines.relieff(dd, config.k,
                                    n_neighbors=config.relieff_neighbors,
@@ -128,32 +126,27 @@ def reference_results() -> dict:
         return json.load(fh)
 
 
-def evaluate_methods(data: Dataset, configs: list[SelectionConfig], protocol: CvProtocol,
-                     strict: bool = False) -> dict[str, EvaluationReport]:
+def evaluate_methods(data: Dataset, configs: list[SelectionConfig],
+                     protocol: CvProtocol) -> dict[str, EvaluationReport]:
     """Select features with each config and cross-validate every selection.
 
     One ``evaluate`` call serves all configs, so they share the folds and
-    each fold's encoding.  Under ``strict`` every config re-selects inside
-    every training fold from the training rows alone (the leakage-free
-    variant); the full-data selection then only fixes the report's ``k``.
+    each fold's encoding.  Under ``protocol.strict`` every config re-selects
+    inside every training fold from the training rows alone (the
+    leakage-free variant); the full-data selection then only fixes the
+    report's ``k``.
     """
-    selections = {config.method: select_features(data, config).result.selected
-                  for config in configs}
-    strict_selectors = None
-    if strict:
-        strict_selectors = {config.method: partial(_reselect, config=config)
-                            for config in configs}
-    return evaluate(data, selections, protocol, strict_selectors)
+    def select(rows: Dataset) -> dict[str, list[int]]:
+        return {config.method: select_features(rows, config).result.selected
+                for config in configs}
 
-
-def _reselect(train: Dataset, config: SelectionConfig) -> list[int]:
-    return select_features(train, config).result.selected
+    return evaluate(data, select(data), protocol, select)
 
 
 def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
                      base_config: SelectionConfig | None = None,
-                     protocol: CvProtocol | None = None,
-                     strict: bool = False) -> dict[str, dict[str, EvaluationReport]]:
+                     protocol: CvProtocol | None = None
+                     ) -> dict[str, dict[str, EvaluationReport]]:
     """Run every method on every dataset at its table's selection size.
 
     ``datasets`` maps a dataset key (e.g. "german") to (Dataset, k); each
@@ -167,5 +160,5 @@ def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
     if not datasets:
         raise DataError("no datasets to reproduce")
     return {name: evaluate_methods(data, [replace(base_config, method=method, k=k)
-                                          for method in METHODS], protocol, strict)
+                                          for method in METHODS], protocol)
             for name, (data, k) in datasets.items()}

@@ -49,7 +49,6 @@ class FeatureWeights:
     """QP solution on the simplex plus its optimality certificate."""
 
     x: np.ndarray
-    ranking: np.ndarray          # all feature indices, descending weight
     objective: float
     kkt_residual: float
     solver: str                  # "active-set", "projected-gradient", or "vertex"
@@ -364,7 +363,6 @@ def solve(problem: QpProblem) -> FeatureWeights:
 
     return FeatureWeights(
         x=x,
-        ranking=ranking_of(x),
         objective=problem.objective(x),
         kkt_residual=residual,
         solver=used,
@@ -390,12 +388,12 @@ def _check_k(k: int, m: int) -> None:
 def rank(weights: FeatureWeights, k: int) -> list[int]:
     """Top-k feature indices from a solved problem."""
     _check_k(k, weights.x.shape[0])
-    return weights.ranking[:k].tolist()
+    return ranking_of(weights.x)[:k].tolist()
 
 
 def weights_to_text(weights: FeatureWeights, names: list[str]) -> str:
     """feature / weight / rank table, one feature per line, ranked order."""
     lines = ["feature\tweight\trank"]
-    for pos, i in enumerate(weights.ranking, start=1):
+    for pos, i in enumerate(ranking_of(weights.x), start=1):
         lines.append(f"{names[int(i)]}\t{format(float(weights.x[int(i)]), '.12g')}\t{pos}")
     return "\n".join(lines) + "\n"

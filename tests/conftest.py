@@ -203,14 +203,13 @@ def write_uci_like_files(dir_path: Path, n_german: int = 1000, n_australian: int
 
 
 def make_dd(codes, target) -> DiscretizedDataset:
-    """DiscretizedDataset over given codes, with features named f0, f1, ..."""
-    codes = np.asarray(codes)
-    return DiscretizedDataset(
-        feature_codes=codes,
-        target=np.asarray(target),
-        bin_counts=codes.max(axis=0) + 1,
-        feature_names=[f"f{j}" for j in range(codes.shape[1])],
-    )
+    """DiscretizedDataset over given codes and target."""
+    return DiscretizedDataset(feature_codes=np.asarray(codes), target=np.asarray(target))
+
+
+def bin_counts(dd: DiscretizedDataset) -> np.ndarray:
+    """Bins per feature: the codes are dense, so the largest code plus one."""
+    return dd.feature_codes.max(axis=0) + 1
 
 
 def random_discretized(rng, n: int = 600, m: int = 8, bins: int = 4,

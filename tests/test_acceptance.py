@@ -20,7 +20,7 @@ from qpfs.evaluation import CvProtocol, evaluate, loglik_and_grad, train_logisti
 from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector,
                              contingency, entropy, mutual_information)
 from qpfs.pipeline import SelectionConfig, select_features
-from qpfs.qp import QpProblem, assemble, estimate_alpha, solve
+from qpfs.qp import QpProblem, assemble, estimate_alpha, ranking_of, solve
 
 from conftest import (exhaustive_subset_objective, grid_search_simplex,
                       random_discretized)
@@ -87,11 +87,11 @@ def test_criterion_03_scale_invariance():
             continue
         pairs += 1
         a0 = estimate_alpha(Q, F)
-        r0 = solve(assemble(Q, F, a0)).ranking.tolist()
+        r0 = ranking_of(solve(assemble(Q, F, a0)).x).tolist()
         for c in (0.1, 10.0):
             ac = estimate_alpha(c * Q, c * F)
             assert abs(ac - a0) <= TOL_EXACT
-            rc = solve(assemble(c * Q, c * F, ac)).ranking.tolist()
+            rc = ranking_of(solve(assemble(c * Q, c * F, ac)).x).tolist()
             assert rc == r0
     note("criterion 3", "PASS - 50 (Q,F) pairs, c in {0.1, 10}: alpha and rank invariant")
 
@@ -105,7 +105,7 @@ def test_criterion_04_degeneracy_chain():
         Q = np.abs(A @ A.T) / m
         np.fill_diagonal(Q, np.abs(rng.normal(1.5, 0.5, m)))
         F = np.abs(rng.normal(size=m))
-        top = solve(assemble(Q, F, 1.0)).ranking[0]
+        top = ranking_of(solve(assemble(Q, F, 1.0)).x)[0]
         assert top == int(np.argmax(F))
         zero = np.zeros((m, m))
         for k in range(1, m + 1):

@@ -1,7 +1,7 @@
 """The public API: the names ``qpfs`` exports and the shape of its result types.
 
 The lists below are a record, not a wish list.  Adding or removing a public
-name, a result field or a ``Dataset`` parameter means editing them here, so
+name, a result field or a pinned parameter means editing them here, so
 every change to the API is deliberate.
 """
 
@@ -27,20 +27,25 @@ PUBLIC_NAMES = [
 
 RESULT_FIELDS = {
     "SelectionOutput": ["result", "weights", "problem"],
-    "SelectionResult": ["method", "selected", "scores", "k", "truncated"],
-    "FeatureWeights": ["x", "ranking", "objective", "kkt_residual", "solver",
-                       "iterations"],
+    "SelectionResult": ["method", "selected", "scores", "truncated"],
+    "FeatureWeights": ["x", "objective", "kkt_residual", "solver", "iterations"],
     "QpProblem": ["Q_eff", "f_eff", "alpha", "psd_shift", "lambda_min"],
-    "DiscretizedDataset": ["feature_codes", "target", "bin_counts", "feature_names"],
+    "DiscretizedDataset": ["feature_codes", "target"],
     "EvaluationReport": ["method", "dataset", "k", "test_error", "type1_error",
                          "type2_error", "per_fold"],
     "SelectionConfig": ["method", "k", "policy", "alpha", "q_diagonal",
                         "relieff_neighbors", "relieff_iterations", "seed"],
     "DiscretizationPolicy": ["method", "n_bins", "missing_policy"],
-    "CvProtocol": ["n_folds", "stratified", "seed", "encoding", "ridge", "convention"],
+    "CvProtocol": ["n_folds", "stratified", "seed", "encoding", "ridge", "convention",
+                   "strict"],
 }
 
-DATASET_PARAMETERS = ["columns", "arrays", "categories", "row_ids", "name"]
+PARAMETERS = {
+    "Dataset": ["columns", "arrays", "categories", "row_ids", "name"],
+    "evaluate": ["data", "selections", "protocol", "reselect"],
+    "reproduce_tables": ["datasets", "base_config", "protocol"],
+    "information_gain": ["F", "k"],
+}
 
 
 def test_public_names_are_pinned():
@@ -58,5 +63,14 @@ def test_result_fields_are_pinned(name):
     assert fields == RESULT_FIELDS[name]
 
 
+def parameters(obj) -> list[str]:
+    return list(inspect.signature(obj).parameters)
+
+
 def test_dataset_parameters_are_pinned():
-    assert list(inspect.signature(qpfs.Dataset).parameters) == DATASET_PARAMETERS
+    assert parameters(qpfs.Dataset) == PARAMETERS["Dataset"]
+
+
+@pytest.mark.parametrize("name", sorted(set(PARAMETERS) - {"Dataset"}))
+def test_function_parameters_are_pinned(name):
+    assert parameters(getattr(qpfs, name)) == PARAMETERS[name]

@@ -1,17 +1,22 @@
 """Command-line behavior: subcommands, config merging, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpfs import qp
+from qpfs import cli, pipeline, qp
 from qpfs.cli import main, read_config_file
 
 from conftest import write_synthetic_files, write_uci_like_files
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL = 0, 2, 3, 4
+SRC = Path(cli.__file__).resolve().parents[1]     # the directory that holds qpfs
 
 
 def run(capsys, *argv):
@@ -271,6 +276,23 @@ class TestEvaluateCommand:
         assert code == EXIT_OK
         assert "test_error" in out
 
+    def test_strict_flag_and_config_key_give_the_same_report(self, capsys, synth_files,
+                                                              tmp_path):
+        data, schema = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict = true\n")
+        reports = []
+        for setting in (["--strict"], ["--config", str(cfg)], []):
+            out_dir = tmp_path / f"ev{len(reports)}"
+            code, _, err = run(capsys, "evaluate", "--data", str(data), "--schema",
+                               str(schema), "--method", "maxrel", "--k", "2", "--folds", "4",
+                               *setting, "--out", str(out_dir))
+            assert code == EXIT_OK, err
+            reports.append((out_dir / "report.json").read_text())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["protocol"]["strict"] is True
+        assert json.loads(reports[2])["protocol"]["strict"] is False
+
 
 class TestReproduceCommand:
     def test_both_tables_with_deltas(self, capsys, tmp_path):
@@ -465,10 +487,15 @@ class TestConfigAndErrors:
         assert "delimiter must not be empty" in err
 
     @pytest.mark.parametrize("command", ["select", "evaluate", "inspect", "reproduce"])
-    def test_out_naming_a_file_exits_config(self, capsys, tmp_path, command):
+    def test_out_naming_a_file_exits_config(self, capsys, monkeypatch, tmp_path, command):
         data_dir = write_uci_like_files(tmp_path / "d", n_german=120, n_australian=100)
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
+        ran = []
+        for module in (cli, pipeline):          # cli imported select_features by name
+            monkeypatch.setattr(module, "select_features",
+                                lambda *args: ran.append("select_features"))
+        monkeypatch.setattr(cli, "load_csv", lambda *args, **kw: ran.append("load_csv"))
         dataset = (["--only", "german"] if command == "reproduce"
                    else ["--name", "german"])
         folds = ["--folds", "2"] if command in ("evaluate", "reproduce") else []
@@ -477,6 +504,28 @@ class TestConfigAndErrors:
         assert code == EXIT_CONFIG
         assert "cannot write" in err and str(taken) in err
         assert taken.read_text() == "not a directory\n"
+        assert ran == []                        # failed before reading any data
+
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    def test_artifacts_are_utf8_under_an_ascii_locale(self, tmp_path, command):
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{i % 4},{i % 3},{i % 4 // 2}\n" for i in range(40)),
+                        encoding="utf-8")
+        schema = tmp_path / "d.schema"
+        schema.write_text("größe categorical feature\nx categorical feature\n"
+                          "label binary target positive=1\n", encoding="utf-8")
+        out_dir = tmp_path / "o"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                           os.environ.get("PYTHONPATH")]))}
+        k = ["--k", "1"] if command == "select" else []
+        proc = subprocess.run([sys.executable, "-m", "qpfs.cli", command, "--data", str(data),
+                               "--schema", str(schema), *k, "--out", str(out_dir)],
+                              env=env, capture_output=True, text=True, encoding="utf-8")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        artifact = out_dir / ("selection.txt" if command == "select" else "F.txt")
+        assert "größe\t" in artifact.read_text(encoding="utf-8")
 
     def test_config_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

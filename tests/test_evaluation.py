@@ -306,15 +306,33 @@ class TestEvaluate:
         data = synthetic_credit_dataset(seed=11, n=200)
         calls = []
 
-        def selector(train):
+        def reselect(train):
             calls.append(train.n_samples)
-            return [0, 3]
+            return {"x0,c0": [0, 3]}
 
-        report = evaluate(data, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, seed=1),
-                          strict_selectors={"x0,c0": selector})["x0,c0"]
+        report = evaluate(data, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, seed=1, strict=True),
+                          reselect)["x0,c0"]
         assert len(calls) == 5
         assert all(c < 200 for c in calls)
         assert 0.0 <= report.test_error <= 1.0
+
+    def test_reselect_runs_only_under_a_strict_protocol(self):
+        data = synthetic_credit_dataset(seed=11, n=200)
+        calls = []
+
+        def reselect(train):
+            calls.append(train.n_samples)
+            return {"x0,c0": [1]}
+
+        protocol = CvProtocol(n_folds=5, seed=1)
+        got = evaluate(data, {"x0,c0": [0, 3]}, protocol, reselect)
+        assert calls == []
+        assert got == evaluate(data, {"x0,c0": [0, 3]}, protocol)
+
+    def test_strict_protocol_without_reselect_rejected(self):
+        data = synthetic_credit_dataset(seed=11, n=200)
+        with pytest.raises(ConfigError, match="reselect"):
+            evaluate(data, {"x0,c0": [0, 3]}, CvProtocol(n_folds=5, strict=True))
 
     @pytest.mark.parametrize("bad", [{"n_folds": 1}, {"encoding": "binary"},
                                      {"ridge": -1.0}, {"ridge": float("nan")},
@@ -431,7 +449,7 @@ def oracle_evaluate(data, selected, protocol, method="", strict_selector=None):
         type2_error=float(triples[:, 2].mean()), per_fold=per_fold)
 
 
-def oracle_reproduce_tables(datasets, base_config, protocol, strict):
+def oracle_reproduce_tables(datasets, base_config, protocol):
     """Every method of every dataset, one full cross-validation after another."""
     tables = {}
     for name, (data, k) in datasets.items():
@@ -440,7 +458,7 @@ def oracle_reproduce_tables(datasets, base_config, protocol, strict):
             config = replace(base_config, method=method, k=k)
             selected = select_features(data, config).result.selected
             strict_selector = None
-            if strict:
+            if protocol.strict:
                 def strict_selector(train, config=config):
                     return select_features(train, config).result.selected
             tables[name][method] = oracle_evaluate(data, selected, protocol, method,
@@ -479,11 +497,11 @@ class TestFoldMajorOracle:
                     "beta": (with_missing_cells(
                         synthetic_credit_dataset(seed=15, n=130, name="beta"), rng), 2)}
         config = SelectionConfig(policy=DiscretizationPolicy(missing_policy=missing))
-        protocol = CvProtocol(n_folds=3, seed=8, encoding=encoding)
+        protocol = CvProtocol(n_folds=3, seed=8, encoding=encoding, strict=strict)
 
-        got = reproduce_tables(datasets, config, protocol, strict=strict)
+        got = reproduce_tables(datasets, config, protocol)
         fold_major = list(betas)
-        want = oracle_reproduce_tables(datasets, config, protocol, strict)
+        want = oracle_reproduce_tables(datasets, config, protocol)
         method_major = betas[len(fold_major):]
 
         assert got == want

@@ -71,6 +71,25 @@ class TestFetchOffline:
         assert main(["fetch", "--data-dir", str(populated_dir), "--only", "german"]) == 3
         assert str(target) in capsys.readouterr().err
 
+    def test_data_dir_that_is_a_file_is_a_data_error(self, tmp_path, capsys, no_network):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        with pytest.raises(DataError, match="cannot create data directory"):
+            fetch_dataset("german", taken)
+        assert main(["fetch", "--data-dir", str(taken), "--only", "german"]) == 3
+        assert str(taken) in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_failed_write_is_a_data_error(self, populated_dir, tmp_path, capsys,
+                                          no_network):
+        # a dangling link: the digest file looks absent, and writing it fails
+        digest_file = populated_dir / "german.data.sha256"
+        digest_file.symlink_to(tmp_path / "missing" / "german.data.sha256")
+        with pytest.raises(DataError, match="cannot write into data directory"):
+            fetch_dataset("german", populated_dir)
+        assert main(["fetch", "--data-dir", str(populated_dir), "--only", "german"]) == 3
+        assert str(digest_file) in capsys.readouterr().err
+
     def test_unknown_dataset_key(self, tmp_path):
         with pytest.raises(DataError, match="unknown dataset"):
             fetch_dataset("martian", tmp_path)

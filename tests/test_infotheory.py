@@ -281,4 +281,5 @@ class TestSerialization:
         rng = np.random.default_rng(9)
         dd = random_discretized(rng, n=80, m=3)
         Q = build_redundancy_matrix(dd)
-        assert matrix_to_text(Q, dd.feature_names) == matrix_to_text(Q, dd.feature_names)
+        names = ["f0", "f1", "f2"]
+        assert matrix_to_text(Q, names) == matrix_to_text(Q, names)

@@ -11,8 +11,8 @@ from qpfs.ingest import (ColumnSpec, DiscretizationPolicy, binary_target,
                          equal_width_codes, first_appearance_codes, load_csv,
                          load_schema, parse_schema_text, resolve_missing)
 
-from conftest import (SYNTH_SCHEMA_TEXT, dataset_from_rows, synthetic_credit_dataset,
-                      write_synthetic_files)
+from conftest import (SYNTH_SCHEMA_TEXT, bin_counts, dataset_from_rows,
+                      synthetic_credit_dataset, write_synthetic_files)
 
 
 def basic_columns():
@@ -363,7 +363,7 @@ class TestDiscretize:
         assert dd.feature_codes.shape == (150, 6)
         for j in range(dd.n_features):
             observed = sorted(set(dd.feature_codes[:, j].tolist()))
-            assert observed == list(range(dd.bin_counts[j]))
+            assert observed == list(range(bin_counts(dd)[j]))
         assert resolve_missing(data, policy).row_ids.tolist() == list(range(150))
 
     def test_deterministic(self):
@@ -378,7 +378,7 @@ class TestDiscretize:
         rows = [(5.0, "0"), (5.0, "1"), (5.0, "0")]
         with caplog.at_level("WARNING", logger="qpfs.ingest"):
             dd = discretize(dataset_from_rows(cols, rows), DiscretizationPolicy())
-        assert dd.bin_counts[0] == 1
+        assert bin_counts(dd)[0] == 1
         assert "single bin" in caplog.text
 
         # "t" is not constant, but its 50 zeros in 1000 rows share the ones'
@@ -390,7 +390,7 @@ class TestDiscretize:
             caplog.clear()
             with caplog.at_level("WARNING", logger="qpfs.ingest"):
                 dd = discretize(dataset_from_rows(cols, rows), DiscretizationPolicy(method=method))
-            assert dd.bin_counts.tolist() == counts
+            assert bin_counts(dd).tolist() == counts
             warned = [r.getMessage() for r in caplog.records if "single bin" in r.getMessage()]
             assert len(warned) == counts.count(1)
             assert "'x'" in warned[0]

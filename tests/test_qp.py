@@ -198,7 +198,7 @@ class TestSolve:
             F = np.abs(rng.normal(size=5))
             p = assemble(np.zeros((5, 5)), F, 1.0)
             w = solve(p)
-            assert w.ranking[0] == int(np.argmax(F))
+            assert ranking_of(w.x)[0] == int(np.argmax(F))
 
     def test_kkt_residual_zero_at_known_optimum(self):
         Q = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -221,29 +221,28 @@ class TestScaleInvariance:
                 ac = estimate_alpha(c * Q, c * F)
                 assert abs(ac - a0) <= 1e-12
                 wc = solve(assemble(c * Q, c * F, ac))
-                assert wc.ranking.tolist() == w0.ranking.tolist()
+                assert ranking_of(wc.x).tolist() == ranking_of(w0.x).tolist()
 
 
 class TestRank:
     def test_top_k(self):
-        w = FeatureWeights(np.array([0.1, 0.7, 0.2]), ranking_of(np.array([0.1, 0.7, 0.2])),
-                           0.0, 0.0, "vertex", 0)
+        w = FeatureWeights(np.array([0.1, 0.7, 0.2]), 0.0, 0.0, "vertex", 0)
         assert rank(w, 2) == [1, 2]
 
     def test_tie_rule_ascending_index(self):
         x = np.full(4, 0.25)
-        w = FeatureWeights(x, ranking_of(x), 0.0, 0.0, "vertex", 0)
+        w = FeatureWeights(x, 0.0, 0.0, "vertex", 0)
         assert rank(w, 3) == [0, 1, 2]
 
     def test_k_too_large(self):
         x = np.array([0.5, 0.5])
-        w = FeatureWeights(x, ranking_of(x), 0.0, 0.0, "vertex", 0)
+        w = FeatureWeights(x, 0.0, 0.0, "vertex", 0)
         with pytest.raises(ValueError):
             rank(w, 3)
 
     def test_weights_serialization(self):
         x = np.array([0.25, 0.75])
-        w = FeatureWeights(x, ranking_of(x), -0.1, 0.0, "active-set", 3)
+        w = FeatureWeights(x, -0.1, 0.0, "active-set", 3)
         text = weights_to_text(w, ["a", "b"])
         lines = text.strip().split("\n")
         assert lines[0] == "feature\tweight\trank"

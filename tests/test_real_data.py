@@ -41,7 +41,7 @@ class TestGermanInformation:
     def test_relevance_matches_information_gain_top_feature(self, german_discretized):
         dd = german_discretized
         F = build_relevance_vector(dd)
-        ig = information_gain(dd, 20)
+        ig = information_gain(F, 20)
         assert np.array_equal(F, ig.scores)
         assert int(np.argmax(F)) == ig.selected[0]
 
@@ -53,4 +53,4 @@ class TestGermanInformation:
     def test_maxrel_equals_infogain_selection(self, german_discretized):
         dd = german_discretized
         F = build_relevance_vector(dd)
-        assert max_rel(F, 7).selected == information_gain(dd, 7).selected
+        assert max_rel(F, 7).selected == information_gain(F, 7).selected
