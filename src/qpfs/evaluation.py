@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .ingest import (Dataset, binary_target, column_median, column_mode,
-                     first_appearance_codes, missing_cells)
+from .ingest import (Dataset, binary_target, column_median, column_mode, dense_codes,
+                     missing_cells)
 
 ENCODINGS = ("one-hot", "code-as-ordinal")
 CONVENTIONS = ("bad-positive", "good-positive")
@@ -223,7 +223,25 @@ class DesignEncoder:
 
     def fit(self, train_positions) -> "DesignEncoder":
         train = np.asarray(train_positions, dtype=np.intp)
-        self.stats = [self._fit_column(j, train) for j in self.col_idx]
+        self.stats = []
+        categorical = []                # (stat index, column, mode, filled cells)
+        for j in self.col_idx:
+            spec = self.data.columns[j]
+            cells = self.data.arrays[j][train]
+            missing = missing_cells(spec, cells)
+            if missing.all():
+                raise DataError(f"column {spec.name!r} all-missing in training split")
+            if spec.kind == "continuous":
+                self.stats.append(self._fit_continuous(cells, missing))
+            else:
+                mode = column_mode(cells[~missing])
+                categorical.append((len(self.stats), j, mode, np.where(missing, mode, cells)))
+                self.stats.append(None)
+        if categorical:                 # one first-appearance remap for all of them
+            ranks, counts = dense_codes(np.array([entry[3] for entry in categorical]),
+                                        first_appearance=True)
+            for (i, j, mode, filled), rank, count in zip(categorical, ranks, counts):
+                self.stats[i] = self._categorical_rows(j, mode, filled, rank, count.size)
         widths = [1 if isinstance(stat, tuple) else stat.shape[1] for stat in self.stats]
         starts = np.cumsum([0] + widths)
         self._design_columns = {feature: np.arange(starts[i], starts[i + 1])
@@ -237,27 +255,22 @@ class DesignEncoder:
         training category contributes none."""
         return np.concatenate([self._design_columns[feature] for feature in selected])
 
-    def _fit_column(self, j: int, train: np.ndarray):
-        spec = self.data.columns[j]
-        cells = self.data.arrays[j][train]
-        missing = missing_cells(spec, cells)
-        if missing.all():
-            raise DataError(f"column {spec.name!r} all-missing in training split")
-        if spec.kind == "continuous":
-            median = column_median(cells[~missing])
-            filled = np.where(missing, median, cells)
-            scale = 1.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean, std = float(filled.mean()), float(filled.std())
-            if not (math.isfinite(mean) and math.isfinite(std)):
-                scale = float(np.abs(filled).max())
-                filled = filled / scale
-                mean, std = float(filled.mean()), float(filled.std())
-            return median, scale, mean, std if std > 0 else 1.0
+    @staticmethod
+    def _fit_continuous(cells: np.ndarray, missing: np.ndarray) -> tuple:
+        median = column_median(cells[~missing])
+        filled = np.where(missing, median, cells)
+        scale = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(filled.mean()), float(filled.std())
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            scale = float(np.abs(filled).max())
+            filled = filled / scale
+            mean, std = float(filled.mean()), float(filled.std())
+        return median, scale, mean, std if std > 0 else 1.0
 
-        mode = column_mode(cells[~missing])
-        filled = np.where(missing, mode, cells)
-        ranks, n_categories = first_appearance_codes(filled)
+    def _categorical_rows(self, j: int, mode, filled: np.ndarray, ranks: np.ndarray,
+                          n_categories: int) -> np.ndarray:
+        """Design rows by code from the first-appearance ranks of the filled cells."""
         rank_of = np.full(len(self.data.categories[j]) + 1, -1, dtype=np.int64)
         rank_of[filled] = ranks                  # by code; unseen codes keep -1
         rank_of[-1] = rank_of[mode]              # missing cells (code -1) take the mode's

@@ -11,8 +11,7 @@ yourself; every command accepts local paths.
 from __future__ import annotations
 
 import hashlib
-import urllib.error
-import urllib.request
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,6 +69,17 @@ def sha256_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read_digest(path: Path) -> str:
+    """The digest a ``<file>.sha256`` records: its first field, 64 hex digits."""
+    try:
+        fields = path.read_bytes().split()
+    except OSError as exc:
+        raise DataError(f"cannot read digest file {path}: {exc}") from exc
+    if not fields or not re.fullmatch(rb"[0-9a-fA-F]{64}", fields[0]):
+        raise DataError(f"digest file {path} does not start with a SHA-256 hex digest")
+    return fields[0].decode("ascii").lower()
+
+
 def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0) -> Path:
     """Download one dataset into ``data_dir``; returns the file path.
 
@@ -90,13 +100,18 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
 
     if target.exists() and not force:
         origin = target
-        payload = target.read_bytes()
+        try:
+            payload = target.read_bytes()
+        except OSError as exc:
+            raise DataError(f"cannot read {target}: {exc}") from exc
     else:
+        import urllib.request       # here, not at import: only fetch needs http.client
+
         origin = source.url
         try:
             with urllib.request.urlopen(source.url, timeout=timeout) as resp:
                 payload = resp.read()
-        except (urllib.error.URLError, OSError) as exc:
+        except OSError as exc:                          # URLError is an OSError
             raise DataError(
                 f"cannot download {source.url}: {exc}. Offline? Place the file at"
                 f" {target} manually; all commands accept local paths."
@@ -111,7 +126,7 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
     observed = sha256_digest(payload)
     expected = source.sha256
     if expected is None and digest_file.exists():
-        expected = digest_file.read_text(encoding="utf-8").split()[0]
+        expected = _read_digest(digest_file)
     if expected is not None and observed != expected:
         raise DataError(
             f"{source.key}: SHA-256 mismatch (expected {expected}, got {observed})"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .ingest import DiscretizedDataset
+from .ingest import DiscretizedDataset, dense_codes
 
 
 def contingency(codes_a, codes_b) -> np.ndarray:
@@ -61,11 +61,15 @@ def mutual_information(counts) -> float:
 
 def entropy(codes) -> float:
     """H(A) in bits over the observed codes."""
-    a = np.asarray(codes)
+    a = np.asarray(codes).ravel()
     if a.size == 0:
         raise DataError("empty code vector")
-    _, counts = np.unique(a, return_counts=True)
-    p = counts / a.size
+    return _entropy(dense_codes(a)[1], a.size)
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    """H in bits from the counts of a column's observed codes, which sum to n."""
+    p = counts / n
     return float(-np.sum(p * np.log2(p)))
 
 
@@ -76,23 +80,13 @@ def entropy(codes) -> float:
 PAIR_BLOCK_CELLS = 1 << 16
 
 
-def _dense_columns(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, n) codes re-mapped per column to 0..s-1 in sorted order, and each s."""
-    dense = np.empty(codes.shape[::-1], dtype=np.int64)
-    sizes = np.empty(codes.shape[1], dtype=np.int64)
-    for j in range(codes.shape[1]):
-        uniq, dense[j] = np.unique(codes[:, j], return_inverse=True)
-        sizes[j] = uniq.size
-    return dense, sizes
-
-
 def _sum_terms(out: np.ndarray, pending: list) -> None:
     """Sum each buffered pair's MI terms into out, grouped by term count; empty the buffer."""
     if not pending:
         return
     sel, lengths, terms = (np.concatenate(parts) for parts in zip(*pending))
     starts = np.cumsum(lengths) - lengths
-    for length in np.unique(lengths):
+    for length in np.flatnonzero(np.bincount(lengths)):     # distinct, ascending
         same = lengths == length
         out[sel[same]] = terms[starts[same][:, None] + np.arange(length)].sum(axis=1)
     pending.clear()
@@ -100,8 +94,9 @@ def _sum_terms(out: np.ndarray, pending: list) -> None:
 
 def _pair_information(dense: np.ndarray, sizes: np.ndarray,
                       rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """MI of each pair of ``_dense_columns`` output, column rows[k] as the rows.
+    """MI of each pair (dense[rows[k]], dense[cols[k]]), the first as table rows.
 
+    ``dense`` holds ``dense_codes`` rows, row i with codes 0..sizes[i]-1.
     The batched kernel of ``information_matrix``; its docstring says why each
     value equals ``mutual_information(contingency(...))`` bit for bit.
     """
@@ -166,8 +161,9 @@ def information_matrix(codes) -> np.ndarray:
     n, p = codes.shape
     if n == 0 or p == 0:
         raise DataError(f"need at least one row and one column, got {codes.shape}")
-    dense, sizes = _dense_columns(codes)
-    values = np.diag([entropy(column) for column in dense])
+    dense, counts = dense_codes(codes.T)
+    values = np.diag([_entropy(column, n) for column in counts])
+    sizes = np.array([column.size for column in counts])
     i, j = np.triu_indices(p, k=1)
     values[i, j] = values[j, i] = _pair_information(dense, sizes, i, j)
     return values
@@ -189,7 +185,8 @@ def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     if target.min() == target.max():
         raise DataError("single-label target")
     m = data.n_features
-    dense, sizes = _dense_columns(np.column_stack([data.feature_codes, target]))
+    dense, counts = dense_codes(np.column_stack([data.feature_codes, target]).T)
+    sizes = np.array([column.size for column in counts])
     return _pair_information(dense, sizes, np.arange(m), np.full(m, m))
 
 

@@ -383,7 +383,8 @@ def binary_target(data: Dataset) -> np.ndarray:
     if (codes < 0).any():
         raise DataError(f"target column {spec.name!r} has missing labels")
     table = data.categories[j]
-    labels = sorted((table[c] for c in np.unique(codes)), key=_label_sort_key)
+    labels = sorted((table[c] for c in np.flatnonzero(np.bincount(codes))),
+                    key=_label_sort_key)
     if len(labels) < 2:
         raise DataError(f"target column {spec.name!r} has a single label {labels[0]!r}")
     if len(labels) > 2:
@@ -486,19 +487,96 @@ def resolve_missing(data: Dataset, policy: DiscretizationPolicy) -> Dataset:
 # Discretization
 # ---------------------------------------------------------------------------
 
-def _dense_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Re-map monotonically to {0..B-1} with no gaps."""
-    uniq, inv = np.unique(codes, return_inverse=True)
-    return inv.astype(np.int64), int(uniq.size)
+def dense_codes(values, first_appearance: bool = False):
+    """Re-map codes to 0..s-1 and count each: in sorted order, or by first appearance.
+
+    ``values`` is one vector of n codes, or a (p, n) array whose p >= 1 rows
+    are such vectors.  Returns the dense codes (int64, the input's shape,
+    C-contiguous) and the counts of codes 0..s-1: one array, or a list with
+    one array per row.  The sorted order is ``np.unique``'s, so the codes
+    equal its ``return_inverse`` output; first appearance gives A,B,A,C the
+    codes 0,1,0,2.
+
+    A row of integers that fit int64 (or of bools) whose range max - min is
+    below n needs no sort: the rows are shifted to start at 0 and offset to
+    disjoint key ranges, one ``np.bincount`` counts the keys, and a
+    ``cumsum`` over the present ones ranks them.  Any other row (strings,
+    floats, a wider range) goes through ``np.unique``.  First appearance
+    re-ranks each row's codes by the index where each first appears, found
+    with ``np.minimum.at``.
+    """
+    values = np.asarray(values)
+    rows = values.reshape(1, -1) if values.ndim == 1 else values
+    p, n = rows.shape
+    fast = np.zeros(p, dtype=bool)
+    if n and (rows.dtype.kind in "ib" or rows.dtype.kind == "u" and rows.itemsize < 8):
+        keys = np.array(rows, dtype=np.int64, order="C")
+        lo = keys.min(axis=1)
+        span = keys.max(axis=1).astype(np.uint64) - lo.astype(np.uint64)  # exact mod 2**64
+        fast = span < n
+
+    if fast.all():
+        codes, sizes, tally = _bincount_ranks(keys, lo, span)
+    else:                                   # row by row
+        codes = np.empty((p, n), dtype=np.int64)
+        parts = []
+        for j, row in enumerate(rows):
+            if fast[j]:
+                one = slice(j, j + 1)
+                codes[j], _, part = _bincount_ranks(keys[one], lo[one], span[one])
+            else:
+                _, codes[j], part = np.unique(row, return_inverse=True, return_counts=True)
+            parts.append(part)
+        sizes = np.array([part.size for part in parts], dtype=np.int64)
+        tally = np.concatenate(parts)
+
+    if first_appearance:
+        codes, tally = _by_first_appearance(codes, sizes, tally)
+    if values.ndim == 1:
+        return codes[0], tally
+    ends = sizes.cumsum().tolist()
+    return codes, [tally[end - size:end] for end, size in zip(ends, sizes.tolist())]
+
+
+def _bincount_ranks(keys: np.ndarray, lo: np.ndarray, span: np.ndarray):
+    """``dense_codes``' sorted codes of int64 rows, each with range span below n.
+
+    ``keys`` is a C-contiguous copy of the rows, reused for the result.
+    Returns the (p, n) codes, each row's code count and all rows' code
+    counts, concatenated.
+    """
+    spans = span.astype(np.int64) + 1
+    starts = spans.cumsum() - spans
+    keys -= lo[:, None]                 # exact mod 2**64, and the result is in range
+    keys += starts[:, None]
+    tally = np.bincount(keys.ravel(), minlength=int(spans.sum()))
+    present = tally > 0
+    seen = present.cumsum()             # a row's minimum is present: seen[start] = 1
+    # In place: under mode="clip" (every key is in range) take writes straight
+    # into out, so no second (p, n) array is held.
+    codes = np.take(seen, keys, out=keys, mode="clip")
+    offset = seen[starts]
+    codes -= offset[:, None]
+    return codes, seen[starts + spans - 1] - offset + 1, tally[present]
+
+
+def _by_first_appearance(codes: np.ndarray, sizes: np.ndarray, tally: np.ndarray):
+    """Re-rank each row's sorted codes by the index where each first appears."""
+    p, n = codes.shape
+    starts = sizes.cumsum() - sizes
+    ids = (codes + starts[:, None]).ravel()         # one id per (row, code)
+    first = np.full(tally.size, p * n, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(p * n))     # flat index of each code's first cell
+    order = np.argsort(first)                       # row by row, then by first index
+    rank = np.empty_like(first)
+    rank[order] = np.arange(first.size) - np.repeat(starts, sizes)
+    return rank[ids].reshape(p, n), tally[order]
 
 
 def first_appearance_codes(values) -> tuple[np.ndarray, int]:
     """Code symbols by first-appearance order (A,B,A,C -> 0,1,0,2)."""
-    values = np.asarray(values)
-    uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(uniq.size)
-    return rank[inverse], int(uniq.size)
+    codes, counts = dense_codes(values, first_appearance=True)
+    return codes, int(counts.size)
 
 
 def equal_frequency_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]:
@@ -510,8 +588,9 @@ def equal_frequency_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, 
     n = values.size
     uniq, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
     first_rank = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    provisional = first_rank[inv] * n_bins // n
-    return _dense_codes(provisional)
+    bucket = first_rank * n_bins // n          # per distinct value, non-decreasing,
+    dense = np.concatenate(([0], np.cumsum(bucket[1:] != bucket[:-1])))  # so no sort
+    return dense[inv], int(dense[-1]) + 1
 
 
 def equal_width_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]:
@@ -529,7 +608,8 @@ def equal_width_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]
         raise DataError(f"range [{lo!r}, {hi!r}] has no {n_bins} equal-width"
                         " bins in float64")
     provisional = np.minimum((values - lo) // width, n_bins - 1).astype(np.int64)
-    return _dense_codes(provisional)
+    codes, counts = dense_codes(provisional)
+    return codes, int(counts.size)
 
 
 def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> DiscretizedDataset:
@@ -557,6 +637,11 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
                 if spec.role == "feature"]
     n, m = data.n_samples, len(features)
     codes = np.empty((n, m), dtype=np.int64)
+    categorical = [j for j, (spec, _) in enumerate(features) if spec.kind != "continuous"]
+    if categorical:             # one first-appearance remap for all of them
+        cat_codes, cat_counts = dense_codes(np.array([features[j][1] for j in categorical]),
+                                            first_appearance=True)
+        coded = dict(zip(categorical, zip(cat_codes, cat_counts)))
 
     for j, (spec, values) in enumerate(features):
         if spec.kind == "continuous":
@@ -571,11 +656,10 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
                 logger.warning("continuous column %r: binning gives a single bin",
                                spec.name)
         else:
-            col_codes, n_codes = first_appearance_codes(values)
-            if spec.kind == "binary" and n_codes > 2:
+            codes[:, j], counts = coded[j]
+            if spec.kind == "binary" and counts.size > 2:
                 raise DataError(
-                    f"binary column {spec.name!r} has {n_codes} distinct values"
+                    f"binary column {spec.name!r} has {counts.size} distinct values"
                 )
-            codes[:, j] = col_codes
 
     return DiscretizedDataset(feature_codes=codes, target=target)

@@ -169,6 +169,88 @@ def relieff_reference(data, k, n_neighbors, n_iterations=None, seed=0):
     return weights, ranking_of(weights)[:k].tolist()
 
 
+def relieff_blocked_reference(data, k, n_neighbors, n_iterations=None, seed=0, block=32):
+    """The former blocked ``relieff``: a per-column ``np.unique`` one-hot Z,
+    ``m - Z[rows] @ Z.T`` per block of 32 visited rows, and the weights
+    updated one visit at a time.  Returns (weights, selected)."""
+    codes = data.feature_codes
+    y = data.target
+    n, m = codes.shape
+    class_sizes = np.bincount(y, minlength=2)
+    priors = class_sizes / n
+    if n_iterations is None or n_iterations >= n:
+        visit = np.arange(n)
+    else:
+        rng = np.random.default_rng(seed)
+        visit = np.sort(rng.choice(n, size=n_iterations, replace=False))
+
+    Z = np.concatenate([codes[:, [j]] == np.unique(codes[:, j]) for j in range(m)],
+                       axis=1).astype(np.float32)
+    dist_type = np.min_scalar_type(m + 1)
+    members = {int(cls): np.flatnonzero(y == cls) for cls in np.unique(y)}
+    weights = np.zeros(m)
+    for lo in range(0, visit.size, block):
+        rows = visit[lo:lo + block]
+        ref = codes[rows]
+        own = y[rows]
+        dist = (m - Z[rows] @ Z.T).astype(dist_type)
+        dist[np.arange(rows.size), rows] = m + 1
+        hit = np.zeros((rows.size, m))
+        miss = np.zeros((rows.size, m))
+        for cls, idx in members.items():
+            order = np.argsort(dist[:, idx], axis=1, kind="stable")[:, :n_neighbors]
+            mismatches = (codes[idx[order]] != ref[:, None, :]).sum(axis=1)
+            is_own = own == cls
+            n_hits = max(min(n_neighbors, idx.size - 1), 1)
+            hit[is_own] = mismatches[is_own] / n_hits
+            factor = priors[cls] / (1.0 - priors[own[~is_own]])
+            miss[~is_own] += factor[:, None] * (mismatches[~is_own] / n_neighbors)
+        for update in (miss - hit) / visit.size:
+            weights += update
+    return weights, ranking_of(weights)[:k].tolist()
+
+
+class TestRelieffMatchesBlockedReference:
+    """``relieff`` gives the former blocked kernel's weights bit for bit."""
+
+    def check(self, codes, y, k, n_neighbors, n_iterations=None, seed=0):
+        dd = make_dd(codes, y)
+        weights, selected = relieff_blocked_reference(dd, k, n_neighbors, n_iterations,
+                                                      seed)
+        res = relieff(dd, k, n_neighbors, n_iterations=n_iterations, seed=seed)
+        assert np.array_equal(res.scores, weights)
+        assert res.selected == selected
+
+    def test_across_block_edges(self):
+        for n in (RELIEFF_BLOCK - 1, RELIEFF_BLOCK, RELIEFF_BLOCK + 1,
+                  2 * RELIEFF_BLOCK + 7):
+            dd = random_discretized(np.random.default_rng(n), n=n, m=7, bins=4)
+            self.check(dd.feature_codes, dd.target, 4, n_neighbors=5)
+
+    def test_class_of_exactly_n_neighbors_members(self):
+        rng = np.random.default_rng(21)
+        n = 2 * RELIEFF_BLOCK + 7
+        y = np.zeros(n, dtype=int)
+        y[rng.choice(n, size=6, replace=False)] = 1
+        codes = rng.integers(0, 3, (n, 5))
+        self.check(codes, y, 2, n_neighbors=6)
+
+    def test_negative_sparse_and_huge_range_codes(self):
+        rng = np.random.default_rng(22)
+        n = 2 * RELIEFF_BLOCK + 7
+        y = rng.integers(0, 2, n)
+        codes = rng.choice([-7, -2, 0, 5, 40], size=(n, 6))
+        codes[:, 2] = rng.permutation(n) * 7 - n        # a code per row, range 7n
+        codes[:, 4] = rng.integers(-3, 1, n)
+        self.check(codes, y, 3, n_neighbors=4)
+
+    def test_iterations_sampling(self):
+        dd = random_discretized(np.random.default_rng(23), n=2 * RELIEFF_BLOCK + 7, m=6)
+        for seed, n_iterations in ((0, 1), (1, RELIEFF_BLOCK), (2, RELIEFF_BLOCK + 1),
+                                   (3, 2 * RELIEFF_BLOCK + 6)):
+            self.check(dd.feature_codes, dd.target, 3, 7, n_iterations, seed)
+
+
 class TestRelieffMatchesReference:
     """The batched ``relieff`` gives the reference loop's weights bit for bit."""
 

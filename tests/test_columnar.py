@@ -430,6 +430,30 @@ class TestEncoderOracle:
             own = DesignEncoder(data, selected, encoding).fit(train).transform(encoded)
             assert np.array_equal(X[:, union.columns(selected)], own)
 
+    @pytest.mark.parametrize("encoding", ["one-hot", "code-as-ordinal"])
+    @pytest.mark.parametrize("n_labels", [3, 40, 400])
+    def test_ranks_of_many_label_columns_match_oracle(self, encoding, n_labels):
+        # with more labels than training rows, a column's training codes can
+        # span more than their count; DesignEncoder's one remap of all its
+        # categorical columns then sorts that column and counts the others
+        rng = np.random.default_rng(n_labels)
+        columns = [ColumnSpec("c", "categorical"), ColumnSpec("x", "continuous"),
+                   ColumnSpec("d", "categorical"), ColumnSpec("y", "binary", "target")]
+        labels = [f"L{i}" for i in range(n_labels)]
+        rows = [(None if i % 23 == 1 else str(rng.choice(labels)), float(rng.normal()),
+                 str(rng.choice(["p", "q", "r"])), str(rng.integers(0, 2)))
+                for i in range(120)]
+        data = dataset_from_rows(columns, rows)
+        for size in (5, 30, 60):
+            train = sorted(rng.choice(np.arange(0, 120, 2), size=size, replace=False))
+            test = [i for i in range(120) if i not in set(train)]
+            for selected in ([0], [0, 1, 2], [2, 0]):
+                encoder = DesignEncoder(data, selected, encoding).fit(train)
+                want_train, want_test = oracle_encode(columns, rows, selected, train, test,
+                                                      encoding)
+                assert np.array_equal(encoder.transform(train), want_train)
+                assert np.array_equal(encoder.transform(test), want_test)
+
     def test_all_missing_categorical_training_column_is_named(self):
         cols = [ColumnSpec("c", "categorical"), ColumnSpec("y", "binary", "target")]
         data = dataset_from_rows(cols, [(None, "0"), (None, "1"), ("A", "0")])

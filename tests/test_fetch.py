@@ -4,8 +4,14 @@ The download path needs a network; everything else is exercised offline by
 pre-placing files (fetch skips the download when the target exists).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qpfs
 from qpfs.cli import main
 from qpfs.errors import DataError
 from qpfs.fetch import SOURCES, fetch_dataset, sha256_digest, validate_structure
@@ -90,6 +96,57 @@ class TestFetchOffline:
         assert main(["fetch", "--data-dir", str(populated_dir), "--only", "german"]) == 3
         assert str(digest_file) in capsys.readouterr().err
 
+    def test_unreadable_existing_file_is_a_data_error(self, tmp_path, capsys, no_network):
+        data_dir = tmp_path / "d"
+        target = data_dir / "german.data"
+        target.mkdir(parents=True)                  # exists, but read_bytes fails
+        with pytest.raises(DataError, match=f"cannot read {target}"):
+            fetch_dataset("german", data_dir)
+        assert main(["fetch", "--data-dir", str(data_dir), "--only", "german"]) == 3
+        assert str(target) in capsys.readouterr().err
+
+    def test_unreadable_digest_file_is_a_data_error(self, populated_dir, capsys,
+                                                   no_network):
+        digest_file = populated_dir / "german.data.sha256"
+        digest_file.mkdir()
+        with pytest.raises(DataError, match=f"cannot read digest file {digest_file}"):
+            fetch_dataset("german", populated_dir)
+        assert main(["fetch", "--data-dir", str(populated_dir), "--only", "german"]) == 3
+        assert str(digest_file) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"", b"  \n", b"deadbeef  german.data\n",
+                                         b"\xff" * 64 + b"\n", b"g" * 64 + b"\n"],
+                             ids=["empty", "blank", "short", "not-utf8", "not-hex"])
+    def test_empty_or_malformed_digest_file_is_a_data_error(self, populated_dir, capsys,
+                                                            no_network, content):
+        digest_file = populated_dir / "german.data.sha256"
+        digest_file.write_bytes(content)
+        with pytest.raises(DataError, match=f"digest file {digest_file} does not start"):
+            fetch_dataset("german", populated_dir)
+        assert main(["fetch", "--data-dir", str(populated_dir), "--only", "german"]) == 3
+        assert str(digest_file) in capsys.readouterr().err
+        assert digest_file.read_bytes() == content          # left as it was
+
+    def test_upper_case_digest_verifies(self, populated_dir, no_network):
+        observed = sha256_digest((populated_dir / "german.data").read_bytes())
+        digest_file = populated_dir / "german.data.sha256"
+        digest_file.write_text(observed.upper() + "  german.data\n")
+        fetch_dataset("german", populated_dir)
+        assert digest_file.read_text().split()[0] == observed
+
     def test_unknown_dataset_key(self, tmp_path):
         with pytest.raises(DataError, match="unknown dataset"):
             fetch_dataset("martian", tmp_path)
+
+
+def test_importing_the_cli_loads_no_http_client():
+    """Only a download needs urllib.request, and with it http.client and ssl."""
+    src = str(Path(qpfs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, qpfs.cli; "
+            "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl')"
+            " if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
