@@ -16,8 +16,8 @@ from .errors import (ConfigError, DataError, NumericalError, QpfsError,
                      SchemaError, SolverError)
 from .evaluation import (CvProtocol, EvaluationReport, evaluate, predict_proba,
                          train_logistic)
-from .infotheory import (build_redundancy_matrix, build_relevance_vector, contingency,
-                         entropy, information_matrix, mutual_information)
+from .infotheory import (build_redundancy_matrix, build_relevance_vector,
+                         information_matrix)
 from .ingest import (ColumnSpec, Dataset, DiscretizationPolicy,
                      DiscretizedDataset, discretize, load_csv, load_schema,
                      parse_schema_text)
@@ -30,8 +30,7 @@ __all__ = [
     "__version__",
     "ColumnSpec", "Dataset", "DiscretizationPolicy", "DiscretizedDataset",
     "discretize", "load_csv", "load_schema", "parse_schema_text",
-    "contingency", "entropy", "mutual_information", "information_matrix",
-    "build_redundancy_matrix", "build_relevance_vector",
+    "information_matrix", "build_redundancy_matrix", "build_relevance_vector",
     "QpProblem", "FeatureWeights", "estimate_alpha", "assemble", "solve",
     "rank", "project_simplex", "kkt_residual",
     "SelectionResult", "mrmr_greedy", "max_rel", "information_gain",

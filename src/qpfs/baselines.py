@@ -256,9 +256,6 @@ def cfs(data: DiscretizedDataset) -> SelectionResult:
             counter += 1
             heapq.heappush(heap, (-cfs_merit(child, su_target, su_pairs), counter, child))
 
-    if not best_subset:                      # all merits <= 0: keep the best singleton
-        best_subset = (int(np.argmax(su_target)),)
-        best_merit = cfs_merit(best_subset, su_target, su_pairs)
     selected = [int(j) for j in best_subset]
     return SelectionResult(method="cfs", selected=selected, scores=np.array([best_merit]))
 

@@ -89,35 +89,16 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def loglik_and_grad(features: np.ndarray, labels: np.ndarray, beta: np.ndarray,
-                    ridge: float) -> tuple[float, np.ndarray]:
-    """Ridge-penalized log-likelihood and its gradient.
-
-    ``beta`` is the full coefficient vector (intercept first); the penalty
-    excludes the intercept so a constant-only model can match the label
-    mean exactly.
-    """
-    ll, grad, _ = _loglik_and_grad(_with_intercept(features), labels, beta, ridge,
-                                   _penalty_mask(len(beta)))
-    return ll, grad
-
-
 def _with_intercept(features: np.ndarray) -> np.ndarray:
     """The design ``[1 | features]``: a leading column of ones for the intercept."""
     return np.column_stack([np.ones(features.shape[0]), features])
 
 
-def _penalty_mask(d1: int) -> np.ndarray:
-    """Ones over the d1 coefficients except the unpenalized intercept."""
-    mask = np.ones(d1)
-    mask[0] = 0.0
-    return mask
-
-
 def _loglik_and_grad(design: np.ndarray, labels: np.ndarray, beta: np.ndarray,
                      ridge: float, penalty_mask: np.ndarray
                      ) -> tuple[float, np.ndarray, np.ndarray]:
-    """``loglik_and_grad`` on a ``_with_intercept`` design, plus the probabilities."""
+    """Ridge-penalized log-likelihood of a ``_with_intercept`` design, its
+    gradient and the probabilities; ``penalty_mask`` exempts the intercept."""
     eta = design @ beta
     ll = float(labels @ eta - np.logaddexp(0.0, eta).sum())
     ll -= 0.5 * ridge * float((penalty_mask * beta) @ beta)
@@ -151,7 +132,8 @@ def train_logistic(features: np.ndarray, labels: np.ndarray,
 
     d1 = X.shape[1] + 1
     beta = np.zeros(d1)
-    penalty = _penalty_mask(d1)
+    penalty = np.ones(d1)
+    penalty[0] = 0.0                # the intercept is not penalized
     Xd = _with_intercept(X)
 
     ll, grad, p = _loglik_and_grad(Xd, y, beta, ridge, penalty)

@@ -2,19 +2,20 @@
 
 Everything is in bits (log base 2) and uses the maximum-likelihood
 frequency estimator with no smoothing; 0*log(0) terms contribute zero.
-``contingency``, ``mutual_information`` and ``entropy`` estimate one pair or
-one column.  One batched kernel estimates many pairs at once: it gives
-``information_matrix`` (H on the diagonal, pairwise MI off it), hence the
-redundancy matrix Q and CFS's symmetric uncertainty, and the relevance
-vector F (also the Information Gain scores) as the pairs (feature, class).
+One batched kernel is the only estimator: it gives ``information_matrix``
+(H on the diagonal, pairwise MI off it), hence the redundancy matrix Q and
+CFS's symmetric uncertainty, and the relevance vector F (also the
+Information Gain scores) as the pairs (feature, class).
 
 The kernel counts the pairs' tables with blocked ``np.bincount`` calls and
-runs ``mutual_information``'s numpy operations on stacks of tables, so each
-value equals the per-pair estimate bit for bit.  Two groupings make that
-hold: pairs are stacked by table shape (r, c), so a stack's marginal sums
-add each table's cells in the order its own 2-D sums would; and the
-nonzero-cell terms are summed in groups of equal count L, so each row of a
-(B, L) sum is the pairwise summation ``np.sum`` gives one pair's 1-D terms.
+runs the numpy operations of the per-pair reference estimator in
+``tests/oracles.py`` (``mutual_information(contingency(a, b))``) on stacks
+of tables, so each value equals the per-pair estimate bit for bit.  Two
+groupings make that hold: pairs are stacked by table shape (r, c), so a
+stack's marginal sums add each table's cells in the order its own 2-D sums
+would; and the nonzero-cell terms are summed in groups of equal count L, so
+each row of a (B, L) sum is the pairwise summation ``np.sum`` gives one
+pair's 1-D terms.
 Its transient memory is bounded by ``PAIR_BLOCK_CELLS`` cells per array.
 """
 
@@ -24,47 +25,6 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import DiscretizedDataset, dense_codes
-
-
-def contingency(codes_a, codes_b) -> np.ndarray:
-    """Cross-tabulate two equal-length code vectors into an (r, c) count array.
-
-    counts[u][v] is the number of indices i with codes_a[i] = u-th observed
-    code of a and codes_b[i] = v-th observed code of b.
-    """
-    a = np.asarray(codes_a)
-    b = np.asarray(codes_b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DataError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise DataError("empty code vectors")
-    _, ia = np.unique(a, return_inverse=True)
-    _, ib = np.unique(b, return_inverse=True)
-    r = int(ia.max()) + 1
-    c = int(ib.max()) + 1
-    return np.bincount(ia * c + ib, minlength=r * c).reshape(r, c)
-
-
-def mutual_information(counts) -> float:
-    """I(A;B) in bits from an (r, c) contingency count array, clamped below at 0."""
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise DataError("empty contingency table")
-    p = counts / total
-    prow = p.sum(axis=1, keepdims=True)
-    pcol = p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    mi = float(np.sum(p[mask] * np.log2(p[mask] / (prow @ pcol)[mask])))
-    return max(mi, 0.0)
-
-
-def entropy(codes) -> float:
-    """H(A) in bits over the observed codes."""
-    a = np.asarray(codes).ravel()
-    if a.size == 0:
-        raise DataError("empty code vector")
-    return _entropy(dense_codes(a)[1], a.size)
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -98,7 +58,7 @@ def _pair_information(dense: np.ndarray, sizes: np.ndarray,
 
     ``dense`` holds ``dense_codes`` rows, row i with codes 0..sizes[i]-1.
     The batched kernel of ``information_matrix``; its docstring says why each
-    value equals ``mutual_information(contingency(...))`` bit for bit.
+    value equals the per-pair reference of ``tests/oracles.py`` bit for bit.
     """
     n = dense.shape[1]
     out = np.empty(rows.size)
@@ -128,7 +88,7 @@ def _pair_information(dense: np.ndarray, sizes: np.ndarray,
             if sum(part[2].size for part in pending) >= PAIR_BLOCK_CELLS:
                 _sum_terms(out, pending)
     _sum_terms(out, pending)
-    out[out < 0.0] = 0.0            # mutual_information's clamp
+    out[out < 0.0] = 0.0            # the per-pair reference's clamp
     return out
 
 
@@ -136,12 +96,13 @@ def information_matrix(codes) -> np.ndarray:
     """p x p matrix over the columns of ``codes``: H on the diagonal, MI off it.
 
     Pairs i < j are tabulated with column i as the rows, so every entry equals
-    ``mutual_information(contingency(codes[:, i], codes[:, j]))`` exactly,
-    and the diagonal holds ``entropy(codes[:, i])``.
+    the per-pair reference ``mutual_information(contingency(codes[:, i],
+    codes[:, j]))`` of ``tests/oracles.py`` exactly, and the diagonal holds
+    its ``entropy(codes[:, i])``.
 
-    All pairs go through one batched kernel that applies
-    ``mutual_information``'s numpy operations to stacks of tables.  It stays
-    bit-identical to the per-pair estimate by two groupings:
+    All pairs go through one batched kernel that applies the reference's
+    numpy operations to stacks of tables.  It stays bit-identical to the
+    per-pair estimate by two groupings:
 
     - pairs are stacked by table shape (r, c), so ``p.sum(axis=2)`` and
       ``p.sum(axis=1)`` of a (B, r, c) stack give each pair the marginals
@@ -154,8 +115,8 @@ def information_matrix(codes) -> np.ndarray:
     one) holds a (B, n) key array and (B, r, c) tensors, and the term buffer
     is summed and dropped once it reaches PAIR_BLOCK_CELLS terms.  A block
     holds at least one pair, so a pair whose n or r*c alone exceeds the
-    bound (a column with a code per row) is held whole, as the per-pair
-    ``contingency`` would hold it.
+    bound (a column with a code per row) is held whole, as a per-pair
+    contingency table would hold it.
     """
     codes = np.asarray(codes)
     n, p = codes.shape

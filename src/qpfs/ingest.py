@@ -360,9 +360,9 @@ def _is_number(cell: str) -> bool:
 def _code_labels(cells: np.ndarray, missing: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Codes in first-appearance order (-1 where missing) and the label of each code."""
     codes = np.full(cells.size, -1, dtype=np.int64)
-    present, n_labels = first_appearance_codes(cells[~missing])
+    present, counts = dense_codes(cells[~missing], first_appearance=True)
     codes[~missing] = present
-    labels = np.empty(n_labels, dtype=cells.dtype)
+    labels = np.empty(counts.size, dtype=cells.dtype)
     labels[present] = cells[~missing]
     return codes, tuple(labels.tolist())
 
@@ -430,16 +430,19 @@ def column_mode(values):
 def column_median(values: np.ndarray) -> float:
     """``np.median`` of a non-empty column, kept finite on finite values.
 
-    The two middle values of an even count average as (a + b) / 2, as in
-    ``np.median``, unless a + b overflows float64; then as a/2 + b/2.
+    Computed with ``np.partition`` alone, since the first ``np.median`` call
+    of a process imports ``numpy.ma``.  It matches ``np.median`` bit for
+    bit, including the sign of a zero: numpy's mean adds the middle values
+    onto +0.0.  The two middle values of an even count average as
+    (0.0 + a + b) / 2, unless that overflows float64; then as a/2 + b/2.
     """
+    k = values.size // 2
+    if values.size % 2:
+        return float(0.0 + np.partition(values, k)[k])
+    a, b = np.partition(values, (k - 1, k))[k - 1:k + 1]
     with np.errstate(over="ignore"):
-        median = float(np.median(values))
-    if math.isinf(median):
-        k = values.size // 2
-        a, b = np.partition(values, (k - 1, k))[k - 1:k + 1]
-        median = float(a / 2 + b / 2)
-    return median
+        median = float((0.0 + a + b) / 2)
+    return float(a / 2 + b / 2) if math.isinf(median) else median
 
 
 def _impute_column(values: np.ndarray, spec: ColumnSpec,
@@ -498,38 +501,29 @@ def dense_codes(values, first_appearance: bool = False):
     codes 0,1,0,2.
 
     A row of integers that fit int64 (or of bools) whose range max - min is
-    below n needs no sort: the rows are shifted to start at 0 and offset to
+    below n needs no sort.  Any other row (strings, floats, uint64, a wider
+    range, or no cells) is first ranked with ``np.unique``, which gives it a
+    range below n.  Then the rows are shifted to start at 0 and offset to
     disjoint key ranges, one ``np.bincount`` counts the keys, and a
-    ``cumsum`` over the present ones ranks them.  Any other row (strings,
-    floats, a wider range) goes through ``np.unique``.  First appearance
-    re-ranks each row's codes by the index where each first appears, found
-    with ``np.minimum.at``.
+    ``cumsum`` over the present ones ranks them.  First appearance re-ranks
+    each row's codes by the index where each first appears, found with
+    ``np.minimum.at``.
     """
     values = np.asarray(values)
     rows = values.reshape(1, -1) if values.ndim == 1 else values
     p, n = rows.shape
-    fast = np.zeros(p, dtype=bool)
     if n and (rows.dtype.kind in "ib" or rows.dtype.kind == "u" and rows.itemsize < 8):
         keys = np.array(rows, dtype=np.int64, order="C")
         lo = keys.min(axis=1)
         span = keys.max(axis=1).astype(np.uint64) - lo.astype(np.uint64)  # exact mod 2**64
-        fast = span < n
+    else:
+        keys = np.empty((p, n), dtype=np.int64)
+        lo, span = np.zeros(p, dtype=np.int64), np.full(p, n, dtype=np.uint64)
+    for j in np.flatnonzero(span >= n):     # rank the rows bincount cannot count
+        distinct, keys[j] = np.unique(rows[j], return_inverse=True)
+        lo[j], span[j] = 0, max(distinct.size, 1) - 1
 
-    if fast.all():
-        codes, sizes, tally = _bincount_ranks(keys, lo, span)
-    else:                                   # row by row
-        codes = np.empty((p, n), dtype=np.int64)
-        parts = []
-        for j, row in enumerate(rows):
-            if fast[j]:
-                one = slice(j, j + 1)
-                codes[j], _, part = _bincount_ranks(keys[one], lo[one], span[one])
-            else:
-                _, codes[j], part = np.unique(row, return_inverse=True, return_counts=True)
-            parts.append(part)
-        sizes = np.array([part.size for part in parts], dtype=np.int64)
-        tally = np.concatenate(parts)
-
+    codes, sizes, tally = _bincount_ranks(keys, lo, span)
     if first_appearance:
         codes, tally = _by_first_appearance(codes, sizes, tally)
     if values.ndim == 1:
@@ -555,9 +549,8 @@ def _bincount_ranks(keys: np.ndarray, lo: np.ndarray, span: np.ndarray):
     # In place: under mode="clip" (every key is in range) take writes straight
     # into out, so no second (p, n) array is held.
     codes = np.take(seen, keys, out=keys, mode="clip")
-    offset = seen[starts]
-    codes -= offset[:, None]
-    return codes, seen[starts + spans - 1] - offset + 1, tally[present]
+    codes -= seen[starts][:, None]
+    return codes, np.add.reduceat(present, starts, dtype=np.int64), tally[present]
 
 
 def _by_first_appearance(codes: np.ndarray, sizes: np.ndarray, tally: np.ndarray):
@@ -571,12 +564,6 @@ def _by_first_appearance(codes: np.ndarray, sizes: np.ndarray, tally: np.ndarray
     rank = np.empty_like(first)
     rank[order] = np.arange(first.size) - np.repeat(starts, sizes)
     return rank[ids].reshape(p, n), tally[order]
-
-
-def first_appearance_codes(values) -> tuple[np.ndarray, int]:
-    """Code symbols by first-appearance order (A,B,A,C -> 0,1,0,2)."""
-    codes, counts = dense_codes(values, first_appearance=True)
-    return codes, int(counts.size)
 
 
 def equal_frequency_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]:

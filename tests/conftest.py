@@ -230,23 +230,6 @@ def random_discretized(rng, n: int = 600, m: int = 8, bins: int = 4,
 # Independent oracles
 # ---------------------------------------------------------------------------
 
-def brute_force_mi_bits(counts) -> float:
-    """Term-by-term plug-in MI over a counts matrix; independent of qpfs."""
-    import math
-    counts = [list(map(float, row)) for row in counts]
-    total = sum(sum(row) for row in counts)
-    mi = 0.0
-    for u, row in enumerate(counts):
-        for v, cnt in enumerate(row):
-            if cnt == 0:
-                continue
-            puv = cnt / total
-            pu = sum(counts[u]) / total
-            pv = sum(r[v] for r in counts) / total
-            mi += puv * math.log2(puv / (pu * pv))
-    return mi
-
-
 def grid_search_simplex(Q, f, coarse: float = 1e-3) -> tuple[np.ndarray, float]:
     """Brute-force minimizer of 0.5 x'Qx - f'x over the simplex, m in {2, 3}.
 

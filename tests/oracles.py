@@ -1,0 +1,195 @@
+"""Reference implementations that the package is pinned against, each defined once.
+
+- The per-pair estimators ``contingency``, ``mutual_information`` and
+  ``entropy``: the plug-in MI of one pair of code vectors and the entropy
+  of one.  ``qpfs.infotheory``'s batched kernel applies the same numpy
+  operations to stacks of tables and must equal them bit for bit;
+  ``pairwise_oracle`` and ``symmetric_uncertainty`` are built on them, and
+  ``brute_force_mi_bits`` checks them term by term in plain Python.
+- ``oracle_first_appearance_codes``: first-appearance coding with a dict.
+- The IRLS oracles: the ridge log-likelihood and gradient, and the fit that
+  recomputes the probabilities before every Newton step.
+
+They import nothing from ``qpfs`` but its error type.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qpfs.errors import DataError
+
+# ---------------------------------------------------------------------------
+# Per-pair mutual information
+# ---------------------------------------------------------------------------
+
+
+def contingency(codes_a, codes_b) -> np.ndarray:
+    """Cross-tabulate two equal-length code vectors into an (r, c) count array.
+
+    counts[u][v] is the number of indices i with codes_a[i] = u-th observed
+    code of a and codes_b[i] = v-th observed code of b.
+    """
+    a = np.asarray(codes_a)
+    b = np.asarray(codes_b)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+        raise DataError(f"length mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise DataError("empty code vectors")
+    _, ia = np.unique(a, return_inverse=True)
+    _, ib = np.unique(b, return_inverse=True)
+    r = int(ia.max()) + 1
+    c = int(ib.max()) + 1
+    return np.bincount(ia * c + ib, minlength=r * c).reshape(r, c)
+
+
+def mutual_information(counts) -> float:
+    """I(A;B) in bits from an (r, c) contingency count array, clamped below at 0."""
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum()
+    if total <= 0:
+        raise DataError("empty contingency table")
+    p = counts / total
+    prow = p.sum(axis=1, keepdims=True)
+    pcol = p.sum(axis=0, keepdims=True)
+    mask = p > 0
+    mi = float(np.sum(p[mask] * np.log2(p[mask] / (prow @ pcol)[mask])))
+    return max(mi, 0.0)
+
+
+def entropy(codes) -> float:
+    """H(A) in bits over the observed codes."""
+    a = np.asarray(codes).ravel()
+    if a.size == 0:
+        raise DataError("empty code vector")
+    p = np.unique(a, return_counts=True)[1] / a.size
+    return float(-np.sum(p * np.log2(p)))
+
+
+def pairwise_oracle(codes) -> np.ndarray:
+    """The per-pair loop: entropy on the diagonal, MI with column i as rows above it."""
+    p = codes.shape[1]
+    out = np.zeros((p, p))
+    for i in range(p):
+        out[i, i] = entropy(codes[:, i])
+        for j in range(i + 1, p):
+            out[i, j] = out[j, i] = mutual_information(
+                contingency(codes[:, i], codes[:, j]))
+    return out
+
+
+def symmetric_uncertainty(codes_a, codes_b) -> float:
+    """2*I(a;b) / (H(a)+H(b)), with 0/0 defined as 0: the per-pair reference
+    for the symmetric uncertainty that ``cfs`` reads off one information matrix."""
+    ha = entropy(codes_a)
+    hb = entropy(codes_b)
+    if ha + hb == 0.0:
+        return 0.0
+    return 2.0 * mutual_information(contingency(codes_a, codes_b)) / (ha + hb)
+
+
+def brute_force_mi_bits(counts) -> float:
+    """Term-by-term plug-in MI over a counts matrix, in plain Python."""
+    counts = [list(map(float, row)) for row in counts]
+    total = sum(sum(row) for row in counts)
+    mi = 0.0
+    for u, row in enumerate(counts):
+        for v, cnt in enumerate(row):
+            if cnt == 0:
+                continue
+            puv = cnt / total
+            pu = sum(counts[u]) / total
+            pv = sum(r[v] for r in counts) / total
+            mi += puv * math.log2(puv / (pu * pv))
+    return mi
+
+
+# ---------------------------------------------------------------------------
+# First-appearance coding
+# ---------------------------------------------------------------------------
+
+
+def oracle_first_appearance_codes(cells):
+    """Codes in first-appearance order (A,B,A,C -> 0,1,0,2) and the count of each code."""
+    mapping: dict = {}
+    codes = np.empty(len(cells), dtype=np.int64)
+    for i, v in enumerate(cells):
+        codes[i] = mapping.setdefault(v, len(mapping))
+    return codes, np.bincount(codes, minlength=len(mapping))
+
+
+# ---------------------------------------------------------------------------
+# Ridge logistic regression (IRLS)
+# ---------------------------------------------------------------------------
+
+
+def oracle_sigmoid(eta):
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    expe = np.exp(eta[~pos])
+    out[~pos] = expe / (1.0 + expe)
+    return out
+
+
+def oracle_loglik_and_grad(features, labels, beta, ridge):
+    """Ridge-penalized log-likelihood of ``[1 | features]`` and its gradient.
+
+    ``beta`` is the full coefficient vector (intercept first); the penalty
+    excludes the intercept.
+    """
+    design = np.column_stack([np.ones(features.shape[0]), features])
+    penalty_mask = np.ones(beta.size)
+    penalty_mask[0] = 0.0
+    eta = design @ beta
+    ll = float(labels @ eta - np.logaddexp(0.0, eta).sum())
+    ll -= 0.5 * ridge * float((penalty_mask * beta) @ beta)
+    grad = design.T @ (labels - oracle_sigmoid(eta)) - ridge * penalty_mask * beta
+    return ll, grad
+
+
+def oracle_train_logistic(X, y, ridge, paths, max_iter=200, grad_tol=1e-8):
+    """IRLS that recomputes the probabilities before every Newton step.
+
+    Adds "lstsq" and "terminal" to ``paths`` when those branches run.
+    """
+    d1 = X.shape[1] + 1
+    beta = np.zeros(d1)
+    penalty = np.ones(d1)
+    penalty[0] = 0.0
+    Xd = np.column_stack([np.ones(X.shape[0]), X])
+    ll, grad = oracle_loglik_and_grad(X, y, beta, ridge)
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= grad_tol:
+            return beta
+        p = oracle_sigmoid(Xd @ beta)
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        hess = Xd.T @ (w[:, None] * Xd) + ridge * np.diag(penalty)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            paths.add("lstsq")
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        t = 1.0
+        improved = False
+        for _ in range(60):
+            candidate = beta + t * step
+            new_ll, new_grad = oracle_loglik_and_grad(X, y, candidate, ridge)
+            if new_ll > ll:
+                beta, ll, grad = candidate, new_ll, new_grad
+                improved = True
+                break
+            if (new_ll >= ll - 1e-9 * (1.0 + abs(ll))
+                    and np.linalg.norm(new_grad) < 0.5 * gnorm):
+                paths.add("terminal")
+                beta, ll, grad = candidate, new_ll, new_grad
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    assert np.linalg.norm(grad) <= grad_tol
+    return beta

@@ -18,10 +18,9 @@ PUBLIC_NAMES = [
     "FeatureWeights", "NumericalError", "QpProblem", "QpfsError", "SchemaError",
     "SelectionConfig", "SelectionOutput", "SelectionResult", "SolverError",
     "__version__", "assemble", "build_redundancy_matrix", "build_relevance_vector",
-    "cfs", "contingency", "discretize", "entropy", "estimate_alpha", "evaluate",
-    "information_gain", "information_matrix", "kkt_residual", "load_csv",
-    "load_schema", "max_rel", "mrmr_greedy", "mutual_information",
-    "parse_schema_text", "predict_proba", "project_simplex", "rank", "relieff",
+    "cfs", "discretize", "estimate_alpha", "evaluate", "information_gain",
+    "information_matrix", "kkt_residual", "load_csv", "load_schema", "max_rel",
+    "mrmr_greedy", "parse_schema_text", "predict_proba", "project_simplex", "rank", "relieff",
     "reproduce_tables", "select_features", "solve", "train_logistic",
 ]
 

@@ -7,21 +7,11 @@ from qpfs.baselines import (RELIEFF_BLOCK, SelectionResult, cfs, cfs_merit,
                             information_gain, max_rel, mrmr_greedy, relieff,
                             truncate_selection)
 from qpfs.errors import ConfigError, DataError
-from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector, contingency,
-                             entropy, mutual_information)
+from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
 from qpfs.qp import ranking_of
 
 from conftest import exhaustive_subset_objective, make_dd, random_discretized
-
-
-def symmetric_uncertainty(codes_a, codes_b) -> float:
-    """2*I(a;b) / (H(a)+H(b)), with 0/0 defined as 0: the per-pair reference
-    for the symmetric uncertainty that ``cfs`` reads off one information matrix."""
-    ha = entropy(codes_a)
-    hb = entropy(codes_b)
-    if ha + hb == 0.0:
-        return 0.0
-    return 2.0 * mutual_information(contingency(codes_a, codes_b)) / (ha + hb)
+from oracles import symmetric_uncertainty
 
 
 class TestMrmrGreedy:
@@ -379,6 +369,15 @@ class TestCfs:
             codes[:, j] = rng.integers(0, 3, n)
         res = cfs(make_dd(codes, y))
         assert res.selected == [0]
+
+    def test_no_informative_feature_selects_the_first(self):
+        # every SU with the class is 0, so every merit is 0 and the first
+        # singleton popped stays the best subset
+        y = np.array([0, 1] * 6)
+        constant = np.full((12, 3), 4)
+        independent = np.stack([[0, 0, 1, 1] * 3, [2, 2, 2, 2, 5, 5] * 2], axis=1)
+        assert cfs(make_dd(constant, y)).selected == [0]
+        assert cfs(make_dd(independent, y)).selected == [0]
 
     def test_identical_pair_keeps_exactly_one(self):
         rng = np.random.default_rng(10)

@@ -552,3 +552,19 @@ class TestConfigAndErrors:
         assert code == EXIT_DATA
         assert "Place the file at" in err
         assert str(tmp_path / "dl" / "german.data") in err
+
+
+def test_conftest_loads_with_only_src_on_the_path(tmp_path):
+    # bench/workloads.py executes tests/conftest.py by file path, outside
+    # pytest, to write its inputs; tests/ is not on sys.path there
+    conftest = Path(__file__).resolve().parent / "conftest.py"
+    code = ("import importlib.util, sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            f"spec = importlib.util.spec_from_file_location('conftest_copy', {str(conftest)!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "module.write_uci_like_files('data', n_german=30, n_australian=20, seed=1)\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True)
+    assert len((tmp_path / "data" / "german.data").read_text().splitlines()) == 30
+    assert len((tmp_path / "data" / "australian.dat").read_text().splitlines()) == 20

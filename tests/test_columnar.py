@@ -2,10 +2,11 @@
 
 The oracles below are the row-tuple implementations that ``ingest`` and
 ``evaluation`` used before ``Dataset`` stored columns: ``column_mode``,
-``first_appearance_codes``, ``resolve_missing``, ``discretize`` and
-``DesignEncoder``.  They read nothing but lists of row tuples, so they pin
-the columnar code to the same codes, bin counts, targets, row_ids and
-design matrices, bit for bit, on seeded random datasets.
+``resolve_missing``, ``discretize`` and ``DesignEncoder``, with the
+first-appearance coding of ``tests/oracles.py``.  They read nothing but
+lists of row tuples, so they pin the columnar code to the same codes, bin
+counts, targets, row_ids and design matrices, bit for bit, on seeded
+random datasets.
 """
 
 import math
@@ -17,11 +18,11 @@ from qpfs import ingest
 from qpfs.errors import DataError
 from qpfs.evaluation import DesignEncoder
 from qpfs.ingest import (ColumnSpec, DiscretizationPolicy, binary_target,
-                         column_mode, discretize, equal_frequency_codes,
-                         equal_width_codes, first_appearance_codes, load_csv,
-                         resolve_missing)
+                         column_mode, dense_codes, discretize, equal_frequency_codes,
+                         equal_width_codes, load_csv, resolve_missing)
 
 from conftest import bin_counts, dataset_from_rows
+from oracles import oracle_first_appearance_codes
 
 POLICIES = [DiscretizationPolicy(method=method, n_bins=bins, missing_policy=missing)
             for method, bins in (("equal-frequency", 5), ("equal-width", 4))
@@ -43,14 +44,6 @@ def oracle_column_mode(cells):
     if not counts:
         raise DataError("all-missing column")
     return max(counts, key=lambda v: (counts[v], -order[v]))
-
-
-def oracle_first_appearance_codes(cells):
-    mapping: dict = {}
-    out = np.empty(len(cells), dtype=np.int64)
-    for i, v in enumerate(cells):
-        out[i] = mapping.setdefault(v, len(mapping))
-    return out, len(mapping)
 
 
 def oracle_median(present):
@@ -108,8 +101,8 @@ def oracle_discretize(columns, rows, row_ids, policy):
             else:
                 codes[:, k], bin_counts[k] = equal_width_codes(values, policy.n_bins)
         else:
-            col_codes, n_codes = oracle_first_appearance_codes(cells)
-            codes[:, k], bin_counts[k] = col_codes, max(n_codes, 1)
+            col_codes, col_counts = oracle_first_appearance_codes(cells)
+            codes[:, k], bin_counts[k] = col_codes, max(col_counts.size, 1)
     return codes, bin_counts, target, row_ids
 
 
@@ -278,11 +271,11 @@ class TestPrimitives:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
         labels = rng.choice(["A", "B", "C", "D"][: int(rng.integers(1, 5))], size=n).tolist()
-        codes, nb = first_appearance_codes(labels)
-        want, want_nb = oracle_first_appearance_codes(labels)
-        assert np.array_equal(codes, want) and nb == want_nb
+        codes, counts = dense_codes(labels, first_appearance=True)
+        want, want_counts = oracle_first_appearance_codes(labels)
+        assert np.array_equal(codes, want) and np.array_equal(counts, want_counts)
         ints = rng.integers(-3, 3, n).tolist()
-        assert np.array_equal(first_appearance_codes(ints)[0],
+        assert np.array_equal(dense_codes(ints, first_appearance=True)[0],
                               oracle_first_appearance_codes(ints)[0])
         assert column_mode(labels) == oracle_column_mode(labels)
         floats = rng.integers(0, 3, n).astype(float).tolist()

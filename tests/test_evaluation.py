@@ -1,6 +1,10 @@
 """Logistic-regression training, CV evaluation, and report generation."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +13,13 @@ from qpfs import evaluation
 from qpfs.errors import ConfigError, DataError
 from qpfs.evaluation import (ENCODINGS, CvProtocol, DesignEncoder, EvaluationReport,
                              evaluate, fold_assignment, format_delta_table,
-                             format_report_table, loglik_and_grad, predict_proba,
-                             reports_to_json, train_logistic)
+                             format_report_table, predict_proba, reports_to_json,
+                             train_logistic)
 from qpfs.ingest import ColumnSpec, DiscretizationPolicy, binary_target
 from qpfs.pipeline import METHODS, SelectionConfig, reproduce_tables, select_features
 
 from conftest import dataset_from_rows, synthetic_credit_dataset
+from oracles import oracle_loglik_and_grad, oracle_train_logistic
 
 
 class TestTrainLogistic:
@@ -39,7 +44,7 @@ class TestTrainLogistic:
         X = rng.normal(size=(200, 3))
         y = (rng.random(200) < 0.4).astype(float)
         beta = train_logistic(X, y, ridge=1e-6)
-        _, grad = loglik_and_grad(X, y, beta, 1e-6)
+        _, grad = oracle_loglik_and_grad(X, y, beta, 1e-6)
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_monte_carlo_consistency(self):
@@ -63,14 +68,14 @@ class TestTrainLogistic:
         y = (rng.random(60) < 0.5).astype(float)
         for _ in range(20):
             beta = rng.normal(scale=0.8, size=4)
-            _, grad = loglik_and_grad(X, y, beta, ridge=1e-3)
+            _, grad = oracle_loglik_and_grad(X, y, beta, ridge=1e-3)
             fd = np.empty_like(grad)
             h = 1e-6
             for i in range(beta.size):
                 up = beta.copy(); up[i] += h
                 dn = beta.copy(); dn[i] -= h
-                fd[i] = (loglik_and_grad(X, y, up, 1e-3)[0]
-                         - loglik_and_grad(X, y, dn, 1e-3)[0]) / (2 * h)
+                fd[i] = (oracle_loglik_and_grad(X, y, up, 1e-3)[0]
+                         - oracle_loglik_and_grad(X, y, dn, 1e-3)[0]) / (2 * h)
             assert np.allclose(fd, grad, rtol=1e-5, atol=1e-7)
 
     def test_single_label_rejected(self):
@@ -82,68 +87,6 @@ class TestTrainLogistic:
         X = rng.normal(size=(100, 2))
         y = (rng.random(100) < 0.5).astype(float)
         assert np.array_equal(train_logistic(X, y), train_logistic(X, y))
-
-
-def oracle_sigmoid(eta):
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expe = np.exp(eta[~pos])
-    out[~pos] = expe / (1.0 + expe)
-    return out
-
-
-def oracle_loglik_and_grad(design, labels, beta, ridge, penalty_mask):
-    eta = design @ beta
-    ll = float(labels @ eta - np.logaddexp(0.0, eta).sum())
-    ll -= 0.5 * ridge * float((penalty_mask * beta) @ beta)
-    grad = design.T @ (labels - oracle_sigmoid(eta)) - ridge * penalty_mask * beta
-    return ll, grad
-
-
-def oracle_train_logistic(X, y, ridge, paths, max_iter=200, grad_tol=1e-8):
-    """IRLS that recomputes the probabilities before every Newton step.
-
-    Adds "lstsq" and "terminal" to ``paths`` when those branches run.
-    """
-    d1 = X.shape[1] + 1
-    beta = np.zeros(d1)
-    penalty = np.ones(d1)
-    penalty[0] = 0.0
-    Xd = np.column_stack([np.ones(X.shape[0]), X])
-    ll, grad = oracle_loglik_and_grad(Xd, y, beta, ridge, penalty)
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= grad_tol:
-            return beta
-        p = oracle_sigmoid(Xd @ beta)
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        hess = Xd.T @ (w[:, None] * Xd) + ridge * np.diag(penalty)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            paths.add("lstsq")
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        t = 1.0
-        improved = False
-        for _ in range(60):
-            candidate = beta + t * step
-            new_ll, new_grad = oracle_loglik_and_grad(Xd, y, candidate, ridge, penalty)
-            if new_ll > ll:
-                beta, ll, grad = candidate, new_ll, new_grad
-                improved = True
-                break
-            if (new_ll >= ll - 1e-9 * (1.0 + abs(ll))
-                    and np.linalg.norm(new_grad) < 0.5 * gnorm):
-                paths.add("terminal")
-                beta, ll, grad = candidate, new_ll, new_grad
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    assert np.linalg.norm(grad) <= grad_tol
-    return beta
 
 
 class TestIrlsOracle:
@@ -369,6 +312,24 @@ class TestEncoder:
         # missing row: median-imputed continuous, mode-imputed category (A -> 0)
         assert X[3, 0] == pytest.approx(0.0)
         assert X[3, 1] == 0.0
+
+    def test_fit_imports_no_numpy_ma(self):
+        # np.median imports numpy.ma on its first call; the median of a
+        # continuous column with missing cells does not need it
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, numpy as np\n"
+                "from qpfs.evaluation import DesignEncoder\n"
+                "from qpfs.ingest import ColumnSpec, Dataset\n"
+                "columns = [ColumnSpec('x', 'continuous'),"
+                " ColumnSpec('y', 'binary', 'target')]\n"
+                "arrays = [np.array([1.0, np.nan, 3.0, 2.0]), np.array([0, 1, 0, 1])]\n"
+                "data = Dataset(columns, arrays, [(), ('0', '1')])\n"
+                "DesignEncoder(data, [0]).fit(np.arange(4))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_ordinal_encoding(self):
         data = self.make()

@@ -5,12 +5,25 @@ import pytest
 
 from qpfs import infotheory
 from qpfs.errors import DataError
-from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector, contingency,
-                             entropy, information_matrix, matrix_to_text,
-                             mutual_information, vector_to_text)
+from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector,
+                             information_matrix, matrix_to_text, vector_to_text)
 from qpfs.pipeline import information_quantities
 
-from conftest import brute_force_mi_bits, make_dd, random_discretized
+from conftest import make_dd, random_discretized
+from oracles import brute_force_mi_bits, contingency, entropy, pairwise_oracle
+
+
+def table_information(counts) -> float:
+    """MI of an (r, c) count table: ``information_matrix`` of two code vectors
+    whose cross-tabulation it is."""
+    counts = np.asarray(counts, dtype=np.int64)
+    cells = np.repeat(np.arange(counts.size), counts.ravel())
+    return information_matrix(np.column_stack(divmod(cells, counts.shape[1])))[0, 1]
+
+
+def entropy_of(codes) -> float:
+    """H of one code vector, the diagonal of its ``information_matrix``."""
+    return information_matrix(np.asarray(codes).reshape(-1, 1))[0, 0]
 
 
 class TestContingency:
@@ -41,11 +54,11 @@ class TestContingency:
 class TestMutualInformation:
     def test_independent_fair_coins(self):
         t = np.array([[25, 25], [25, 25]])
-        assert mutual_information(t) == 0.0
+        assert table_information(t) == 0.0
 
     def test_identical_fair_coins_one_bit(self):
         t = np.array([[50, 0], [0, 50]])
-        assert mutual_information(t) == pytest.approx(1.0, abs=1e-15)
+        assert table_information(t) == pytest.approx(1.0, abs=1e-15)
 
     def test_against_brute_force_oracle(self):
         # expected value computed by the independent term-by-term oracle
@@ -53,7 +66,7 @@ class TestMutualInformation:
         expected = brute_force_mi_bits(counts)
         assert expected == pytest.approx(0.27807190511263774, abs=1e-15)
         t = np.array(counts)
-        assert mutual_information(t) == pytest.approx(expected, abs=1e-12)
+        assert table_information(t) == pytest.approx(expected, abs=1e-12)
 
     def test_random_tables_match_oracle(self):
         rng = np.random.default_rng(1)
@@ -61,31 +74,31 @@ class TestMutualInformation:
             r, c = rng.integers(1, 6, size=2)
             counts = rng.integers(0, 30, size=(r, c))
             counts.flat[rng.integers(0, counts.size)] += 1   # non-empty
-            assert mutual_information(counts) == pytest.approx(
+            assert table_information(counts) == pytest.approx(
                 max(brute_force_mi_bits(counts), 0.0), abs=1e-12)
 
     def test_empty_table(self):
         with pytest.raises(DataError):
-            mutual_information(np.zeros((2, 2)))
+            table_information(np.zeros((2, 2)))
 
 
 class TestEntropy:
     def test_constant(self):
-        assert entropy([0, 0, 0, 0]) == 0.0
+        assert entropy_of([0, 0, 0, 0]) == 0.0
 
     def test_uniform_binary(self):
-        assert entropy([0, 1]) == pytest.approx(1.0, abs=1e-15)
+        assert entropy_of([0, 1]) == pytest.approx(1.0, abs=1e-15)
 
     def test_uniform_four_symbols(self):
-        assert entropy([0, 0, 1, 1, 2, 2, 3, 3]) == pytest.approx(2.0, abs=1e-15)
+        assert entropy_of([0, 0, 1, 1, 2, 2, 3, 3]) == pytest.approx(2.0, abs=1e-15)
 
     def test_empty(self):
         with pytest.raises(DataError):
-            entropy([])
+            entropy_of([])
 
 
 class TestEstimatorProperties:
-    """Spec invariants, checked over randomized code vectors."""
+    """Spec invariants of ``information_matrix``, checked over randomized code vectors."""
 
     def test_symmetry_self_information_and_bounds(self):
         rng = np.random.default_rng(7)
@@ -93,34 +106,23 @@ class TestEstimatorProperties:
             n = int(rng.integers(2, 60))
             a = rng.integers(0, int(rng.integers(2, 6)), size=n)
             b = rng.integers(0, int(rng.integers(2, 6)), size=n)
-            mi_ab = mutual_information(contingency(a, b))
-            mi_ba = mutual_information(contingency(b, a))
+            info = information_matrix(np.column_stack([a, b, a]))
+            mi_ab = info[0, 1]
+            mi_ba = information_matrix(np.column_stack([b, a]))[0, 1]
             assert abs(mi_ab - mi_ba) <= 1e-12
             assert mi_ab >= 0.0
-            assert mi_ab <= min(entropy(a), entropy(b)) + 1e-12
-            assert abs(mutual_information(contingency(a, a)) - entropy(a)) <= 1e-12
+            assert mi_ab <= min(info[0, 0], info[1, 1]) + 1e-12
+            assert abs(info[0, 2] - info[0, 0]) <= 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         a = rng.integers(0, 4, size=50)
         b = rng.integers(0, 3, size=50)
-        base = mutual_information(contingency(a, b))
+        base = information_matrix(np.column_stack([a, b]))[0, 1]
         for _ in range(20):
             perm = rng.permutation(50)
-            assert mutual_information(contingency(a[perm], b[perm])) == pytest.approx(
-                base, abs=1e-12)
-
-
-def pairwise_oracle(codes) -> np.ndarray:
-    """The per-pair loop: entropy on the diagonal, MI with column i as rows above it."""
-    p = codes.shape[1]
-    out = np.zeros((p, p))
-    for i in range(p):
-        out[i, i] = entropy(codes[:, i])
-        for j in range(i + 1, p):
-            out[i, j] = out[j, i] = mutual_information(
-                contingency(codes[:, i], codes[:, j]))
-    return out
+            assert information_matrix(np.column_stack([a[perm], b[perm]]))[0, 1] == \
+                pytest.approx(base, abs=1e-12)
 
 
 def _with_target_last(rng):

@@ -1,5 +1,7 @@
 """Schema parsing, CSV loading, missing handling, and discretization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from qpfs.cli import main
 from qpfs.errors import DataError, SchemaError
 from qpfs.ingest import (ColumnSpec, DiscretizationPolicy, binary_target,
                          column_median, column_mode, discretize, equal_frequency_codes,
-                         equal_width_codes, first_appearance_codes, load_csv,
-                         load_schema, parse_schema_text, resolve_missing)
+                         dense_codes, equal_width_codes, load_csv, load_schema,
+                         parse_schema_text, resolve_missing)
 
 from conftest import (SYNTH_SCHEMA_TEXT, bin_counts, dataset_from_rows,
                       synthetic_credit_dataset, write_synthetic_files)
@@ -320,6 +322,29 @@ class TestMissingResolution:
         filled = resolve_missing(dataset_from_rows(cols, rows), DiscretizationPolicy())
         assert filled.arrays[0].tolist() == [1e308, 1.5e308, 1.25e308]
 
+    def test_median_equals_np_median_bit_for_bit(self):
+        # signed zeros (np.median's mean adds onto +0.0), middle pairs whose
+        # sum overflows (then a/2 + b/2), subnormals and wide scales
+        pool = np.array([0.0, -0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324,
+                         2.2e-308, -1.0, 1.0, 3.5, 0.1, 0.2])
+        rng = np.random.default_rng(23)
+        for trial in range(20_000):
+            n = int(rng.integers(1, 61))
+            if trial % 3 == 0:
+                values = rng.choice(pool, n)
+            elif trial % 3 == 1:
+                values = rng.normal(size=n) * 10.0 ** int(rng.integers(-320, 308))
+            else:
+                values = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                                  rng.normal(size=n))
+            with np.errstate(over="ignore"):
+                want = float(np.median(values))
+            if math.isinf(want):
+                a, b = np.sort(values)[n // 2 - 1:n // 2 + 1]
+                want = float(a / 2 + b / 2)
+            got = column_median(values)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), values
+
 
 class TestBinning:
     def test_median_split(self):
@@ -328,9 +353,9 @@ class TestBinning:
         assert nb == 2
 
     def test_first_appearance_coding(self):
-        codes, nb = first_appearance_codes(["A", "B", "A", "C"])
+        codes, counts = dense_codes(["A", "B", "A", "C"], first_appearance=True)
         assert codes.tolist() == [0, 1, 0, 2]
-        assert nb == 3
+        assert counts.size == 3
 
     def test_quantile_occupancy_balanced(self):
         # independent oracle: sort the column and count quantile buckets
@@ -449,8 +474,8 @@ class TestDiscretize:
             if data.feature_columns[j].kind == "continuous":
                 assert np.array_equal(a, b)
             else:
-                canon_a, _ = first_appearance_codes(a.tolist())
-                canon_b, _ = first_appearance_codes(b.tolist())
+                canon_a, _ = dense_codes(a, first_appearance=True)
+                canon_b, _ = dense_codes(b, first_appearance=True)
                 assert np.array_equal(canon_a, canon_b)
         assert np.array_equal(dd.target[perm], dd2.target)
 

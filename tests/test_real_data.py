@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from qpfs.baselines import information_gain, max_rel
-from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector,
-                             contingency, entropy)
+from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
 from qpfs.ingest import DiscretizationPolicy, discretize
 from qpfs.pipeline import SelectionConfig, select_features
 
-from conftest import brute_force_mi_bits
+from oracles import brute_force_mi_bits, contingency, entropy
 
 
 @pytest.fixture(scope="module")

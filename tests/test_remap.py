@@ -1,24 +1,25 @@
 """``ingest.dense_codes`` against ``np.unique``, and where ``np.unique`` no longer runs.
 
 ``dense_codes`` maps integer codes without sorting when their range is below
-the row length and falls back to ``np.unique`` otherwise, so every input kind
-below is checked against ``np.unique``'s sorted and first-appearance codes
-and counts.  The binning functions built on it are checked against their
-former ``np.unique`` forms.  The last test pins that the selection path
-sorts no full-length column: Q, F, CFS, ReliefF and the discretization of
+the row length and ranks any other row with ``np.unique`` first, so every
+input kind below is checked against ``np.unique``'s sorted codes and counts
+and against the dict first-appearance oracle of ``tests/oracles.py``.  The
+binning functions built on it are checked against their former
+``np.unique`` forms.  The last test pins that the selection path sorts no
+full-length column: Q, F, CFS, ReliefF and the discretization of
 categorical columns make no ``np.unique`` call on an n-element array.
 """
 
 import numpy as np
 import pytest
 
-from qpfs import infotheory
 from qpfs.baselines import cfs, relieff
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
 from qpfs.ingest import (ColumnSpec, DiscretizedDataset, dense_codes, discretize,
-                         equal_frequency_codes, equal_width_codes, first_appearance_codes)
+                         equal_frequency_codes, equal_width_codes)
 
 from conftest import dataset_from_rows
+from oracles import oracle_first_appearance_codes
 
 INT64 = np.iinfo(np.int64)
 
@@ -26,15 +27,6 @@ INT64 = np.iinfo(np.int64)
 def unique_sorted(row):
     _, inverse, counts = np.unique(row, return_inverse=True, return_counts=True)
     return inverse.astype(np.int64), counts
-
-
-def unique_first_appearance(row):
-    _, first, inverse, counts = np.unique(row, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    return rank[inverse], counts[order]
 
 
 def random_rows(rng, kind: str, p: int, n: int) -> np.ndarray:
@@ -77,10 +69,10 @@ class TestDenseCodesMatchesUnique:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("first_appearance", [False, True])
     def test_rows_and_vectors(self, kind, first_appearance):
-        oracle = unique_first_appearance if first_appearance else unique_sorted
+        oracle = oracle_first_appearance_codes if first_appearance else unique_sorted
         rng = np.random.default_rng(sum(map(ord, kind)) + first_appearance)
-        for n in (1, 2, 3, 7, 50, 301):
-            for p in (1, 2, 5):
+        for n in (0, 1, 2, 3, 7, 50, 301):
+            for p in (1, 2, 3, 5):
                 rows = random_rows(rng, kind, p, n)
                 codes, counts = dense_codes(rows, first_appearance)
                 assert codes.dtype == np.int64 and codes.shape == (p, n)
@@ -103,15 +95,18 @@ class TestDenseCodesMatchesUnique:
             assert np.array_equal(counts[j], want_counts)
 
     def test_first_appearance_codes_on_lists_and_arrays(self):
-        assert first_appearance_codes(["A", "B", "A", "C"])[0].tolist() == [0, 1, 0, 2]
-        assert first_appearance_codes([9, -4, 9, 2, -4])[0].tolist() == [0, 1, 0, 2, 1]
-        assert first_appearance_codes(np.array([5]))[1] == 1
+        def codes(values):
+            return dense_codes(values, first_appearance=True)[0].tolist()
+
+        assert codes(["A", "B", "A", "C"]) == [0, 1, 0, 2]
+        assert codes([9, -4, 9, 2, -4]) == [0, 1, 0, 2, 1]
+        assert dense_codes(np.array([5]), first_appearance=True)[1].tolist() == [1]
         rng = np.random.default_rng(8)
         for kind in KINDS:
             row = random_rows(rng, kind, 1, 60)[0]
-            codes, n_codes = first_appearance_codes(row)
-            want, want_counts = unique_first_appearance(row)
-            assert np.array_equal(codes, want) and n_codes == want_counts.size
+            got, got_counts = dense_codes(row, first_appearance=True)
+            want, want_counts = oracle_first_appearance_codes(row)
+            assert np.array_equal(got, want) and np.array_equal(got_counts, want_counts)
 
     def test_empty_vector(self):
         codes, counts = dense_codes(np.zeros(0, dtype=np.int64), first_appearance=True)
@@ -187,9 +182,8 @@ class TestNoFullColumnSort:
         return DiscretizedDataset(feature_codes=codes, target=rng.integers(0, 2, self.N))
 
     def test_the_counter_sees_a_column_sort(self, unique_sizes):
-        dd = self.discretized()
-        infotheory.contingency(dd.feature_codes[:, 0], dd.target)
-        assert unique_sizes == [self.N, self.N]
+        dense_codes(np.arange(self.N) * 7)              # range 7(N-1) >= N: np.unique
+        assert unique_sizes == [self.N]
 
     def test_selection_path_sorts_no_column(self, unique_sizes):
         dd = self.discretized()
