@@ -81,12 +81,10 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expe = np.exp(eta[~pos])
-    out[~pos] = expe / (1.0 + expe)
-    return out
+    # exp(-|eta|) never overflows and is exp(-eta) or exp(eta) exactly, so one
+    # exp serves both branches.
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _with_intercept(features: np.ndarray) -> np.ndarray:

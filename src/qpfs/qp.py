@@ -74,21 +74,33 @@ def estimate_alpha(Q, F) -> float:
     return min(max(alpha, 0.0), 1.0)
 
 
+def _require_finite(term: str, values: np.ndarray) -> None:
+    """Raise DataError naming ``term`` and the first position where it is not finite."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        where = tuple(int(i) for i in bad[0])
+        raise DataError(f"{term} has a non-finite entry {values[where]} at {where}")
+
+
 def assemble(Q, F, alpha: float) -> QpProblem:
     """Scale the terms by alpha and repair indefiniteness by diagonal shift.
 
     If the smallest eigenvalue of (1-alpha)*Q falls below -1e-9 the whole
     diagonal is lifted by |lambda_min| + 1e-9; the shift is recorded so the
-    regularization is auditable.
+    regularization is auditable.  A non-finite entry of Q or F is a
+    DataError that names the term.
     """
     Qv = np.asarray(Q, dtype=float)
     Fv = np.asarray(F, dtype=float)
-    if not 0.0 <= alpha <= 1.0:
-        raise DataError(f"alpha must lie in [0, 1], got {alpha}")
     if Qv.ndim != 2 or Qv.shape[0] != Qv.shape[1]:
         raise DataError(f"Q must be square, got shape {Qv.shape}")
     if Fv.ndim != 1 or Fv.shape[0] != Qv.shape[0]:
         raise DataError(f"dimension mismatch: Q is {Qv.shape}, F is {Fv.shape}")
+    # Before the alpha check: estimate_alpha of a non-finite Q or F is NaN or 0.
+    _require_finite("Q", Qv)
+    _require_finite("F", Fv)
+    if not 0.0 <= alpha <= 1.0:
+        raise DataError(f"alpha must lie in [0, 1], got {alpha}")
     if not np.allclose(Qv, Qv.T, atol=1e-9, rtol=0.0):
         raise DataError("Q must be symmetric")
 
@@ -200,17 +212,22 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
     nu = (float(ones @ qf) - 1.0) / denom
     x = qf - nu * q1
 
-    active: list[int] = []       # bound constraints x_i >= 0 currently active
-    lam: list[float] = []        # their multipliers (kept >= 0)
+    # Bound constraints x_i >= 0 currently active, in the order they entered
+    # (active[:s]), and their multipliers (lam[:s], kept >= 0); ``is_active``
+    # marks the same set.
+    active = np.empty(m, dtype=np.intp)
+    lam = np.empty(m)
+    s = 0
+    is_active = np.zeros(m, dtype=bool)
+    bound_columns = np.arange(1, m + 1)
     tol = 1e-11
     iterations = 0
 
     while True:
-        candidates = np.where(x < -tol)[0]
-        fresh = [p for p in candidates if p not in active]
-        if not fresh:
+        fresh = np.flatnonzero((x < -tol) & ~is_active)
+        if fresh.size == 0:
             return x, iterations
-        p = min(fresh, key=lambda i: x[i])   # most violated bound
+        p = int(fresh[np.argmin(x[fresh])])   # most violated bound (first on ties)
         lam_p = 0.0
 
         while x[p] < -tol:
@@ -219,11 +236,9 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
                 raise _Degenerate(f"iteration budget {max_iter} exhausted")
 
             # Normals of active constraints: equality first, then bounds.
-            N = np.empty((m, 1 + len(active)))
-            N[:, 0] = ones
-            for col, a in enumerate(active, start=1):
-                N[:, col] = 0.0
-                N[a, col] = 1.0
+            N = np.zeros((m, 1 + s))
+            N[:, 0] = 1.0
+            N[active[:s], bound_columns[:s]] = 1.0
             QiN = Qinv @ N
             B = N.T @ QiN
             rhs = QiN[p, :]                  # = N' Qinv e_p
@@ -233,40 +248,43 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
                 raise _Degenerate("singular active-set system") from None
             z = Qinv[:, p] - QiN @ r
 
-            # Dual blocking step over active bound constraints only.
+            # Dual blocking step over active bound constraints only: the first
+            # constraint attaining the smallest ratio lam / r over r > tol.
+            r_bounds = r[1:]
             t1 = np.inf
             blocker = -1
-            for idx, a in enumerate(active):
-                r_a = r[1 + idx]
-                if r_a > tol:
-                    ratio = lam[idx] / r_a
-                    if ratio < t1:
-                        t1 = ratio
-                        blocker = idx
+            blocking = np.flatnonzero(r_bounds > tol)
+            if blocking.size:
+                ratios = lam[blocking] / r_bounds[blocking]
+                j = int(np.argmin(ratios))
+                t1 = float(ratios[j])
+                blocker = int(blocking[j])
             z_p = float(z[p])
             if z_p <= tol:
                 # No primal progress possible in this direction.
                 if not np.isfinite(t1):
                     raise _Degenerate("dual step unbounded; degenerate geometry")
-                lam = [l - t1 * r[1 + i] for i, l in enumerate(lam)]
-                lam_p += t1
-                del lam[blocker]
-                del active[blocker]
-                continue
-            t2 = -float(x[p]) / z_p
-            t = min(t1, t2)
-            x = x + t * z
-            if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e6:
-                raise _Degenerate("iterates diverged; ill-conditioned system")
-            lam = [l - t * r[1 + i] for i, l in enumerate(lam)]
+                t = t1
+            else:
+                t2 = -float(x[p]) / z_p
+                t = min(t1, t2)
+                x = x + t * z
+                if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e6:
+                    raise _Degenerate("iterates diverged; ill-conditioned system")
+            lam[:s] -= t * r_bounds
             lam_p += t
-            if t2 <= t1:
+            if z_p > tol and t2 <= t1:
                 x[p] = 0.0                   # kill round-off on the new bound
-                active.append(p)
-                lam.append(lam_p)
+                is_active[p] = True
+                active[s] = p
+                lam[s] = lam_p
+                s += 1
                 break
-            del lam[blocker]
-            del active[blocker]
+            # Drop the blocking constraint; the rest keep their order.
+            is_active[active[blocker]] = False
+            active[blocker:s - 1] = active[blocker + 1:s]
+            lam[blocker:s - 1] = lam[blocker + 1:s]
+            s -= 1
 
 
 def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, max_iter: int):
@@ -322,7 +340,7 @@ def solve(problem: QpProblem) -> FeatureWeights:
     ``_Degenerate`` or its polished iterate misses ``KKT_TOL``, and the
     iterate with the lower residual is kept.  Raises SolverError (with the
     best iterate and its residual attached) if that residual still misses
-    the tolerance.
+    the tolerance, and DataError if Q_eff or f_eff has a non-finite entry.
 
     The problem is normalized by its largest coefficient before solving, so
     the certificate (and the tolerance it is held to) is invariant to a
@@ -332,9 +350,11 @@ def solve(problem: QpProblem) -> FeatureWeights:
     m = problem.m
     if m == 0:
         raise DataError("empty problem")
+    _require_finite("Q_eff", problem.Q_eff)
+    _require_finite("f_eff", problem.f_eff)
     coeff_scale = max(float(np.abs(problem.Q_eff).max()),
                       float(np.abs(problem.f_eff).max()))
-    if coeff_scale <= 0.0 or not np.isfinite(coeff_scale):
+    if coeff_scale == 0.0:
         coeff_scale = 1.0
     Q = problem.Q_eff / coeff_scale
     f = problem.f_eff / coeff_scale

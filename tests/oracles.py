@@ -9,6 +9,8 @@
 - ``oracle_first_appearance_codes``: first-appearance coding with a dict.
 - The IRLS oracles: the ridge log-likelihood and gradient, and the fit that
   recomputes the probabilities before every Newton step.
+- ``oracle_active_set``: the dual active-set QP solver with its active set
+  kept in Python lists, counting the branches it takes.
 
 They import nothing from ``qpfs`` but its error type.
 """
@@ -193,3 +195,112 @@ def oracle_train_logistic(X, y, ridge, paths, max_iter=200, grad_tol=1e-8):
             break
     assert np.linalg.norm(grad) <= grad_tol
     return beta
+
+
+# ---------------------------------------------------------------------------
+# Dual active-set QP solver
+# ---------------------------------------------------------------------------
+
+
+class OracleDegenerate(Exception):
+    """``oracle_active_set`` cannot proceed (the package's ``qp._Degenerate``)."""
+
+
+def oracle_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int, branches):
+    """Dual active-set method for strictly convex Q, bookkeeping in Python lists.
+
+    Adds one to ``branches[name]`` for each branch taken: "add", "primal_drop"
+    and "dual_drop" per step, and the reason for each raise ("not_pd",
+    "equality", "budget", "singular", "unbounded", "diverged").
+    """
+    def degenerate(name, message):
+        branches[name] += 1
+        return OracleDegenerate(message)
+
+    m = f.shape[0]
+    try:
+        np.linalg.cholesky(Q)        # strict convexity gate
+        Qinv = np.linalg.inv(Q)
+    except np.linalg.LinAlgError:
+        raise degenerate("not_pd", "Q_eff is not positive definite") from None
+    ones = np.ones(m)
+
+    # Minimum subject to the equality constraint alone: x = Qinv (f - nu*1).
+    qf = Qinv @ f
+    q1 = Qinv @ ones
+    denom = float(ones @ q1)
+    if denom <= 0.0 or not np.isfinite(denom):
+        raise degenerate("equality", "equality KKT system is not positive definite")
+    nu = (float(ones @ qf) - 1.0) / denom
+    x = qf - nu * q1
+
+    active: list[int] = []       # bound constraints x_i >= 0 currently active
+    lam: list[float] = []        # their multipliers (kept >= 0)
+    tol = 1e-11
+    iterations = 0
+
+    while True:
+        candidates = np.where(x < -tol)[0]
+        fresh = [p for p in candidates if p not in active]
+        if not fresh:
+            return x, iterations
+        p = min(fresh, key=lambda i: x[i])   # most violated bound
+        lam_p = 0.0
+
+        while x[p] < -tol:
+            iterations += 1
+            if iterations > max_iter:
+                raise degenerate("budget", f"iteration budget {max_iter} exhausted")
+
+            # Normals of active constraints: equality first, then bounds.
+            N = np.empty((m, 1 + len(active)))
+            N[:, 0] = ones
+            for col, a in enumerate(active, start=1):
+                N[:, col] = 0.0
+                N[a, col] = 1.0
+            QiN = Qinv @ N
+            B = N.T @ QiN
+            rhs = QiN[p, :]                  # = N' Qinv e_p
+            try:
+                r = np.linalg.solve(B, rhs)
+            except np.linalg.LinAlgError:
+                raise degenerate("singular", "singular active-set system") from None
+            z = Qinv[:, p] - QiN @ r
+
+            # Dual blocking step over active bound constraints only.
+            t1 = np.inf
+            blocker = -1
+            for idx, a in enumerate(active):
+                r_a = r[1 + idx]
+                if r_a > tol:
+                    ratio = lam[idx] / r_a
+                    if ratio < t1:
+                        t1 = ratio
+                        blocker = idx
+            z_p = float(z[p])
+            if z_p <= tol:
+                # No primal progress possible in this direction.
+                if not np.isfinite(t1):
+                    raise degenerate("unbounded", "dual step unbounded; degenerate geometry")
+                branches["dual_drop"] += 1
+                lam = [l - t1 * r[1 + i] for i, l in enumerate(lam)]
+                lam_p += t1
+                del lam[blocker]
+                del active[blocker]
+                continue
+            t2 = -float(x[p]) / z_p
+            t = min(t1, t2)
+            x = x + t * z
+            if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e6:
+                raise degenerate("diverged", "iterates diverged; ill-conditioned system")
+            lam = [l - t * r[1 + i] for i, l in enumerate(lam)]
+            lam_p += t
+            if t2 <= t1:
+                branches["add"] += 1
+                x[p] = 0.0                   # kill round-off on the new bound
+                active.append(p)
+                lam.append(lam_p)
+                break
+            branches["primal_drop"] += 1
+            del lam[blocker]
+            del active[blocker]

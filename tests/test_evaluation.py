@@ -19,7 +19,7 @@ from qpfs.ingest import ColumnSpec, DiscretizationPolicy, binary_target
 from qpfs.pipeline import METHODS, SelectionConfig, reproduce_tables, select_features
 
 from conftest import dataset_from_rows, synthetic_credit_dataset
-from oracles import oracle_loglik_and_grad, oracle_train_logistic
+from oracles import oracle_loglik_and_grad, oracle_sigmoid, oracle_train_logistic
 
 
 class TestTrainLogistic:
@@ -87,6 +87,16 @@ class TestTrainLogistic:
         X = rng.normal(size=(100, 2))
         y = (rng.random(100) < 0.5).astype(float)
         assert np.array_equal(train_logistic(X, y), train_logistic(X, y))
+
+
+def test_sigmoid_matches_the_two_exp_oracle_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        n = int(rng.integers(1, 1200))
+        eta = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, np.log10(800.0))
+        zeros = rng.random(n) < 0.1
+        eta[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        assert evaluation._sigmoid(eta).tobytes() == oracle_sigmoid(eta).tobytes()
 
 
 class TestIrlsOracle:

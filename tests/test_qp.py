@@ -1,5 +1,8 @@
 """Alpha estimation, problem assembly, the simplex QP solver, and ranking."""
 
+import collections
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from qpfs.qp import (FeatureWeights, QpProblem, assemble, estimate_alpha,
                      weights_to_text)
 
 from conftest import grid_search_simplex, random_discretized
+from oracles import OracleDegenerate, oracle_active_set
 
 
 def random_psd_instance(rng, m=None):
@@ -77,6 +81,21 @@ class TestAssemble:
     def test_alpha_out_of_range(self):
         with pytest.raises(DataError):
             assemble(np.eye(2), np.ones(2), 1.5)
+
+    def test_nan_in_q_is_named_before_the_symmetry_check(self):
+        Q = np.eye(3)
+        Q[1, 2] = np.nan
+        with pytest.raises(DataError, match=r"Q has a non-finite entry nan at \(1, 2\)"):
+            assemble(Q, np.ones(3), 0.5)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_f_is_named_under_its_estimated_alpha(self, value):
+        # estimate_alpha gives 0 for an infinite F and NaN for a NaN one
+        Q, F = np.eye(2), np.array([0.1, value])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=rf"F has a non-finite entry {value} at \(1,\)"):
+                assemble(Q, F, estimate_alpha(Q, F))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DataError):
@@ -200,10 +219,118 @@ class TestSolve:
             w = solve(p)
             assert ranking_of(w.x)[0] == int(np.argmax(F))
 
+    @pytest.mark.parametrize("term", ["Q_eff", "f_eff"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_problem_is_a_data_error(self, term, value):
+        terms = {"Q_eff": np.eye(2), "f_eff": np.array([0.5, 1.0])}
+        terms[term][0, ...] = value
+        with pytest.raises(DataError, match=f"{term} has a non-finite entry"):
+            solve(QpProblem(**terms, alpha=0.5))
+
     def test_kkt_residual_zero_at_known_optimum(self):
         Q = np.array([[1.0, 0.5], [0.5, 1.0]])
         f = np.array([0.8, 0.6])
         assert kkt_residual(Q, f, np.array([0.7, 0.3])) <= 1e-12
+
+
+def normalized(problem):
+    """Q_eff and f_eff divided by their largest coefficient, as ``solve`` runs them."""
+    scale = max(np.abs(problem.Q_eff).max(), np.abs(problem.f_eff).max())
+    return problem.Q_eff / scale, problem.f_eff / scale
+
+
+def mi_like_problem(rng, m):
+    """Plug-in MI redundancy with a zero diagonal: indefinite, so assemble shifts it."""
+    dd = random_discretized(rng, n=200, m=m, bins=int(rng.integers(2, 6)),
+                            redundancy=float(rng.uniform(0.0, 1.5)))
+    Q = build_redundancy_matrix(dd)
+    np.fill_diagonal(Q, 0.0)
+    F = build_relevance_vector(dd)
+    return normalized(assemble(Q, F, estimate_alpha(Q, F)))
+
+
+def latent_factor_problem(rng, m, n=300):
+    """Gaussian MI of features that load on m/10 shared factors, as on ``wide``."""
+    n_factors = max(1, m // 10)
+    z = rng.normal(size=(n, n_factors))
+    x = (z[:, np.arange(m) % n_factors] * rng.uniform(0.5, 1.5, m)
+         + rng.normal(size=(n, m)) * rng.uniform(0.3, 1.0, m))
+    r2 = np.minimum(np.corrcoef(x, rowvar=False) ** 2, 0.999)
+    Q = -0.5 * np.log1p(-r2)
+    np.fill_diagonal(Q, 0.0)
+    F = rng.uniform(0.005, 0.03, m)
+    return normalized(assemble(Q, F, estimate_alpha(Q, F)))
+
+
+def diagonal_dominant_problem(rng, m):
+    A = rng.uniform(-1.0, 1.0, size=(m, m))
+    Q = 0.5 * (A + A.T)
+    np.fill_diagonal(Q, np.abs(Q).sum(axis=1) + rng.uniform(0.0, 1.0, m))
+    return Q, rng.uniform(0.0, 1.0, m)
+
+
+def mixed_scale_problem(rng, m):
+    """Curvatures spread over 16 decades: some bounds then admit no primal
+    step (z_p <= tol), which takes the dual drop."""
+    Q, f = random_psd_instance(rng, m)
+    d = 10.0 ** rng.uniform(-3.0, 13.0, m)
+    return Q * np.sqrt(np.outer(d, d)), f
+
+
+PROBLEM_FAMILIES = {
+    "random_pd": random_psd_instance,
+    "mi_like": mi_like_problem,
+    "latent_factor": latent_factor_problem,
+    "diagonal_dominant": diagonal_dominant_problem,
+}
+
+
+def solve_both(Q, f, max_iter, branches):
+    """The package's active set against the list-based oracle: the same bits,
+    iterations and raises.  Returns the raise message, or None."""
+    try:
+        expected = oracle_active_set(Q, f, max_iter, branches)
+    except OracleDegenerate as exc:
+        with pytest.raises(qp._Degenerate) as raised:
+            qp._solve_active_set(Q, f, max_iter)
+        assert str(raised.value) == str(exc)
+        return str(exc)
+    x, iterations = qp._solve_active_set(Q, f, max_iter)
+    assert x.tobytes() == expected[0].tobytes()
+    assert iterations == expected[1]
+    return None
+
+
+class TestActiveSetMatchesOracle:
+    @pytest.mark.parametrize("family", sorted(PROBLEM_FAMILIES))
+    def test_bit_identical_weights_iterations_and_raises(self, family):
+        rng = np.random.default_rng(sorted(PROBLEM_FAMILIES).index(family))
+        branches = collections.Counter()
+        for _ in range(60):
+            m = int(rng.integers(2, 61))
+            Q, f = PROBLEM_FAMILIES[family](rng, m)
+            solve_both(Q, f, 100 * m, branches)
+        assert branches["add"] > 0
+
+    def test_wide_latent_factor_problem(self):
+        rng = np.random.default_rng(300)
+        Q, f = latent_factor_problem(rng, 120, n=600)
+        branches = collections.Counter()
+        assert solve_both(Q, f, 100 * 120, branches) is None
+        assert branches["add"] >= 10
+
+    def test_every_branch_is_taken(self):
+        rng = np.random.default_rng(11)
+        branches = collections.Counter()
+        for _ in range(150):
+            m = int(rng.integers(2, 40))
+            for Q, f in (random_psd_instance(rng, m), diagonal_dominant_problem(rng, m),
+                         mixed_scale_problem(rng, m)):
+                solve_both(Q, f, 100 * m, branches)
+        solve_both(np.ones((3, 3)), np.array([0.3, 0.2, 0.1]), 300, branches)
+        solve_both(*random_psd_instance(rng, 6), 0, branches)
+        for branch in ("add", "primal_drop", "dual_drop", "not_pd", "budget"):
+            assert branches[branch] > 0, (branch, branches)
 
 
 class TestScaleInvariance:
