@@ -36,18 +36,6 @@ class SelectionResult:
         if len(set(self.selected)) != len(self.selected):
             raise DataError("selection contains duplicate features")
 
-    def to_text(self, names: list[str]) -> str:
-        lines = ["feature\tscore\trank"]
-        for pos, i in enumerate(self.selected, start=1):
-            if self.method == "mrmr":
-                score = self.scores[pos - 1]
-            elif self.method == "cfs":
-                score = self.scores[0]
-            else:
-                score = self.scores[i]
-            lines.append(f"{names[i]}\t{format(float(score), '.12g')}\t{pos}")
-        return "\n".join(lines) + "\n"
-
 
 def mrmr_greedy(Q, F, k: int) -> SelectionResult:
     """Greedy minimal-redundancy / maximal-relevance selection.

@@ -26,16 +26,14 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DataError, NumericalError, QpfsError
-from .evaluation import (CONVENTIONS, ENCODINGS, CvProtocol, format_delta_table,
-                         format_report_table, reports_to_json)
+from .baselines import SelectionResult
+from .evaluation import CONVENTIONS, ENCODINGS, CvProtocol, EvaluationReport
 from .fetch import SOURCES, fetch_dataset
-from .infotheory import matrix_to_text, vector_to_text
 from .ingest import (METHODS_DISCRETIZE, MISSING_POLICIES, DiscretizationPolicy,
                      Dataset, discretize, load_csv, load_schema, parse_schema_text)
 from .pipeline import (METHODS, Q_DIAGONALS, SelectionConfig, evaluate_methods,
-                       quadratic_problem, reference_results, reproduce_tables,
-                       select_features)
-from .qp import weights_to_text
+                       quadratic_problem, reproduce_tables, select_features)
+from .qp import FeatureWeights, ranking_of
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,6 +179,99 @@ def _out_dir(options: dict, default: str | None = None) -> Path | None:
     return out_dir
 
 
+# ---------------------------------------------------------------------------
+# Artifacts
+# ---------------------------------------------------------------------------
+# Every table and JSON file a run prints or writes is rendered here; the
+# numerical modules return arrays and dataclasses only.
+
+# The rows of a results table, in the published tables' order, with labels.
+METHOD_LABELS = {
+    "quadratic": "Quadratic",
+    "relieff": "Relief",
+    "infogain": "Information Gain",
+    "cfs": "CFS Feature Set Evaluation",
+    "mrmr": "mRMR",
+    "maxrel": "MaxRel",
+}
+
+
+def tsv(rows) -> str:
+    """Tab-separated lines, one per row; a float cell is written ``.12g``."""
+    return "".join("\t".join(format(float(cell), ".12g") if isinstance(cell, float)
+                             else str(cell) for cell in row) + "\n"
+                   for row in rows)
+
+
+def ranked_text(value_name: str, names: list[str], order, values) -> str:
+    """The feature / value / rank table over the features of ``order``."""
+    return tsv([("feature", value_name, "rank"),
+                *((names[i], value, rank) for rank, (i, value)
+                  in enumerate(zip(order, values), start=1))])
+
+
+def selection_text(result: SelectionResult, names: list[str]) -> str:
+    """``selection.txt``: mRMR's score at each step, CFS's one merit for every
+    feature, and otherwise each selected feature's own score."""
+    if result.method == "mrmr":
+        values = result.scores
+    elif result.method == "cfs":
+        values = [result.scores[0]] * len(result.selected)
+    else:
+        values = result.scores[result.selected]
+    return ranked_text("score", names, result.selected, values)
+
+
+def weights_text(weights: FeatureWeights, names: list[str]) -> str:
+    """``weights.txt``: every feature's QP weight, in ranked order."""
+    order = ranking_of(weights.x)
+    return ranked_text("weight", names, order, weights.x[order])
+
+
+def matrix_text(values, names: list[str]) -> str:
+    """``Q.txt``: a named square matrix with a header row."""
+    return tsv([("feature", *names), *((name, *row) for name, row in zip(names, values))])
+
+
+def report_table(dataset: str, k: int, reports: dict[str, EvaluationReport]) -> str:
+    """Aligned text table, one row per method, three error columns."""
+    width = max(len(METHOD_LABELS[m]) for m in reports)
+    lines = [f"Results for {dataset} dataset, {k} selected features", "",
+             f"{'Method':<{width}}  {'Test error':>10}  {'Type I':>8}  {'Type II':>8}"]
+    for m, label in METHOD_LABELS.items():
+        if m in reports:
+            r = reports[m]
+            lines.append(f"{label:<{width}}  {r.test_error:>10.3f}"
+                         f"  {r.type1_error:>8.3f}  {r.type2_error:>8.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def delta_table(dataset: str, reports: dict[str, EvaluationReport], reference: dict) -> str:
+    """Observed-minus-reference deltas against the published error rates."""
+    lines = [f"Delta vs published results ({dataset})", "",
+             f"{'Method':<28}  {'d(test)':>8}  {'d(type1)':>9}  {'d(type2)':>9}"]
+    for m, label in METHOD_LABELS.items():
+        if m in reports and m in reference:
+            r = reports[m]
+            ref_test, ref_t1, ref_t2 = reference[m]
+            lines.append(f"{label:<28}  {r.test_error - ref_test:>+8.3f}"
+                         f"  {r.type1_error - ref_t1:>+9.3f}  {r.type2_error - ref_t2:>+9.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def results_payload(all_reports: dict[str, dict[str, EvaluationReport]],
+                    record: dict) -> dict:
+    """``results.json``: every report by dataset and method, and the run record."""
+    return {"datasets": {dataset: {method: dataclasses.asdict(report)
+                                   for method, report in reports.items()}
+                         for dataset, reports in all_reports.items()},
+            "run": record}
+
+
+def to_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write(out_dir: Path, filename: str, text: str) -> None:
     path = out_dir / filename
     try:
@@ -214,12 +305,13 @@ def cmd_select(options: dict) -> int:
               + ("" if sel_config.alpha is None else " (override)"))
         print(f"psd_shift = {output.problem.psd_shift:.3e}")
     print(f"method = {output.result.method}, k = {len(output.result.selected)}")
-    print(output.result.to_text(names), end="")
+    selection = selection_text(output.result, names)
+    print(selection, end="")
 
     if out_dir is not None:
-        _write(out_dir, "selection.txt", output.result.to_text(names))
+        _write(out_dir, "selection.txt", selection)
         if output.weights is not None:
-            _write(out_dir, "weights.txt", weights_to_text(output.weights, names))
+            _write(out_dir, "weights.txt", weights_text(output.weights, names))
     return EXIT_OK
 
 
@@ -237,8 +329,7 @@ def cmd_evaluate(options: dict) -> int:
 
     if out_dir is not None:
         payload = {**dataclasses.asdict(report), **run_record(sel_config, protocol)}
-        _write(out_dir, "report.json",
-               json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(out_dir, "report.json", to_json(payload))
     return EXIT_OK
 
 
@@ -248,25 +339,26 @@ def cmd_reproduce(options: dict) -> int:
     out_dir = _out_dir(options, "qpfs_out")
 
     keys = [options["only"]] if "only" in options else list(SOURCES)   # german first
-    reference = reference_results()
+    reference = json.loads(   # the published error rates, by dataset
+        resources.files("qpfs.data").joinpath("reference_errors.json").read_text())
     datasets = {key: (resolve_dataset({**options, "name": key}), SOURCES[key].k_published)
                 for key in keys}
 
     all_reports = reproduce_tables(datasets, sel_config, protocol)
 
     for key, reports in all_reports.items():
-        table = format_report_table(key, datasets[key][1], reports)
+        table = report_table(key, datasets[key][1], reports)
         print(table)
         _write(out_dir, f"table_{key}.txt", table)
         ref_methods = reference.get(key, {}).get("methods", {})
         if ref_methods:
-            delta = format_delta_table(key, reports, ref_methods)
+            delta = delta_table(key, reports, ref_methods)
             print(delta)
             _write(out_dir, f"delta_{key}.txt", delta)
     record = run_record(sel_config, protocol)
     for key in ("method", "k"):            # every table runs each method at its own k
         del record["selection"][key]
-    _write(out_dir, "results.json", reports_to_json(all_reports, extras=record))
+    _write(out_dir, "results.json", to_json(results_payload(all_reports, record)))
     print(f"artifacts written to {out_dir}/")
     return EXIT_OK
 
@@ -285,11 +377,11 @@ def cmd_inspect(options: dict) -> int:
     print(f"psd_shift = {problem.psd_shift:.6e}")
     print(f"bin_counts = {bin_counts}")
     print()
-    f_text = vector_to_text(F, names)
+    f_text = tsv(zip(names, F))
     print(f_text, end="")
 
     if out_dir is not None:
-        _write(out_dir, "Q.txt", matrix_to_text(Q, names))
+        _write(out_dir, "Q.txt", matrix_text(Q, names))
         _write(out_dir, "F.txt", f_text)
         summary = {
             "alpha": problem.alpha,
@@ -298,7 +390,7 @@ def cmd_inspect(options: dict) -> int:
             "bin_counts": bin_counts,
             "feature_names": names,
         }
-        _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write(out_dir, "summary.json", to_json(summary))
     return EXIT_OK
 
 

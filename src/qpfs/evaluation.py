@@ -14,8 +14,6 @@ of a dataset shares the folds and each fold's encoding.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -384,65 +382,3 @@ def evaluate(data: Dataset, selections: dict[str, list[int]],
             per_fold=per_fold[method],
         )
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-METHOD_ORDER = ("quadratic", "relieff", "infogain", "cfs", "mrmr", "maxrel")
-METHOD_LABELS = {
-    "quadratic": "Quadratic",
-    "relieff": "Relief",
-    "infogain": "Information Gain",
-    "cfs": "CFS Feature Set Evaluation",
-    "mrmr": "mRMR",
-    "maxrel": "MaxRel",
-}
-
-
-def format_report_table(dataset: str, k: int, reports: dict[str, EvaluationReport]) -> str:
-    """Aligned text table, one row per method, three error columns."""
-    header = f"Results for {dataset} dataset, {k} selected features"
-    width = max(len(METHOD_LABELS[m]) for m in reports)
-    lines = [header, "",
-             f"{'Method':<{width}}  {'Test error':>10}  {'Type I':>8}  {'Type II':>8}"]
-    for m in METHOD_ORDER:
-        if m not in reports:
-            continue
-        r = reports[m]
-        lines.append(
-            f"{METHOD_LABELS[m]:<{width}}  {r.test_error:>10.3f}"
-            f"  {r.type1_error:>8.3f}  {r.type2_error:>8.3f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def format_delta_table(dataset: str, reports: dict[str, EvaluationReport],
-                       reference: dict) -> str:
-    """Observed-minus-reference deltas against the published error rates."""
-    lines = [f"Delta vs published results ({dataset})", ""]
-    lines.append(f"{'Method':<28}  {'d(test)':>8}  {'d(type1)':>9}  {'d(type2)':>9}")
-    for m in METHOD_ORDER:
-        if m not in reports or m not in reference:
-            continue
-        r = reports[m]
-        ref_test, ref_t1, ref_t2 = reference[m]
-        lines.append(
-            f"{METHOD_LABELS[m]:<28}  {r.test_error - ref_test:>+8.3f}"
-            f"  {r.type1_error - ref_t1:>+9.3f}  {r.type2_error - ref_t2:>+9.3f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def reports_to_json(all_reports: dict[str, dict[str, EvaluationReport]],
-                    extras: dict | None = None) -> str:
-    """Machine-readable dump keyed by (dataset, method, metric)."""
-    payload: dict = {"datasets": {}}
-    for dataset, reports in sorted(all_reports.items()):
-        payload["datasets"][dataset] = {
-            method: dataclasses.asdict(report) for method, report in sorted(reports.items())
-        }
-    if extras:
-        payload["run"] = extras
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

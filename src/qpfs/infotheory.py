@@ -149,23 +149,3 @@ def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     dense, counts = dense_codes(np.column_stack([data.feature_codes, target]).T)
     sizes = np.array([column.size for column in counts])
     return _pair_information(dense, sizes, np.arange(m), np.full(m, m))
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization (CLI `inspect`, artifact dumps)
-# ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def matrix_to_text(values: np.ndarray, names: list[str]) -> str:
-    lines = ["feature\t" + "\t".join(names)]
-    for name, row in zip(names, values):
-        lines.append(name + "\t" + "\t".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def vector_to_text(values: np.ndarray, names: list[str]) -> str:
-    lines = [f"{name}\t{_fmt(v)}" for name, v in zip(names, values)]
-    return "\n".join(lines) + "\n"

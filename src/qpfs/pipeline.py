@@ -6,9 +6,7 @@ step delegates to the module that owns it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from importlib import resources
 
 import numpy as np
 
@@ -120,12 +118,6 @@ def select_features(data: Dataset, config: SelectionConfig) -> SelectionOutput:
 # Table reproduction
 # ---------------------------------------------------------------------------
 
-def reference_results() -> dict:
-    """Published reference error rates shipped with the package."""
-    with resources.files("qpfs.data").joinpath("reference_errors.json").open() as fh:
-        return json.load(fh)
-
-
 def evaluate_methods(data: Dataset, configs: list[SelectionConfig],
                      protocol: CvProtocol) -> dict[str, EvaluationReport]:
     """Select features with each config and cross-validate every selection.
@@ -152,8 +144,7 @@ def reproduce_tables(datasets: dict[str, tuple[Dataset, int]],
     ``datasets`` maps a dataset key (e.g. "german") to (Dataset, k); each
     method runs with ``base_config``'s other settings under one protocol,
     and all methods of a dataset share its folds.  Returns
-    {dataset: {method: report}}; formatting and deltas live in the
-    evaluation module.
+    {dataset: {method: report}}; the CLI renders the tables and deltas.
     """
     base_config = base_config or SelectionConfig()
     protocol = protocol or CvProtocol()

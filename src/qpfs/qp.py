@@ -409,11 +409,3 @@ def rank(weights: FeatureWeights, k: int) -> list[int]:
     """Top-k feature indices from a solved problem."""
     _check_k(k, weights.x.shape[0])
     return ranking_of(weights.x)[:k].tolist()
-
-
-def weights_to_text(weights: FeatureWeights, names: list[str]) -> str:
-    """feature / weight / rank table, one feature per line, ranked order."""
-    lines = ["feature\tweight\trank"]
-    for pos, i in enumerate(ranking_of(weights.x), start=1):
-        lines.append(f"{names[int(i)]}\t{format(float(weights.x[int(i)]), '.12g')}\t{pos}")
-    return "\n".join(lines) + "\n"

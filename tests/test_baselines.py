@@ -6,6 +6,7 @@ import pytest
 from qpfs.baselines import (RELIEFF_BLOCK, SelectionResult, cfs, cfs_merit,
                             information_gain, max_rel, mrmr_greedy, relieff,
                             truncate_selection)
+from qpfs.cli import selection_text
 from qpfs.errors import ConfigError, DataError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
 from qpfs.qp import ranking_of
@@ -460,17 +461,17 @@ class TestSelectionResult:
         F = np.array([0.3, 0.2, 0.9, 0.5])
         res = mrmr_greedy(Q, F, 4)
         assert res.selected == [2, 3, 1, 0]
-        lines = res.to_text(["a", "b", "c", "d"]).strip().split("\n")[1:]
+        lines = selection_text(res, ["a", "b", "c", "d"]).strip().split("\n")[1:]
         for pos, (line, i) in enumerate(zip(lines, res.selected)):
             assert line == f"{'abcd'[i]}\t{format(res.scores[pos], '.12g')}\t{pos + 1}"
 
     def test_to_text_cfs_prints_the_merit(self):
         res = SelectionResult("cfs", [1, 0], np.array([0.6]), 2)
-        assert res.to_text(["a", "b"]) == "feature\tscore\trank\nb\t0.6\t1\na\t0.6\t2\n"
+        assert selection_text(res, ["a", "b"]) == "feature\tscore\trank\nb\t0.6\t1\na\t0.6\t2\n"
 
     def test_to_text_per_feature_scores(self):
         res = SelectionResult("maxrel", [1, 0], np.array([0.2, 0.7]), 2)
-        text = res.to_text(["a", "b"])
+        text = selection_text(res, ["a", "b"])
         lines = text.strip().split("\n")
         assert lines[1] == "b\t0.7\t1"
         assert lines[2] == "a\t0.2\t2"

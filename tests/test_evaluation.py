@@ -11,10 +11,9 @@ import pytest
 
 from qpfs import evaluation
 from qpfs.errors import ConfigError, DataError
+from qpfs.cli import delta_table, report_table, results_payload, to_json
 from qpfs.evaluation import (ENCODINGS, CvProtocol, DesignEncoder, EvaluationReport,
-                             evaluate, fold_assignment, format_delta_table,
-                             format_report_table, predict_proba, reports_to_json,
-                             train_logistic)
+                             evaluate, fold_assignment, predict_proba, train_logistic)
 from qpfs.ingest import ColumnSpec, DiscretizationPolicy, binary_target
 from qpfs.pipeline import METHODS, SelectionConfig, reproduce_tables, select_features
 
@@ -368,21 +367,21 @@ class TestReports:
 
     def test_table_and_json_formatting(self):
         all_reports = self.run_reports()
-        table = format_report_table("alpha", 3, all_reports["alpha"])
+        table = report_table("alpha", 3, all_reports["alpha"])
         assert table.count("\n") == 9           # header + blank + column row + 6 methods
         assert "Information Gain" in table
-        blob = reports_to_json(all_reports)
+        blob = to_json(results_payload(all_reports, {}))
         assert '"quadratic"' in blob and '"test_error"' in blob
 
     def test_json_deterministic(self):
-        a = reports_to_json(self.run_reports())
-        b = reports_to_json(self.run_reports())
+        a = to_json(results_payload(self.run_reports(), {}))
+        b = to_json(results_payload(self.run_reports(), {}))
         assert a == b
 
     def test_delta_table(self):
         all_reports = self.run_reports()
         reference = {"quadratic": [0.2, 0.2, 0.2], "maxrel": [0.3, 0.3, 0.3]}
-        delta = format_delta_table("alpha", all_reports["alpha"], reference)
+        delta = delta_table("alpha", all_reports["alpha"], reference)
         assert "Quadratic" in delta and "MaxRel" in delta
         assert "+" in delta or "-" in delta
 

@@ -5,8 +5,9 @@ import pytest
 
 from qpfs import infotheory
 from qpfs.errors import DataError
+from qpfs.cli import matrix_text, tsv
 from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector,
-                             information_matrix, matrix_to_text, vector_to_text)
+                             information_matrix)
 from qpfs.pipeline import information_quantities
 
 from conftest import make_dd, random_discretized
@@ -270,13 +271,13 @@ class TestRelevanceVector:
 
 class TestSerialization:
     def test_matrix_round_shape(self):
-        text = matrix_to_text(np.array([[1.5, 0.25], [0.25, 2.0]]), ["a", "b"])
+        text = matrix_text(np.array([[1.5, 0.25], [0.25, 2.0]]), ["a", "b"])
         lines = text.strip().split("\n")
         assert lines[0] == "feature\ta\tb"
         assert lines[1].split("\t") == ["a", "1.5", "0.25"]
 
     def test_vector_text(self):
-        text = vector_to_text(np.array([0.125]), ["only"])
+        text = tsv(zip(["only"], np.array([0.125])))
         assert text == "only\t0.125\n"
 
     def test_redundancy_to_text_deterministic(self):
@@ -284,4 +285,4 @@ class TestSerialization:
         dd = random_discretized(rng, n=80, m=3)
         Q = build_redundancy_matrix(dd)
         names = ["f0", "f1", "f2"]
-        assert matrix_to_text(Q, names) == matrix_to_text(Q, names)
+        assert matrix_text(Q, names) == matrix_text(Q, names)

@@ -9,9 +9,9 @@ import pytest
 from qpfs import qp
 from qpfs.errors import DataError, SolverError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
+from qpfs.cli import weights_text
 from qpfs.qp import (FeatureWeights, QpProblem, assemble, estimate_alpha,
-                     kkt_residual, project_simplex, rank, ranking_of, solve,
-                     weights_to_text)
+                     kkt_residual, project_simplex, rank, ranking_of, solve)
 
 from conftest import grid_search_simplex, random_discretized
 from oracles import OracleDegenerate, oracle_active_set
@@ -370,7 +370,7 @@ class TestRank:
     def test_weights_serialization(self):
         x = np.array([0.25, 0.75])
         w = FeatureWeights(x, -0.1, 0.0, "active-set", 3)
-        text = weights_to_text(w, ["a", "b"])
+        text = weights_text(w, ["a", "b"])
         lines = text.strip().split("\n")
         assert lines[0] == "feature\tweight\trank"
         assert lines[1] == "b\t0.75\t1"
