@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: fetch, select, evaluate, reproduce, inspect.  Exit codes: 0
-success, 2 configuration error, 3 data error, 4 numerical failure.
+success, 2 configuration error, 3 data error, 4 numerical failure.  This
+is the only module that prints or writes files; its artifact section
+renders every table and JSON file a run produces.
 
 Every setting has one home.  Selection settings take their defaults from
 ``SelectionConfig`` and ``DiscretizationPolicy``, evaluation settings from
@@ -52,7 +54,7 @@ SWITCH_VALUES = {"true": True, "yes": True, "1": True,
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")   # a leading BOM is not data
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}

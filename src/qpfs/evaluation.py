@@ -32,7 +32,7 @@ CONVENTIONS = ("bad-positive", "good-positive")
 class CvProtocol:
     """Everything a cross-validated evaluation needs besides the data.
 
-    ``seed`` fixes the fold assignment; ``stratified`` deals each class
+    ``seed`` (>= 0) fixes the fold assignment; ``stratified`` deals each class
     round-robin over the folds.  ``encoding`` turns categorical columns
     into the design matrix, ``ridge`` is the logistic fit's L2 penalty
     (intercept excluded), and ``convention`` names the positive class that
@@ -53,6 +53,8 @@ class CvProtocol:
     def __post_init__(self):
         if self.n_folds < 2:
             raise ConfigError("n_folds must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed (cv_seed) must be non-negative, got {self.seed}")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"unknown encoding {self.encoding!r}")
         if not 0.0 <= self.ridge < float("inf"):

@@ -237,7 +237,7 @@ def parse_schema_text(text: str, source: str = "<schema>") -> list[ColumnSpec]:
 def load_schema(path) -> list[ColumnSpec]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")   # a leading BOM is not data
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
     return parse_schema_text(text, source=str(path))
@@ -267,7 +267,7 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")   # a leading BOM is not data
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
 

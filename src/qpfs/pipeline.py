@@ -53,6 +53,8 @@ class SelectionConfig:
         if self.relieff_iterations is not None and self.relieff_iterations < 1:
             raise ConfigError(
                 f"relieff_iterations must be positive, got {self.relieff_iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

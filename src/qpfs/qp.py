@@ -74,6 +74,14 @@ def estimate_alpha(Q, F) -> float:
     return min(max(alpha, 0.0), 1.0)
 
 
+def _require_shapes(Q: np.ndarray, F: np.ndarray, q_term="Q", f_term="F") -> None:
+    """Raise DataError, naming the terms, unless Q is square and F a vector of its side."""
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise DataError(f"{q_term} must be square, got shape {Q.shape}")
+    if F.ndim != 1 or F.shape[0] != Q.shape[0]:
+        raise DataError(f"dimension mismatch: {q_term} is {Q.shape}, {f_term} is {F.shape}")
+
+
 def _require_finite(term: str, values: np.ndarray) -> None:
     """Raise DataError naming ``term`` and the first position where it is not finite."""
     bad = np.argwhere(~np.isfinite(values))
@@ -92,10 +100,7 @@ def assemble(Q, F, alpha: float) -> QpProblem:
     """
     Qv = np.asarray(Q, dtype=float)
     Fv = np.asarray(F, dtype=float)
-    if Qv.ndim != 2 or Qv.shape[0] != Qv.shape[1]:
-        raise DataError(f"Q must be square, got shape {Qv.shape}")
-    if Fv.ndim != 1 or Fv.shape[0] != Qv.shape[0]:
-        raise DataError(f"dimension mismatch: Q is {Qv.shape}, F is {Fv.shape}")
+    _require_shapes(Qv, Fv)
     # Before the alpha check: estimate_alpha of a non-finite Q or F is NaN or 0.
     _require_finite("Q", Qv)
     _require_finite("F", Fv)
@@ -340,13 +345,15 @@ def solve(problem: QpProblem) -> FeatureWeights:
     ``_Degenerate`` or its polished iterate misses ``KKT_TOL``, and the
     iterate with the lower residual is kept.  Raises SolverError (with the
     best iterate and its residual attached) if that residual still misses
-    the tolerance, and DataError if Q_eff or f_eff has a non-finite entry.
+    the tolerance, and DataError if Q_eff is not square, f_eff is not a
+    vector of its side, or either has a non-finite entry.
 
     The problem is normalized by its largest coefficient before solving, so
     the certificate (and the tolerance it is held to) is invariant to a
     common positive rescaling of Q_eff and f_eff; the reported objective is
     on the original scale.
     """
+    _require_shapes(problem.Q_eff, problem.f_eff, "Q_eff", "f_eff")
     m = problem.m
     if m == 0:
         raise DataError("empty problem")

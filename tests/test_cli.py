@@ -430,6 +430,23 @@ class TestConfigAndErrors:
         assert name in err and value in err
         assert out == ""
 
+    @pytest.mark.parametrize("key, method", [("cv_seed", "maxrel"), ("seed", "relieff")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_config(self, capsys, synth_files, tmp_path,
+                                        key, method, source):
+        data, schema = synth_files
+        setting = ["--" + key.replace("_", "-"), "-1"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = -1\n")
+            setting = ["--config", str(cfg)]
+        code, out, err = run(capsys, "evaluate", "--data", str(data), "--schema", str(schema),
+                             "--method", method, "--k", "3", "--folds", "4",
+                             "--relieff-iterations", "10", *setting)
+        assert code == EXIT_CONFIG
+        assert key in err and "must be non-negative, got -1" in err
+        assert out == ""
+
     def test_config_file_supplies_values_flags_win(self, capsys, synth_files, tmp_path):
         data, schema = synth_files
         cfg = tmp_path / "run.cfg"
@@ -474,6 +491,16 @@ class TestConfigAndErrors:
                            "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert f"cannot read config file {cfg}" in err
+
+    def test_leading_bom_in_config_file_is_not_part_of_the_first_key(
+            self, capsys, synth_files, tmp_path):
+        data, schema = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffk = 2\nmethod = maxrel\n", encoding="utf-8")
+        code, out, err = run(capsys, "select", "--data", str(data), "--schema", str(schema),
+                             "--config", str(cfg))
+        assert code == EXIT_OK, err
+        assert "method = maxrel, k = 2" in out
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_delimiter_exits_config(self, capsys, synth_files, tmp_path, source):

@@ -64,6 +64,11 @@ class TestSchema:
         assert main(["select", "--data", str(data), "--schema", str(schema)]) == 2
         assert str(schema) in capsys.readouterr().err
 
+    def test_leading_bom_is_not_part_of_the_first_name(self, tmp_path):
+        schema = tmp_path / "s.schema"
+        schema.write_text("\ufeff" + SYNTH_SCHEMA_TEXT, encoding="utf-8")
+        assert load_schema(schema) == parse_schema_text(SYNTH_SCHEMA_TEXT)
+
 
 class TestLoadCsv:
     def test_loads_rows_in_file_order(self, tmp_path):
@@ -136,6 +141,22 @@ class TestLoadCsv:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv", basic_columns())
+
+    @pytest.mark.parametrize("text, columns", [
+        # a categorical first cell would gain a phantom '\ufeffA' category
+        ("A,1.0,1\nA,2.5,2\nB,0.5,1\n", [ColumnSpec("c", "categorical"),
+                                         ColumnSpec("x", "continuous"),
+                                         ColumnSpec("y", "binary", "target")]),
+        # a continuous one would not parse
+        ("1.0,A,1\n2.5,A,2\n0.5,B,1\n", basic_columns()),
+    ], ids=["categorical-first", "continuous-first"])
+    def test_leading_bom_is_not_data(self, tmp_path, text, columns):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        expected, observed = load_csv(plain, columns), load_csv(marked, columns)
+        assert observed.rows == expected.rows
+        assert observed.categories == expected.categories
 
     def test_non_utf8_file_is_a_data_error(self, tmp_path, capsys):
         data, schema = write_synthetic_files(tmp_path, n=40)

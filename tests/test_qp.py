@@ -227,6 +227,14 @@ class TestSolve:
         with pytest.raises(DataError, match=f"{term} has a non-finite entry"):
             solve(QpProblem(**terms, alpha=0.5))
 
+    @pytest.mark.parametrize("Q_eff, f_eff, message", [
+        (np.eye(3), np.ones(2), r"dimension mismatch: Q_eff is \(3, 3\), f_eff is \(2,\)"),
+        (np.ones(3), np.ones(3), r"Q_eff must be square, got shape \(3,\)"),
+    ], ids=["length-mismatch", "one-dimensional"])
+    def test_misshapen_problem_is_a_data_error(self, Q_eff, f_eff, message):
+        with pytest.raises(DataError, match=message):
+            solve(QpProblem(Q_eff, f_eff, alpha=0.5))
+
     def test_kkt_residual_zero_at_known_optimum(self):
         Q = np.array([[1.0, 0.5], [0.5, 1.0]])
         f = np.array([0.8, 0.6])
