@@ -115,6 +115,8 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
         raise ConfigError(f"n_neighbors must be positive, got {n_neighbors}")
     if n_iterations is not None and n_iterations < 1:
         raise ConfigError(f"n_iterations must be positive, got {n_iterations}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     class_sizes = np.bincount(y, minlength=2)
     if class_sizes.min() < n_neighbors:

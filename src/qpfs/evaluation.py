@@ -289,6 +289,8 @@ def fold_assignment(row_ids: np.ndarray, labels: np.ndarray, n_folds: int,
     stratified, and dealt round-robin after a seeded shuffle, so a row's
     fold depends on its key, never on the current row order.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     keys = np.asarray(row_ids)
     folds = np.empty(keys.size, dtype=np.int64)
     rng = np.random.default_rng(seed)

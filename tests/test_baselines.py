@@ -349,6 +349,12 @@ class TestRelieff:
         with pytest.raises(ConfigError, match=name):
             relieff(make_dd(codes, y), 1, n_neighbors, n_iterations=n_iterations)
 
+    def test_negative_seed_rejected(self):
+        y = np.array([0] * 10 + [1] * 10)
+        codes = np.stack([y, y[::-1]], axis=1)
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            relieff(make_dd(codes, y), 1, 3, n_iterations=5, seed=-1)
+
 
 class TestCfs:
     def build_instance(self, rng, n=400):

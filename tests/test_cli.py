@@ -114,6 +114,31 @@ class TestSelect:
         assert code == EXIT_OK
         assert len([l for l in out.splitlines() if "\t" in l]) == 3
 
+    def test_repeated_column_table_takes_the_certified_fallback(self, capsys, monkeypatch,
+                                                                  tmp_path):
+        # German's first column three times: under the entropy diagonal its
+        # block of Q is rank one, so the active set hands over to the fallback
+        data_dir = write_uci_like_files(tmp_path / "d", n_german=300, n_australian=20, seed=1)
+        data, schema = tmp_path / "rep.data", tmp_path / "rep.schema"
+        data.write_text("".join(f"{line.split()[0]} {line.split()[0]} {line}\n" for line in
+                                (data_dir / "german.data").read_text().splitlines()))
+        schema.write_text("copy_a categorical feature\ncopy_b categorical feature\n"
+                          + cli.packaged_schema_text("german"))
+        solved = []
+        real_solve = qp.solve
+
+        def spy(problem):
+            solved.append(real_solve(problem))
+            return solved[-1]
+        monkeypatch.setattr(qp, "solve", spy)
+        code, out, err = run(capsys, "select", "--data", str(data), "--schema", str(schema),
+                             "--delimiter", "whitespace", "--method", "quadratic", "--k", "7",
+                             "--q-diagonal", "entropy")
+        assert code == EXIT_OK, err
+        [weights] = solved
+        assert weights.fallback_used and weights.kkt_residual <= qp.KKT_TOL
+        assert len([l for l in out.splitlines() if "\t" in l]) == 8
+
     def test_named_dataset_missing_points_to_fetch(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -180,6 +180,10 @@ class TestFoldAssignment:
         fold_of = oracle_fold_assignment(keys, labels, n_folds, seed, stratified)
         assert np.array_equal(folds, [fold_of[k] for k in keys.tolist()])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            fold_assignment(np.arange(10), np.arange(10) % 2, 2, -1)
+
 
 def constant_feature_dataset(n_bad=300, n_good=700, seed=3):
     rng = np.random.default_rng(seed)

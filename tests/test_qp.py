@@ -118,6 +118,14 @@ class TestProjectSimplex:
             w = rng.dirichlet(np.ones(v.size))
             assert np.sum((p - v) ** 2) <= np.sum((w - v) ** 2) + 1e-12
 
+    @pytest.mark.parametrize("v, message", [
+        ([np.nan, 1.0], r"v has a non-finite entry nan at \(0,\)"),
+        ([], "cannot project an empty vector"),
+    ], ids=["nan", "empty"])
+    def test_unprojectable_input_is_a_data_error(self, v, message):
+        with pytest.raises(DataError, match=message):
+            project_simplex(np.array(v, dtype=float))
+
 
 class TestSolve:
     def test_identity_uniform(self):
@@ -339,6 +347,78 @@ class TestActiveSetMatchesOracle:
         solve_both(*random_psd_instance(rng, 6), 0, branches)
         for branch in ("add", "primal_drop", "dual_drop", "not_pd", "budget"):
             assert branches[branch] > 0, (branch, branches)
+
+
+def rank_one_problem(rng, m):
+    a = rng.uniform(0.1, 1.0, m)
+    return np.outer(a, a), rng.uniform(0.0, 1.0, m)
+
+
+def low_rank_problem(rng, m):
+    A = rng.normal(size=(m, int(rng.integers(1, m))))
+    return A @ A.T / A.shape[1], rng.uniform(0.0, 1.0, m)
+
+
+def repeated_feature_problem(rng, m):
+    """A random PD instance of m - 1 features whose last feature repeats one of them."""
+    Q, f = random_psd_instance(rng, m - 1)
+    idx = np.append(np.arange(m - 1), rng.integers(0, m - 1))
+    return Q[np.ix_(idx, idx)], f[idx]
+
+
+DEGENERATE_FAMILIES = {
+    "rank_one": rank_one_problem,
+    "low_rank": low_rank_problem,
+    "repeated_feature": repeated_feature_problem,
+}
+
+
+class TestFallback:
+    """Singular Q: the active set reports degeneracy and the fallback solves."""
+
+    @pytest.mark.parametrize("family", sorted(DEGENERATE_FAMILIES))
+    def test_degenerate_families_certify_through_the_fallback(self, monkeypatch, family):
+        # Round-off can let Cholesky pass on a singular Q; the active set is
+        # made to report degeneracy so that every problem reaches the fallback.
+        def degenerate(Q, f, max_iter):
+            raise qp._Degenerate("singular")
+        monkeypatch.setattr(qp, "_solve_active_set", degenerate)
+        rng = np.random.default_rng(30 + sorted(DEGENERATE_FAMILIES).index(family))
+        for m in (2, 3, 2, 3, 5, 8, 13, 21, 34):
+            Q, f = DEGENERATE_FAMILIES[family](rng, m)
+            w = solve(QpProblem(Q, f, alpha=0.5))
+            assert w.fallback_used and w.kkt_residual <= qp.KKT_TOL, (m, w)
+            # the momentum restart keeps these to a few hundred steps; without
+            # it one rank-one problem takes 1,600 and a low-rank one 500
+            assert w.iterations <= 300, (m, w.iterations)
+            if m <= 3:
+                _, oracle_val = grid_search_simplex(Q, f)
+                assert w.objective <= oracle_val + 1e-9
+                assert abs(w.objective - oracle_val) <= 1e-6
+
+    def test_fallback_runs_no_eigendecomposition(self, monkeypatch):
+        problems = [(np.ones((3, 3)), np.array([0.3, 0.2, 0.1])),
+                    low_rank_problem(np.random.default_rng(12), 40)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve ran an eigendecomposition")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for Q, f in problems:
+            w = solve(QpProblem(Q, f, alpha=0.5))
+            assert w.fallback_used and w.kkt_residual <= qp.KKT_TOL
+
+    def test_mixed_scale_problem_certifies(self):
+        # The 15th mixed-scale draw (m = 4): fixed-step projected gradient
+        # spent its whole budget on it and stopped at residual 1.2e-6.
+        rng = np.random.default_rng(123)
+        for _ in range(15):
+            Q, f = mixed_scale_problem(rng, int(rng.integers(2, 61)))
+        assert f.shape == (4,)
+        Q, f = normalized(QpProblem(Q, f, alpha=0.5))
+        x, iterations = qp._solve_projected_gradient(Q, f, 100_000)
+        assert iterations < 100_000
+        assert kkt_residual(Q, f, qp._polish_feasibility(x)) <= qp.KKT_TOL
 
 
 class TestScaleInvariance:
