@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .infotheory import information_matrix
 from .ingest import DiscretizedDataset, dense_codes
 from .qp import _check_k, ranking_of
 
@@ -204,7 +203,7 @@ def cfs(data: DiscretizedDataset) -> SelectionResult:
     if m < 1:
         raise DataError("need at least one feature")
 
-    info = information_matrix(np.column_stack([data.feature_codes, data.target]))
+    info = data.information
     h = np.diag(info)
     denom = h[:, None] + h[None, :]
     su = np.divide(2.0 * info, denom, out=np.zeros_like(info), where=denom != 0.0)

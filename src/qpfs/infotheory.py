@@ -5,7 +5,9 @@ frequency estimator with no smoothing; 0*log(0) terms contribute zero.
 One batched kernel is the only estimator: it gives ``information_matrix``
 (H on the diagonal, pairwise MI off it), hence the redundancy matrix Q and
 CFS's symmetric uncertainty, and the relevance vector F (also the
-Information Gain scores) as the pairs (feature, class).
+Information Gain scores) as the pairs (feature, class).  A
+``DiscretizedDataset`` keeps the matrix of its [features | target] once
+built (``DiscretizedDataset.information``), and Q and F are copied out of it.
 
 The kernel counts the pairs' tables with blocked ``np.bincount`` calls and
 runs the numpy operations of the per-pair reference estimator in
@@ -122,30 +124,43 @@ def information_matrix(codes) -> np.ndarray:
     n, p = codes.shape
     if n == 0 or p == 0:
         raise DataError(f"need at least one row and one column, got {codes.shape}")
-    dense, counts = dense_codes(codes.T)
+    return _dense_information(*dense_codes(codes.T))
+
+
+def _dense_information(dense: np.ndarray, counts: list) -> np.ndarray:
+    """``information_matrix`` of the columns that ``dense_codes`` turned into
+    the rows of ``dense``, with ``counts`` their code counts."""
+    n = dense.shape[1]
     values = np.diag([_entropy(column, n) for column in counts])
     sizes = np.array([column.size for column in counts])
-    i, j = np.triu_indices(p, k=1)
+    i, j = np.triu_indices(len(counts), k=1)
     values[i, j] = values[j, i] = _pair_information(dense, sizes, i, j)
     return values
 
 
 def build_redundancy_matrix(data: DiscretizedDataset) -> np.ndarray:
-    """Q, the (m, m) matrix: off-diagonal MI between feature pairs, diagonal H(x_i)."""
-    return information_matrix(data.feature_codes)
+    """Q, the (m, m) matrix: off-diagonal MI between feature pairs, diagonal H(x_i).
+
+    A fresh copy of ``data.information[:m, :m]``, so the caller may write to
+    it; the information matrix is built on the first call for ``data``.
+    """
+    m = data.n_features
+    return data.information[:m, :m].copy()
 
 
 def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     """F, the (m,) vector of MI between each feature and the target.
 
-    The pairs (feature i, target) go through the kernel that builds Q, so
-    each value equals ``information_matrix`` of [features | target] at
-    (i, m) exactly.
+    A copy of ``data.information[:m, m]`` once that matrix is built;
+    otherwise only the m pairs (feature i, target) go through the kernel,
+    which gives each the same value as that matrix's (i, m) entry.
     """
     target = data.target
     if target.min() == target.max():
         raise DataError("single-label target")
     m = data.n_features
+    if data._information is not None:
+        return data._information[:m, m].copy()
     dense, counts = dense_codes(np.column_stack([data.feature_codes, target]).T)
     sizes = np.array([column.size for column in counts])
     return _pair_information(dense, sizes, np.arange(m), np.full(m, m))

@@ -78,6 +78,11 @@ class Dataset:
     order) used for deterministic cross-validation fold assignment.
     ``rows`` gives the table back as row tuples, a view rebuilt on every
     access and never stored beside the arrays.
+
+    A Dataset is treated as immutable once built: ``discretize`` memoizes
+    its result per policy on the instance, so writing into ``arrays``
+    afterwards would leave that result stale.  ``subset`` and
+    ``resolve_missing`` build new instances, which start with no memo.
     """
 
     def __init__(self, columns: list[ColumnSpec], arrays: list[np.ndarray],
@@ -89,6 +94,7 @@ class Dataset:
         self.row_ids = (np.arange(n, dtype=np.int64) if row_ids is None
                         else np.asarray(row_ids, dtype=np.int64))
         self.name = name
+        self._discretized: dict[DiscretizationPolicy, DiscretizedDataset] = {}
 
     @property
     def n_samples(self) -> int:
@@ -174,10 +180,33 @@ class DiscretizedDataset:
 
     Each column's codes are dense, 0..B-1, so its bin count is its maximum
     code plus one; the column order is the source Dataset's feature order.
+    ``discretize`` hands the same instance to every caller with the same
+    Dataset and policy, so its arrays are read-only.
     """
 
     feature_codes: np.ndarray          # (N, m) non-negative bin indices
     target: np.ndarray                 # (N,) labels in {0, 1}
+
+    def __post_init__(self):
+        self._information: np.ndarray | None = None
+
+    @property
+    def information(self) -> np.ndarray:
+        """``information_matrix`` of [features | target], built on first access.
+
+        Kept on the instance and read-only: Q is ``information[:m, :m]``, F
+        is ``information[:m, m]``, and CFS's symmetric uncertainty is derived
+        from the whole matrix.
+        """
+        if self._information is None:
+            from .infotheory import _dense_information     # infotheory imports this module
+            # No name holds the stacked copy, so it is freed once dense_codes
+            # returns: the pair kernel runs at the memory a Q-only build used.
+            values = _dense_information(
+                *dense_codes(np.vstack([self.feature_codes.T, self.target])))
+            values.flags.writeable = False
+            self._information = values
+        return self._information
 
     @property
     def n_samples(self) -> int:
@@ -610,19 +639,26 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
     order is preserved: feature_codes row i corresponds to row i of
     ``resolve_missing(data, policy)``, which under ``drop-row`` keeps only
     the complete rows.
+
+    The result is memoized on ``data`` per policy: a second call returns the
+    same instance, whose arrays are read-only.  A failing call caches
+    nothing, so it fails again.
     """
     policy = policy or DiscretizationPolicy()
+    memo = data._discretized.get(policy)
+    if memo is not None:
+        return memo
     if data.n_samples < 2:
         raise DataError("discretize needs at least 2 rows")
 
-    data = resolve_missing(data, policy)
-    target = binary_target(data)
+    resolved = resolve_missing(data, policy)
+    target = binary_target(resolved)
     if target.min() == target.max():
         raise DataError("target has a single label after missing-value handling")
 
-    features = [(spec, values) for spec, values in zip(data.columns, data.arrays)
+    features = [(spec, values) for spec, values in zip(resolved.columns, resolved.arrays)
                 if spec.role == "feature"]
-    n, m = data.n_samples, len(features)
+    n, m = resolved.n_samples, len(features)
     codes = np.empty((n, m), dtype=np.int64)
     categorical = [j for j, (spec, _) in enumerate(features) if spec.kind != "continuous"]
     if categorical:             # one first-appearance remap for all of them
@@ -649,4 +685,7 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
                     f"binary column {spec.name!r} has {counts.size} distinct values"
                 )
 
-    return DiscretizedDataset(feature_codes=codes, target=target)
+    codes.flags.writeable = False
+    target.flags.writeable = False
+    memo = data._discretized[policy] = DiscretizedDataset(feature_codes=codes, target=target)
+    return memo

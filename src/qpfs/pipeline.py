@@ -70,7 +70,7 @@ def information_quantities(discretized: DiscretizedDataset, q_diagonal: str):
     """Redundancy matrix Q (with the requested diagonal) and relevance vector F."""
     Q = infotheory.build_redundancy_matrix(discretized)
     if q_diagonal == "zero":
-        np.fill_diagonal(Q, 0.0)     # Q is freshly built, so zero it in place
+        np.fill_diagonal(Q, 0.0)     # Q is a fresh copy, so zero it in place
     F = infotheory.build_relevance_vector(discretized)
     return Q, F
 
@@ -125,7 +125,9 @@ def evaluate_methods(data: Dataset, configs: list[SelectionConfig],
     """Select features with each config and cross-validate every selection.
 
     One ``evaluate`` call serves all configs, so they share the folds and
-    each fold's encoding.  Under ``protocol.strict`` every config re-selects
+    each fold's encoding.  Configs with one policy also share each selection
+    input's discretization and its information matrix, which ``discretize``
+    memoizes on the Dataset.  Under ``protocol.strict`` every config re-selects
     inside every training fold from the training rows alone (the
     leakage-free variant); the full-data selection then only fixes the
     report's ``k``.

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from qpfs import infotheory
+from qpfs import infotheory, ingest
 from qpfs.errors import DataError
 from qpfs.cli import matrix_text, tsv
 from qpfs.infotheory import (build_redundancy_matrix, build_relevance_vector,
                              information_matrix)
-from qpfs.pipeline import information_quantities
+from qpfs.ingest import DiscretizationPolicy, discretize
+from qpfs.evaluation import CvProtocol
+from qpfs.pipeline import (METHODS, SelectionConfig, evaluate_methods,
+                           information_quantities, select_features)
 
-from conftest import make_dd, random_discretized
+from conftest import make_dd, random_discretized, synthetic_credit_dataset
 from oracles import brute_force_mi_bits, contingency, entropy, pairwise_oracle
 
 
@@ -267,6 +270,76 @@ class TestRelevanceVector:
     def test_single_label_target_rejected(self):
         with pytest.raises(DataError):
             build_relevance_vector(make_dd([[0], [1]], [1, 1]))
+
+
+class TestSharedInformation:
+    """Q, F and SU read from one cached [features | target] matrix."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_either_order_equals_a_fresh_matrix_bit_for_bit(self, seed):
+        # 2 to 8 columns of 1 to 12 bins each; seed 0 has a single feature
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(20, 200)), int(rng.integers(2, 9)) if seed else 1
+        codes = np.column_stack([rng.integers(0, int(rng.integers(1, 13)), n)
+                                 for _ in range(m)])
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        fresh = information_matrix(np.column_stack([codes, y]))
+        f_first = make_dd(codes, y)
+        F, Q = build_relevance_vector(f_first), build_redundancy_matrix(f_first)
+        q_first = make_dd(codes, y)
+        Q2, F2 = build_redundancy_matrix(q_first), build_relevance_vector(q_first)
+        for got_Q, got_F in ((Q, F), (Q2, F2)):
+            assert np.array_equal(got_Q, fresh[:m, :m])
+            assert np.array_equal(got_F, fresh[:m, m])
+        assert np.array_equal(f_first.information, fresh)
+
+    def test_zeroed_diagonal_does_not_reach_the_shared_matrix(self):
+        data = synthetic_credit_dataset(seed=6, n=150)
+        config = SelectionConfig(method="quadratic", k=3, q_diagonal="zero")
+        select_features(data, config)
+        dd = discretize(data, config.policy)
+        Q = build_redundancy_matrix(dd)
+        entropies = [entropy(dd.feature_codes[:, i]) for i in range(dd.n_features)]
+        assert np.diag(Q).tolist() == entropies
+        assert min(entropies) > 0
+
+    def _count_work(self, monkeypatch):
+        """Lists that record each discretization and each kernel call's pair count."""
+        discretized, pairs = [], []
+        resolve, kernel = ingest.resolve_missing, infotheory._pair_information
+
+        def counted_resolve(data, policy):
+            discretized.append(data.n_samples)
+            return resolve(data, policy)
+
+        def counted_kernel(dense, sizes, rows, cols):
+            pairs.append(rows.size)
+            return kernel(dense, sizes, rows, cols)
+
+        monkeypatch.setattr(ingest, "resolve_missing", counted_resolve)
+        monkeypatch.setattr(infotheory, "_pair_information", counted_kernel)
+        return discretized, pairs
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_one_discretization_and_matrix_per_selection_input(self, monkeypatch, strict):
+        data = synthetic_credit_dataset(seed=7, n=200)
+        folds = 3
+        discretized, pairs = self._count_work(monkeypatch)
+        configs = [SelectionConfig(method=method, k=3) for method in METHODS]
+        evaluate_methods(data, configs, CvProtocol(n_folds=folds, strict=strict))
+        m = data.n_features
+        inputs = folds + 1 if strict else 1
+        assert len(discretized) == inputs
+        assert pairs == [m * (m + 1) // 2] * inputs      # all pairs of [features | target]
+
+    def test_relevance_alone_sends_only_the_target_pairs(self, monkeypatch):
+        data = synthetic_credit_dataset(seed=7, n=200)
+        dd = discretize(data, DiscretizationPolicy())
+        _, pairs = self._count_work(monkeypatch)
+        build_relevance_vector(dd)
+        assert pairs == [data.n_features]
+        assert dd._information is None
 
 
 class TestSerialization:

@@ -509,6 +509,47 @@ class TestDiscretize:
             DiscretizationPolicy(missing_policy="ignore")
 
 
+class TestDiscretizeMemo:
+    def test_same_policy_same_instance_other_policy_another(self):
+        data = synthetic_credit_dataset(seed=5, n=120)
+        policy = DiscretizationPolicy(n_bins=4)
+        dd = discretize(data, policy)
+        assert discretize(data, policy) is dd
+        assert discretize(data, DiscretizationPolicy(n_bins=4)) is dd    # equal policy
+        other = discretize(data, DiscretizationPolicy(n_bins=5))
+        assert other is not dd
+        assert discretize(data, DiscretizationPolicy(n_bins=5)) is other
+        assert discretize(data) is discretize(data, DiscretizationPolicy())
+
+    def test_derived_datasets_start_with_no_memo(self):
+        data = synthetic_credit_dataset(seed=5, n=120)
+        dd = discretize(data, DiscretizationPolicy())
+        same_rows = data.subset(np.arange(data.n_samples))
+        resolved = resolve_missing(data, DiscretizationPolicy())
+        for derived in (same_rows, resolved):
+            assert derived._discretized == {}
+            again = discretize(derived, DiscretizationPolicy())
+            assert again is not dd
+            assert np.array_equal(again.feature_codes, dd.feature_codes)
+
+    def test_failure_is_not_cached(self):
+        cols = [ColumnSpec("b", "binary"), ColumnSpec("y", "binary", "target")]
+        data = dataset_from_rows(cols, [("a", "0"), ("b", "1"), ("c", "0")])
+        for _ in range(2):
+            with pytest.raises(DataError, match="binary"):
+                discretize(data, DiscretizationPolicy())
+        assert data._discretized == {}
+
+    def test_shared_arrays_are_read_only(self):
+        dd = discretize(synthetic_credit_dataset(seed=5, n=120), DiscretizationPolicy())
+        with pytest.raises(ValueError):
+            dd.feature_codes[0, 0] = 1
+        with pytest.raises(ValueError):
+            dd.target[0] = 1 - dd.target[0]
+        with pytest.raises(ValueError):
+            dd.information[0, 0] = 0.0
+
+
 class TestRealGerman:
     def test_load_counts(self, german_dataset):
         assert german_dataset.n_samples == 1000
