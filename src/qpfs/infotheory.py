@@ -161,6 +161,6 @@ def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     m = data.n_features
     if data._information is not None:
         return data._information[:m, m].copy()
-    dense, counts = dense_codes(np.column_stack([data.feature_codes, target]).T)
+    dense, counts = dense_codes(np.vstack([data.feature_codes.T, target]))
     sizes = np.array([column.size for column in counts])
     return _pair_information(dense, sizes, np.arange(m), np.full(m, m))
