@@ -22,6 +22,14 @@ from .errors import DataError, SolverError
 
 KKT_TOL = 1e-6
 
+# Above this many features the dual active set gathers each step's system
+# from one bordered inverse instead of running two matrix products.  This is
+# the measured crossover (BENCH_21.json, "crossover"): on the same problems,
+# gathering wins on 1-8 of 12 per family at m <= 24 and on 11-12 of 12 from
+# m = 32.  The tables' QPs (m <= 20) keep the products, whose round-off their
+# recorded outputs hold.
+GATHER_ABOVE_M = 24
+
 
 @dataclass
 class QpProblem:
@@ -201,6 +209,12 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
     constraints) when a full primal step is not possible.  Raises
     _Degenerate on singular subproblems or when the iteration budget runs
     out, which routes the caller to the projected-gradient fallback.
+
+    With N = [1 | e_active] the normals of the active constraints, each step
+    needs Qinv N and N' Qinv N.  Up to ``GATHER_ABOVE_M`` features they are
+    two matrix products; above it they are rows and columns gathered from
+    S = [1 | I]' Qinv [1 | I], built once.  Both give the same iterates in
+    exact arithmetic and differ only by round-off.
     """
     m = f.shape[0]
     try:
@@ -218,6 +232,14 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
         raise _Degenerate("equality KKT system is not positive definite")
     nu = (float(ones @ qf) - 1.0) / denom
     x = qf - nu * q1
+    S = None
+    if m > GATHER_ABOVE_M:
+        S = np.empty((m + 1, m + 1))
+        S[0, 0] = denom
+        S[0, 1:] = ones @ Qinv
+        S[1:, 0] = q1
+        S[1:, 1:] = Qinv
+        Qinv = S[1:, 1:]         # one copy of the inverse: peak memory stays flat
 
     # Bound constraints x_i >= 0 currently active, in the order they entered
     # (active[:s]), and their multipliers (lam[:s], kept >= 0); ``is_active``
@@ -242,12 +264,20 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
             if iterations > max_iter:
                 raise _Degenerate(f"iteration budget {max_iter} exhausted")
 
-            # Normals of active constraints: equality first, then bounds.
-            N = np.zeros((m, 1 + s))
-            N[:, 0] = 1.0
-            N[active[:s], bound_columns[:s]] = 1.0
-            QiN = Qinv @ N
-            B = N.T @ QiN
+            if S is None:
+                # Normals of active constraints: equality first, then bounds.
+                N = np.zeros((m, 1 + s))
+                N[:, 0] = 1.0
+                N[active[:s], bound_columns[:s]] = 1.0
+                QiN = Qinv @ N
+                B = N.T @ QiN
+            else:
+                # The same two arrays, gathered: c picks [1 | e_active] out of [1 | I].
+                c = np.zeros(1 + s, dtype=np.intp)
+                c[1:] = active[:s] + 1
+                Sc = S[:, c]
+                QiN = Sc[1:]
+                B = Sc[c]
             rhs = QiN[p, :]                  # = N' Qinv e_p
             try:
                 r = np.linalg.solve(B, rhs)

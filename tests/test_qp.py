@@ -14,6 +14,7 @@ from qpfs.qp import (FeatureWeights, QpProblem, assemble, estimate_alpha,
                      kkt_residual, project_simplex, rank, ranking_of, solve)
 
 from conftest import grid_search_simplex, random_discretized
+import oracles
 from oracles import OracleDegenerate, oracle_active_set
 
 
@@ -334,6 +335,37 @@ class TestActiveSetMatchesOracle:
         branches = collections.Counter()
         assert solve_both(Q, f, 100 * 120, branches) is None
         assert branches["add"] >= 10
+
+    def test_oracle_gathers_above_the_package_size(self):
+        assert oracles.GATHER_ABOVE_M == qp.GATHER_ABOVE_M
+
+    def test_gathered_side_takes_every_step_branch(self):
+        # Mixed scales are what reach the dual drop (see mixed_scale_problem).
+        families = dict(PROBLEM_FAMILIES, mixed_scale=mixed_scale_problem)
+        branches = collections.Counter()
+        for family in sorted(families):
+            rng = np.random.default_rng(40 + sorted(families).index(family))
+            family_branches = collections.Counter()
+            for _ in range(6):
+                m = int(rng.integers(qp.GATHER_ABOVE_M + 1, 161))
+                Q, f = families[family](rng, m)
+                solve_both(Q, f, 100 * m, family_branches)
+            assert family_branches["add"] > 0, family
+            branches += family_branches
+        for branch in ("add", "primal_drop", "dual_drop"):
+            assert branches[branch] > 0, (branch, branches)
+
+    def test_both_sides_take_the_same_steps(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for family in sorted(PROBLEM_FAMILIES):
+            for m in (20, 48, 120):
+                Q, f = PROBLEM_FAMILIES[family](rng, m)
+                monkeypatch.setattr(qp, "GATHER_ABOVE_M", m)
+                x_products, it_products = qp._solve_active_set(Q, f, 100 * m)
+                monkeypatch.setattr(qp, "GATHER_ABOVE_M", m - 1)
+                x_gathered, it_gathered = qp._solve_active_set(Q, f, 100 * m)
+                assert it_gathered == it_products, (family, m)
+                assert np.abs(x_gathered - x_products).max() <= 1e-7, (family, m)
 
     def test_every_branch_is_taken(self):
         rng = np.random.default_rng(11)
