@@ -6,10 +6,12 @@ f_eff = alpha * F, estimates the balancing parameter alpha from the data,
 solves, and ranks features by solution weight.
 
 ``solve`` follows one rule.  An all-zero Q_eff is a linear program, solved
-at a vertex.  Otherwise the dual active-set method runs, and the fallback,
-accelerated projected gradient that stops on its KKT certificate, runs only
-when the active set reports degeneracy or its iterate misses the KKT
-tolerance; the iterate with the lower residual is kept.
+at a vertex.  Otherwise two solvers are ordered by size: up to
+``ACTIVE_SET_MAX_M`` features the dual active-set method runs first, above
+it accelerated projected gradient (FISTA) that stops on its KKT
+certificate.  The other one is the fallback and runs only when the first
+reports degeneracy or its iterate misses the KKT tolerance; the iterate
+with the lower residual is kept.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from .errors import DataError, SolverError
 
 KKT_TOL = 1e-6
 
-# Above this many features the dual active set gathers each step's system
-# from one bordered inverse instead of running two matrix products.  This is
-# the measured crossover (BENCH_21.json, "crossover"): on the same problems,
-# gathering wins on 1-8 of 12 per family at m <= 24 and on 11-12 of 12 from
-# m = 32.  The tables' QPs (m <= 20) keep the products, whose round-off their
-# recorded outputs hold.
-GATHER_ABOVE_M = 24
+# Up to this many features the dual active set runs first, above it FISTA.
+# This is the measured crossover (BENCH_22.json, "crossover"): on the same
+# problems FISTA is faster on 0-3 of 12 per family up to m = 80, on 5-6 of 12
+# at m = 88 and on 7-12 of 12 from m = 96.  It must not fall below 20: the
+# tables' QPs (m <= 20) keep the active set, whose round-off their recorded
+# outputs hold.
+ACTIVE_SET_MAX_M = 88
 
 
 @dataclass
@@ -65,7 +67,10 @@ class FeatureWeights:
 
     @property
     def fallback_used(self) -> bool:
-        return self.solver == "projected-gradient"
+        """Whether the second solver for this size supplied the iterate."""
+        if self.x.shape[0] <= ACTIVE_SET_MAX_M:
+            return self.solver == "projected-gradient"
+        return self.solver == "active-set"
 
 
 def estimate_alpha(Q, F) -> float:
@@ -139,15 +144,20 @@ def assemble(Q, F, alpha: float) -> QpProblem:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) = 1} (sort and threshold).
 
-    An empty or non-finite ``v`` has no projection and is a DataError.
+    An empty or non-finite ``v`` has no projection and is a DataError.  A
+    common shift leaves the projection unchanged, so ``v`` is shifted to a
+    maximum of 0; the threshold then lies in [-1, 0), so only entries above
+    -1 are sorted and summed, and no sum of finite input can overflow.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise DataError("cannot project an empty vector onto the simplex")
     _require_finite("v", v)
-    u = np.sort(v)[::-1]
+    with np.errstate(over="ignore"):     # a range past the largest float: -inf, projected to 0
+        v = v - v.max()
+    u = np.sort(v[v > -1.0])[::-1]
     cumulative = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
+    ks = np.arange(1, u.size + 1)
     rho = ks[u - cumulative / ks > 0][-1]
     theta = cumulative[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
@@ -208,13 +218,7 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
     constraints one at a time, taking dual steps (dropping blocking
     constraints) when a full primal step is not possible.  Raises
     _Degenerate on singular subproblems or when the iteration budget runs
-    out, which routes the caller to the projected-gradient fallback.
-
-    With N = [1 | e_active] the normals of the active constraints, each step
-    needs Qinv N and N' Qinv N.  Up to ``GATHER_ABOVE_M`` features they are
-    two matrix products; above it they are rows and columns gathered from
-    S = [1 | I]' Qinv [1 | I], built once.  Both give the same iterates in
-    exact arithmetic and differ only by round-off.
+    out, which routes the caller to the other solver.
     """
     m = f.shape[0]
     try:
@@ -232,14 +236,6 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
         raise _Degenerate("equality KKT system is not positive definite")
     nu = (float(ones @ qf) - 1.0) / denom
     x = qf - nu * q1
-    S = None
-    if m > GATHER_ABOVE_M:
-        S = np.empty((m + 1, m + 1))
-        S[0, 0] = denom
-        S[0, 1:] = ones @ Qinv
-        S[1:, 0] = q1
-        S[1:, 1:] = Qinv
-        Qinv = S[1:, 1:]         # one copy of the inverse: peak memory stays flat
 
     # Bound constraints x_i >= 0 currently active, in the order they entered
     # (active[:s]), and their multipliers (lam[:s], kept >= 0); ``is_active``
@@ -264,20 +260,12 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
             if iterations > max_iter:
                 raise _Degenerate(f"iteration budget {max_iter} exhausted")
 
-            if S is None:
-                # Normals of active constraints: equality first, then bounds.
-                N = np.zeros((m, 1 + s))
-                N[:, 0] = 1.0
-                N[active[:s], bound_columns[:s]] = 1.0
-                QiN = Qinv @ N
-                B = N.T @ QiN
-            else:
-                # The same two arrays, gathered: c picks [1 | e_active] out of [1 | I].
-                c = np.zeros(1 + s, dtype=np.intp)
-                c[1:] = active[:s] + 1
-                Sc = S[:, c]
-                QiN = Sc[1:]
-                B = Sc[c]
+            # Normals of active constraints: equality first, then bounds.
+            N = np.zeros((m, 1 + s))
+            N[:, 0] = 1.0
+            N[active[:s], bound_columns[:s]] = 1.0
+            QiN = Qinv @ N
+            B = N.T @ QiN
             rhs = QiN[p, :]                  # = N' Qinv e_p
             try:
                 r = np.linalg.solve(B, rhs)
@@ -353,15 +341,18 @@ def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, max_iter: int):
 def solve(problem: QpProblem) -> FeatureWeights:
     """Minimize over the simplex and certify the result with a KKT residual.
 
-    An all-zero Q_eff goes to the vertex solution.  Otherwise the dual
-    active-set method runs; the accelerated projected-gradient fallback runs
-    only when it raises ``_Degenerate`` or its polished iterate misses
-    ``KKT_TOL``, and the iterate with the lower residual is kept.  The
-    fallback stops at its first iterate within half of ``KKT_TOL`` or after
-    100,000 steps.  Raises SolverError (with the best iterate and its
-    residual attached) if that residual still misses the tolerance, and
-    DataError if Q_eff is not square, f_eff is not a vector of its side, or
-    either has a non-finite entry.
+    An all-zero Q_eff goes to the vertex solution.  Otherwise, up to
+    ``ACTIVE_SET_MAX_M`` features the dual active-set method runs first
+    (budget 100 steps per feature) and accelerated projected gradient is its
+    fallback; above it projected gradient runs first and the active set is
+    the fallback.  The fallback runs only when the first solver raises
+    ``_Degenerate`` or its polished iterate misses ``KKT_TOL``, and the
+    iterate with the lower residual is kept.  Projected gradient stops at
+    its first iterate within half of ``KKT_TOL`` or after 100,000 steps.
+    Raises SolverError (with the best iterate and its residual attached) if
+    the kept residual still misses the tolerance, and DataError if Q_eff is
+    not square, f_eff is not a vector of its side, or either has a
+    non-finite entry.
 
     The problem is normalized by its largest coefficient before solving, so
     the certificate (and the tolerance it is held to) is invariant to a
@@ -385,18 +376,22 @@ def solve(problem: QpProblem) -> FeatureWeights:
         x, iterations, used = _solve_vertex(f), 0, "vertex"
         residual = kkt_residual(Q, f, x)
     else:
-        try:
-            x, iterations = _solve_active_set(Q, f, 100 * m)
-            x = _polish_feasibility(x)
-            residual, used = kkt_residual(Q, f, x), "active-set"
-        except _Degenerate:
-            x, residual = None, float("inf")
-        if residual > KKT_TOL:
-            x_pg, it_pg = _solve_projected_gradient(Q, f, 100_000)
-            x_pg = _polish_feasibility(x_pg)
-            r_pg = kkt_residual(Q, f, x_pg)
-            if x is None or r_pg < residual:
-                x, residual, iterations, used = x_pg, r_pg, it_pg, "projected-gradient"
+        solvers = [("active-set", _solve_active_set, 100 * m),
+                   ("projected-gradient", _solve_projected_gradient, 100_000)]
+        if m > ACTIVE_SET_MAX_M:
+            solvers.reverse()
+        x, residual = None, float("inf")
+        for name, run, budget in solvers:
+            try:
+                x_run, it_run = run(Q, f, budget)
+            except _Degenerate:
+                continue
+            x_run = _polish_feasibility(x_run)
+            r_run = kkt_residual(Q, f, x_run)
+            if x is None or r_run < residual:
+                x, residual, iterations, used = x_run, r_run, it_run, name
+            if residual <= KKT_TOL:
+                break
     if residual > KKT_TOL:
         raise SolverError(
             f"no solver reached KKT tolerance {KKT_TOL:g} (best residual {residual:.3e})",

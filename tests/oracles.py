@@ -10,9 +10,7 @@
 - The IRLS oracles: the ridge log-likelihood and gradient, and the fit that
   recomputes the probabilities before every Newton step.
 - ``oracle_active_set``: the dual active-set QP solver with its active set
-  kept in Python lists, counting the branches it takes.  Above
-  ``GATHER_ABOVE_M`` features it gathers each step's system from one
-  bordered inverse, as ``qpfs.qp`` does above its own constant of that name.
+  kept in Python lists, counting the branches it takes.
 
 They import nothing from ``qpfs`` but its error type.
 """
@@ -24,8 +22,6 @@ import math
 import numpy as np
 
 from qpfs.errors import DataError
-
-GATHER_ABOVE_M = 24      # the size above which oracle_active_set gathers its systems
 
 # ---------------------------------------------------------------------------
 # Per-pair mutual information
@@ -237,13 +233,6 @@ def oracle_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int, branches):
         raise degenerate("equality", "equality KKT system is not positive definite")
     nu = (float(ones @ qf) - 1.0) / denom
     x = qf - nu * q1
-    if m > GATHER_ABOVE_M:
-        # S = [1 | I]' Qinv [1 | I], bordered by the equality constraint's normal.
-        S = np.empty((m + 1, m + 1))
-        S[0, 0] = denom
-        S[0, 1:] = ones @ Qinv
-        S[1:, 0] = q1
-        S[1:, 1:] = Qinv
 
     active: list[int] = []       # bound constraints x_i >= 0 currently active
     lam: list[float] = []        # their multipliers (kept >= 0)
@@ -263,20 +252,14 @@ def oracle_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int, branches):
             if iterations > max_iter:
                 raise degenerate("budget", f"iteration budget {max_iter} exhausted")
 
-            if m > GATHER_ABOVE_M:
-                # Columns of S for the equality and each active bound, in order.
-                c = [0] + [1 + a for a in active]
-                QiN = S[1:, c]
-                B = S[c][:, c]
-            else:
-                # Normals of active constraints: equality first, then bounds.
-                N = np.empty((m, 1 + len(active)))
-                N[:, 0] = ones
-                for col, a in enumerate(active, start=1):
-                    N[:, col] = 0.0
-                    N[a, col] = 1.0
-                QiN = Qinv @ N
-                B = N.T @ QiN
+            # Normals of active constraints: equality first, then bounds.
+            N = np.empty((m, 1 + len(active)))
+            N[:, 0] = ones
+            for col, a in enumerate(active, start=1):
+                N[:, col] = 0.0
+                N[a, col] = 1.0
+            QiN = Qinv @ N
+            B = N.T @ QiN
             rhs = QiN[p, :]                  # = N' Qinv e_p
             try:
                 r = np.linalg.solve(B, rhs)

@@ -14,7 +14,6 @@ from qpfs.qp import (FeatureWeights, QpProblem, assemble, estimate_alpha,
                      kkt_residual, project_simplex, rank, ranking_of, solve)
 
 from conftest import grid_search_simplex, random_discretized
-import oracles
 from oracles import OracleDegenerate, oracle_active_set
 
 
@@ -126,6 +125,19 @@ class TestProjectSimplex:
     def test_unprojectable_input_is_a_data_error(self, v, message):
         with pytest.raises(DataError, match=message):
             project_simplex(np.array(v, dtype=float))
+
+    @pytest.mark.parametrize("v, expected", [
+        ([1e308, 1e308], [0.5, 0.5]),
+        ([1.7e308, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([-1e308, -1e308], [0.5, 0.5]),
+        ([1.7e308, -1.7e308], [1.0, 0.0]),
+    ], ids=["equal-huge", "one-huge", "equal-huge-negative", "range-past-max"])
+    def test_large_finite_input_lands_on_the_simplex(self, v, expected):
+        # A cumulative sum of the unshifted vector overflows on these.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = project_simplex(np.array(v))
+        assert p.tolist() == expected
 
 
 class TestSolve:
@@ -336,37 +348,6 @@ class TestActiveSetMatchesOracle:
         assert solve_both(Q, f, 100 * 120, branches) is None
         assert branches["add"] >= 10
 
-    def test_oracle_gathers_above_the_package_size(self):
-        assert oracles.GATHER_ABOVE_M == qp.GATHER_ABOVE_M
-
-    def test_gathered_side_takes_every_step_branch(self):
-        # Mixed scales are what reach the dual drop (see mixed_scale_problem).
-        families = dict(PROBLEM_FAMILIES, mixed_scale=mixed_scale_problem)
-        branches = collections.Counter()
-        for family in sorted(families):
-            rng = np.random.default_rng(40 + sorted(families).index(family))
-            family_branches = collections.Counter()
-            for _ in range(6):
-                m = int(rng.integers(qp.GATHER_ABOVE_M + 1, 161))
-                Q, f = families[family](rng, m)
-                solve_both(Q, f, 100 * m, family_branches)
-            assert family_branches["add"] > 0, family
-            branches += family_branches
-        for branch in ("add", "primal_drop", "dual_drop"):
-            assert branches[branch] > 0, (branch, branches)
-
-    def test_both_sides_take_the_same_steps(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        for family in sorted(PROBLEM_FAMILIES):
-            for m in (20, 48, 120):
-                Q, f = PROBLEM_FAMILIES[family](rng, m)
-                monkeypatch.setattr(qp, "GATHER_ABOVE_M", m)
-                x_products, it_products = qp._solve_active_set(Q, f, 100 * m)
-                monkeypatch.setattr(qp, "GATHER_ABOVE_M", m - 1)
-                x_gathered, it_gathered = qp._solve_active_set(Q, f, 100 * m)
-                assert it_gathered == it_products, (family, m)
-                assert np.abs(x_gathered - x_products).max() <= 1e-7, (family, m)
-
     def test_every_branch_is_taken(self):
         rng = np.random.default_rng(11)
         branches = collections.Counter()
@@ -405,8 +386,45 @@ DEGENERATE_FAMILIES = {
 }
 
 
+class TestSolverOrder:
+    """Up to ACTIVE_SET_MAX_M features the active set runs first, above it FISTA."""
+
+    @pytest.mark.parametrize("family", sorted(PROBLEM_FAMILIES))
+    def test_projected_gradient_certifies_above_the_size(self, family):
+        rng = np.random.default_rng(60 + sorted(PROBLEM_FAMILIES).index(family))
+        for m in (qp.ACTIVE_SET_MAX_M + 1, 2 * qp.ACTIVE_SET_MAX_M):
+            Q, f = normalized(QpProblem(*PROBLEM_FAMILIES[family](rng, m), alpha=0.5))
+            w = solve(QpProblem(Q, f, alpha=0.5))
+            assert w.solver == "projected-gradient" and not w.fallback_used, (m, w)
+            assert w.kkt_residual <= qp.KKT_TOL, (m, w.kkt_residual)
+            # Past the support the active set's weights are round-off, so the
+            # top-k is compared only where it lies inside that support.
+            x, _ = qp._solve_active_set(Q, f, 100 * m)
+            k = min(10, int(np.sum(x > qp.KKT_TOL)))
+            assert rank(w, k) == ranking_of(x)[:k].tolist(), (m, k)
+
+    def test_the_active_set_runs_first_at_the_size(self):
+        Q, f = latent_factor_problem(np.random.default_rng(61), qp.ACTIVE_SET_MAX_M)
+        w = solve(QpProblem(Q, f, alpha=0.5))
+        assert w.solver == "active-set" and not w.fallback_used
+
+    def test_uncertified_projected_gradient_routes_to_the_active_set(self, monkeypatch):
+        m = qp.ACTIVE_SET_MAX_M + 1
+        Q, f = latent_factor_problem(np.random.default_rng(62), m)
+        x, iterations = qp._solve_active_set(Q, f, 100 * m)
+        monkeypatch.setattr(qp, "_solve_projected_gradient",
+                            lambda Q, f, max_iter: (np.full(m, 1.0 / m), max_iter))
+        w = solve(QpProblem(Q, f, alpha=0.5))
+        assert w.solver == "active-set" and w.fallback_used
+        assert w.x.tobytes() == qp._polish_feasibility(x).tobytes()
+        assert w.iterations == iterations and w.kkt_residual <= qp.KKT_TOL
+
+
 class TestFallback:
-    """Singular Q: the active set reports degeneracy and the fallback solves."""
+    """Singular Q: the active set reports degeneracy and the fallback solves.
+
+    Every size here is at most ``ACTIVE_SET_MAX_M``, where FISTA is the fallback.
+    """
 
     @pytest.mark.parametrize("family", sorted(DEGENERATE_FAMILIES))
     def test_degenerate_families_certify_through_the_fallback(self, monkeypatch, family):
