@@ -32,7 +32,7 @@ from .ingest import DiscretizedDataset, dense_codes
 def _entropy(counts: np.ndarray, n: int) -> float:
     """H in bits from the counts of a column's observed codes, which sum to n."""
     p = counts / n
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))     # +0.0, not -0.0, for a single code
 
 
 # Cells per transient array of the pair kernel (see ``information_matrix``).

@@ -6,12 +6,12 @@ f_eff = alpha * F, estimates the balancing parameter alpha from the data,
 solves, and ranks features by solution weight.
 
 ``solve`` follows one rule.  An all-zero Q_eff is a linear program, solved
-at a vertex.  Otherwise two solvers are ordered by size: up to
-``ACTIVE_SET_MAX_M`` features the dual active-set method runs first, above
-it accelerated projected gradient (FISTA) that stops on its KKT
-certificate.  The other one is the fallback and runs only when the first
-reports degeneracy or its iterate misses the KKT tolerance; the iterate
-with the lower residual is kept.
+at a vertex.  Above ``ACTIVE_SET_MAX_M`` features, accelerated projected
+gradient (FISTA) runs alone and stops on its KKT certificate.  At or below
+that size the dual active-set method runs first and FISTA is its one
+fallback: it runs only when the active set reports degeneracy or its
+iterate misses the KKT tolerance, and the iterate with the lower residual
+is kept.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from .errors import DataError, SolverError
 
 KKT_TOL = 1e-6
 
-# Up to this many features the dual active set runs first, above it FISTA.
-# This is the measured crossover (BENCH_22.json, "crossover"): on the same
-# problems FISTA is faster on 0-3 of 12 per family up to m = 80, on 5-6 of 12
-# at m = 88 and on 7-12 of 12 from m = 96.  It must not fall below 20: the
-# tables' QPs (m <= 20) keep the active set, whose round-off their recorded
-# outputs hold.
+# The size that splits the solve rule of the module docstring.  It is the
+# measured crossover (BENCH_22.json, "crossover"): on the same problems FISTA
+# is faster on 0-3 of 12 per family up to m = 80, on 5-6 of 12 at m = 88 and
+# on 7-12 of 12 from m = 96.  It must not fall below 20: the tables' QPs
+# (m <= 20) keep the active set, whose round-off their recorded outputs hold.
 ACTIVE_SET_MAX_M = 88
 
 
@@ -67,20 +66,24 @@ class FeatureWeights:
 
     @property
     def fallback_used(self) -> bool:
-        """Whether the second solver for this size supplied the iterate."""
-        if self.x.shape[0] <= ACTIVE_SET_MAX_M:
-            return self.solver == "projected-gradient"
-        return self.solver == "active-set"
+        """Whether FISTA supplied the iterate for a problem the active set was tried on."""
+        return self.solver == "projected-gradient" and self.x.shape[0] <= ACTIVE_SET_MAX_M
 
 
 def estimate_alpha(Q, F) -> float:
     """Balance point mean(Q) / (mean(Q) + mean(F)) over all m^2 entries of Q.
 
-    Raises DataError when both means are zero (no information content);
-    silent defaulting would hide a degenerate pipeline upstream.
+    An all-zero Q with a nonzero F gives 1.0: there is no redundancy to
+    weigh, and the balance point 0 would zero the relevance term as well.
+    Other terms whose means sum to zero raise DataError (no information
+    content); silent defaulting would hide a degenerate pipeline upstream.
     """
-    qm = float(np.mean(np.asarray(Q, dtype=float)))
-    fm = float(np.mean(np.asarray(F, dtype=float)))
+    Qv = np.asarray(Q, dtype=float)
+    Fv = np.asarray(F, dtype=float)
+    if not np.any(Qv) and np.any(Fv):
+        return 1.0
+    qm = float(np.mean(Qv))
+    fm = float(np.mean(Fv))
     denom = qm + fm
     if denom == 0.0:
         raise DataError("all-zero redundancy and relevance; alpha is undefined")
@@ -115,7 +118,7 @@ def assemble(Q, F, alpha: float) -> QpProblem:
     Qv = np.asarray(Q, dtype=float)
     Fv = np.asarray(F, dtype=float)
     _require_shapes(Qv, Fv)
-    # Before the alpha check: estimate_alpha of a non-finite Q or F is NaN or 0.
+    # Before the alpha check: estimate_alpha of a non-finite Q or F is NaN, 0 or 1.
     _require_finite("Q", Qv)
     _require_finite("F", Fv)
     if not 0.0 <= alpha <= 1.0:
@@ -341,13 +344,8 @@ def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, max_iter: int):
 def solve(problem: QpProblem) -> FeatureWeights:
     """Minimize over the simplex and certify the result with a KKT residual.
 
-    An all-zero Q_eff goes to the vertex solution.  Otherwise, up to
-    ``ACTIVE_SET_MAX_M`` features the dual active-set method runs first
-    (budget 100 steps per feature) and accelerated projected gradient is its
-    fallback; above it projected gradient runs first and the active set is
-    the fallback.  The fallback runs only when the first solver raises
-    ``_Degenerate`` or its polished iterate misses ``KKT_TOL``, and the
-    iterate with the lower residual is kept.  Projected gradient stops at
+    The solvers run by the rule in the module docstring.  The active set
+    has a budget of 100 steps per feature, and projected gradient stops at
     its first iterate within half of ``KKT_TOL`` or after 100,000 steps.
     Raises SolverError (with the best iterate and its residual attached) if
     the kept residual still misses the tolerance, and DataError if Q_eff is
@@ -376,10 +374,9 @@ def solve(problem: QpProblem) -> FeatureWeights:
         x, iterations, used = _solve_vertex(f), 0, "vertex"
         residual = kkt_residual(Q, f, x)
     else:
-        solvers = [("active-set", _solve_active_set, 100 * m),
-                   ("projected-gradient", _solve_projected_gradient, 100_000)]
-        if m > ACTIVE_SET_MAX_M:
-            solvers.reverse()
+        solvers = [("projected-gradient", _solve_projected_gradient, 100_000)]
+        if m <= ACTIVE_SET_MAX_M:
+            solvers.insert(0, ("active-set", _solve_active_set, 100 * m))
         x, residual = None, float("inf")
         for name, run, budget in solvers:
             try:

@@ -67,7 +67,7 @@ def entropy(codes) -> float:
     if a.size == 0:
         raise DataError("empty code vector")
     p = np.unique(a, return_counts=True)[1] / a.size
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 def pairwise_oracle(codes) -> np.ndarray:

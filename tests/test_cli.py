@@ -165,12 +165,13 @@ class TestInspect:
         assert f_lines == ["f0\t1", "f1\t0"]
 
     def test_toy_zero_diagonal_default_alpha(self, capsys, toy_files):
-        # under the default zero diagonal the toy has Qbar = 0, so alpha = 0
+        # under the default zero diagonal the toy has Q = 0 and F != 0, so
+        # alpha = 1: relevance alone (the balance point 0 would zero F too)
         data, schema = toy_files
         code, out, _ = run(capsys, "inspect", "--data", str(data), "--schema", str(schema),
                            "--delimiter", "whitespace")
         assert code == EXIT_OK
-        assert "alpha = 0.000000" in out
+        assert "alpha = 1.000000" in out
 
     def test_zero_diagonal_dump(self, toy_files, tmp_path, capsys):
         data, schema = toy_files
@@ -202,7 +203,7 @@ class TestInspect:
                        "relieff_iterations = 5\nseed = 4\n")
         code, out, err = run(capsys, "inspect", "--config", str(cfg))
         assert code == EXIT_OK, err
-        assert "alpha = 0.000000" in out
+        assert "alpha = 1.000000" in out
 
 
 class TestEvaluateCommand:

@@ -90,6 +90,11 @@ class TestEntropy:
     def test_constant(self):
         assert entropy_of([0, 0, 0, 0]) == 0.0
 
+    def test_constant_is_positive_zero(self):
+        # -0.0 == 0.0, so the sign bit is checked: a -0.0 printed as "-0" on Q's diagonal
+        assert not np.signbit(entropy_of([0, 0, 0, 0]))
+        assert not np.signbit(entropy([0, 0, 0, 0]))
+
     def test_uniform_binary(self):
         assert entropy_of([0, 1]) == pytest.approx(1.0, abs=1e-15)
 

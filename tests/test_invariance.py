@@ -1,15 +1,19 @@
 """Selections follow from the data, not from how the data is written down.
 
-Each selector but quadratic runs on ``write_uci_like_files`` data and on
-three rewrites of it that the math cannot see:
+Each selector runs on ``write_uci_like_files`` data and on four rewrites
+of it that the math cannot see:
 
 - every categorical and binary feature relabeled: its labels get new
   strings whose sorted order is a random permutation of the old one;
 - every continuous feature mapped by 3x + 7;
+- every continuous feature mapped by x^3, strictly increasing but not affine;
 - the feature columns permuted, with the selection mapped back.
 
-The selected set must not move.  Quadratic is left out while its ranking
-past the QP support orders round-off-level weights.
+The selected set must not move.  The first three rewrites leave the
+discretization byte-identical, which each of their cases checks first; so
+every selector, quadratic included, sees the same codes.  Quadratic is left
+out of the permutation while its ranking past the QP support orders
+round-off-level weights, which a reordered Q can move.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ import pytest
 
 from qpfs.cli import packaged_schema_text
 from qpfs.fetch import SOURCES
-from qpfs.ingest import load_csv, parse_schema_text
+from qpfs.ingest import discretize, load_csv, parse_schema_text
 from qpfs.pipeline import SelectionConfig, select_features
 
 from conftest import write_uci_like_files
 
-METHODS = ("mrmr", "maxrel", "infogain", "relieff", "cfs")
+METHODS = ("quadratic", "mrmr", "maxrel", "infogain", "relieff", "cfs")
 SEEDS = (1, 4242)
 TABLES = ("german", "australian")
 
@@ -42,15 +46,25 @@ def relabeled(rows, specs, rng):
     return rows, specs, None
 
 
-def rescaled(rows, specs, rng):
-    """Rows with every continuous feature x written as 3x + 7."""
+def mapped(rows, specs, increasing):
+    """Rows with every continuous feature x written as ``increasing(x)``."""
     continuous = [j for j, spec in enumerate(specs)
                   if spec.role == "feature" and spec.kind == "continuous"]
     rows = [list(row) for row in rows]
     for row in rows:
         for j in continuous:
-            row[j] = repr(3.0 * float(row[j]) + 7.0)
+            row[j] = repr(increasing(float(row[j])))
     return rows, specs, None
+
+
+def rescaled(rows, specs, rng):
+    """Rows with every continuous feature x written as 3x + 7."""
+    return mapped(rows, specs, lambda x: 3.0 * x + 7.0)
+
+
+def cubed(rows, specs, rng):
+    """Rows with every continuous feature x written as x^3."""
+    return mapped(rows, specs, lambda x: x ** 3)
 
 
 def permuted(rows, specs, rng):
@@ -65,13 +79,17 @@ def permuted(rows, specs, rng):
     return [[row[j] for j in order] for row in rows], [specs[j] for j in order], back
 
 
-TRANSFORMS = {"relabel": relabeled, "rescale": rescaled, "permute": permuted}
+TRANSFORMS = {"relabel": relabeled, "rescale": rescaled, "cube": cubed, "permute": permuted}
+# The rewrites under which ``discretize`` must give the same bytes.
+SAME_CODES = ("relabel", "rescale", "cube")
+CASES = [(method, transform) for transform in TRANSFORMS for method in METHODS
+         if transform in SAME_CODES or method != "quadratic"]
 
 
 @pytest.fixture(scope="module")
-def selection(tmp_path_factory):
-    """``selection(seed, table, transform, method)``: the selected set in the
-    original feature indices, each input loaded once."""
+def inputs(tmp_path_factory):
+    """``inputs(seed, table, transform)``: the loaded table and, for a
+    permutation, each new feature's original index; each input loaded once."""
     root = tmp_path_factory.mktemp("invariance")
     datasets = {}
 
@@ -92,19 +110,28 @@ def selection(tmp_path_factory):
             datasets[key] = load_csv(path, specs, delimiter=None, name=table), back
         return datasets[key]
 
-    def select(seed, table, transform, method):
-        data, back = dataset(seed, table, transform)
-        config = SelectionConfig(method=method, k=SOURCES[table].k_published)
-        selected = select_features(data, config).result.selected
-        return {back[i] if back else i for i in selected}
-
-    return select
+    return dataset
 
 
-@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
-@pytest.mark.parametrize("method", METHODS)
+def selection(inputs, seed, table, transform, method):
+    """The selected set, in the original feature indices."""
+    data, back = inputs(seed, table, transform)
+    config = SelectionConfig(method=method, k=SOURCES[table].k_published)
+    selected = select_features(data, config).result.selected
+    return {back[i] if back else i for i in selected}
+
+
+def codes(inputs, seed, table, transform):
+    """The bytes of the discretization that every selector reads."""
+    dd = discretize(inputs(seed, table, transform)[0], SelectionConfig().policy)
+    return dd.feature_codes.tobytes(), dd.target.tobytes()
+
+
+@pytest.mark.parametrize("method, transform", CASES)
 @pytest.mark.parametrize("table", TABLES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_selection_is_invariant(selection, seed, table, method, transform):
-    assert (selection(seed, table, transform, method)
-            == selection(seed, table, None, method))
+def test_selection_is_invariant(inputs, seed, table, method, transform):
+    if transform in SAME_CODES:
+        assert codes(inputs, seed, table, transform) == codes(inputs, seed, table, None)
+    assert (selection(inputs, seed, table, transform, method)
+            == selection(inputs, seed, table, None, method))

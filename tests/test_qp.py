@@ -10,10 +10,12 @@ from qpfs import qp
 from qpfs.errors import DataError, SolverError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
 from qpfs.cli import weights_text
+from qpfs.ingest import parse_schema_text
+from qpfs.pipeline import SelectionConfig, select_features
 from qpfs.qp import (FeatureWeights, QpProblem, assemble, estimate_alpha,
                      kkt_residual, project_simplex, rank, ranking_of, solve)
 
-from conftest import grid_search_simplex, random_discretized
+from conftest import dataset_from_rows, grid_search_simplex, random_discretized
 from oracles import OracleDegenerate, oracle_active_set
 
 
@@ -34,6 +36,22 @@ class TestEstimateAlpha:
     def test_all_zero_is_explicit_error(self):
         with pytest.raises(DataError):
             estimate_alpha(np.zeros((2, 2)), np.zeros(2))
+
+    def test_zero_redundancy_weighs_relevance_alone(self):
+        Q, F = np.zeros((6, 6)), np.array([0.1, 0.3, 0.2, 0.05, 0.4, 0.0])
+        assert estimate_alpha(Q, F) == 1.0
+        assert rank(solve(assemble(Q, F, estimate_alpha(Q, F))), 1) == [4]
+
+    def test_zero_redundancy_selects_by_relevance(self):
+        # a and b are independent, so Q (zero diagonal) is all zero; y copies
+        # b, so F = (0, 1 bit).  The balance point 0 would select a first.
+        columns = parse_schema_text("a categorical feature\nb categorical feature\n"
+                                    "y binary target positive=1\n")
+        rows = [(a, b, "1" if b == "q" else "0") for a, b in zip("xxzzxxzz", "pqpqpqpq")]
+        out = select_features(dataset_from_rows(columns, rows),
+                              SelectionConfig(method="quadratic", k=2))
+        assert out.problem.alpha == 1.0
+        assert out.result.selected == [1, 0]
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -387,7 +405,7 @@ DEGENERATE_FAMILIES = {
 
 
 class TestSolverOrder:
-    """Up to ACTIVE_SET_MAX_M features the active set runs first, above it FISTA."""
+    """Up to ACTIVE_SET_MAX_M features the active set runs first, above it FISTA alone."""
 
     @pytest.mark.parametrize("family", sorted(PROBLEM_FAMILIES))
     def test_projected_gradient_certifies_above_the_size(self, family):
@@ -408,16 +426,25 @@ class TestSolverOrder:
         w = solve(QpProblem(Q, f, alpha=0.5))
         assert w.solver == "active-set" and not w.fallback_used
 
-    def test_uncertified_projected_gradient_routes_to_the_active_set(self, monkeypatch):
+    def test_above_the_size_the_active_set_never_runs(self, monkeypatch):
         m = qp.ACTIVE_SET_MAX_M + 1
         Q, f = latent_factor_problem(np.random.default_rng(62), m)
-        x, iterations = qp._solve_active_set(Q, f, 100 * m)
-        monkeypatch.setattr(qp, "_solve_projected_gradient",
-                            lambda Q, f, max_iter: (np.full(m, 1.0 / m), max_iter))
+
+        def refuse(Q, f, max_iter):
+            raise AssertionError("solve ran the active set above ACTIVE_SET_MAX_M")
+        monkeypatch.setattr(qp, "_solve_active_set", refuse)
         w = solve(QpProblem(Q, f, alpha=0.5))
-        assert w.solver == "active-set" and w.fallback_used
-        assert w.x.tobytes() == qp._polish_feasibility(x).tobytes()
-        assert w.iterations == iterations and w.kkt_residual <= qp.KKT_TOL
+        assert w.solver == "projected-gradient" and not w.fallback_used
+        # An uncertified FISTA iterate is final: polished, it rides on the error.
+        missed = np.full(m, 2.0 / m)
+        missed[0] = -1e-3
+        monkeypatch.setattr(qp, "_solve_projected_gradient",
+                            lambda Q, f, max_iter: (missed, max_iter))
+        polished = qp._polish_feasibility(missed)
+        with pytest.raises(SolverError) as exc:
+            solve(QpProblem(Q, f, alpha=0.5))
+        assert exc.value.best_x.tobytes() == polished.tobytes()
+        assert exc.value.residual == kkt_residual(Q, f, polished) > qp.KKT_TOL
 
 
 class TestFallback:
