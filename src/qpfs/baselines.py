@@ -52,7 +52,7 @@ def mrmr_greedy(Q, F, k: int) -> SelectionResult:
     trace = [float(Fv[selected[0]])]
     remaining = [j for j in range(m) if j != selected[0]]
     while len(selected) < k:
-        crit = np.array([Fv[j] - Qv[j, selected].mean() for j in remaining])
+        crit = Fv[remaining] - Qv[np.ix_(remaining, selected)].mean(axis=1)
         best = int(np.argmax(crit))          # first max: lowest index wins ties
         trace.append(float(crit[best]))
         selected.append(remaining.pop(best))
@@ -172,19 +172,18 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
 # CFS
 # ---------------------------------------------------------------------------
 
-def cfs_merit(subset, su_target: np.ndarray, su_pairs: np.ndarray) -> float:
-    """k * mean(feature-class SU) / sqrt(k + k(k-1) * mean(feature-feature SU))."""
-    k = len(subset)
-    if k == 0:
-        return float("-inf")
-    idx = np.asarray(subset)
-    r_cf = su_target[idx].mean()
+def _subset_merits(subsets: np.ndarray, su_target: np.ndarray,
+                   su_pairs: np.ndarray) -> np.ndarray:
+    """CFS merit of each row of a (B, k) array of subsets, k >= 1:
+    k * mean(feature-class SU) / sqrt(k + k(k-1) * mean(feature-feature SU))."""
+    k = subsets.shape[1]
+    r_cf = su_target[subsets].mean(axis=1)
     if k == 1:
         r_ff = 0.0
     else:
-        sub = su_pairs[np.ix_(idx, idx)]
-        r_ff = (sub.sum() - np.trace(sub)) / (k * (k - 1))
-    return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
+        block = su_pairs[subsets[:, :, None], subsets[:, None, :]]
+        r_ff = (block.sum(axis=(1, 2)) - np.trace(block, axis1=1, axis2=2)) / (k * (k - 1))
+    return k * r_cf / np.sqrt(k + k * (k - 1) * r_ff)
 
 
 # Consecutive non-improving expansions after which cfs's best-first search stops.
@@ -207,18 +206,29 @@ def cfs(data: DiscretizedDataset) -> SelectionResult:
     h = np.diag(info)
     denom = h[:, None] + h[None, :]
     su = np.divide(2.0 * info, denom, out=np.zeros_like(info), where=denom != 0.0)
-    np.fill_diagonal(su, 0.0)        # cfs_merit takes the sum minus the trace
+    np.fill_diagonal(su, 0.0)        # _subset_merits takes the sum minus the trace
     su_target, su_pairs = su[:m, m], su[:m, :m]
 
     # Best-first over subsets; heap keys are (-merit, insertion counter).
-    # The search frontier starts at the empty set's children (all singletons).
+    # An expansion scores all its unvisited children in one array operation,
+    # then pushes them in ascending order of the added feature.
     counter = 0
     heap: list[tuple[float, int, tuple[int, ...]]] = []
     visited = {frozenset()}
-    for j in range(m):
-        counter += 1
-        visited.add(frozenset((j,)))
-        heapq.heappush(heap, (-cfs_merit((j,), su_target, su_pairs), counter, (j,)))
+
+    def expand(subset: tuple[int, ...]) -> None:
+        nonlocal counter
+        children = [subset + (j,) for j in range(m)
+                    if j not in subset and frozenset(subset + (j,)) not in visited]
+        if not children:
+            return
+        visited.update(map(frozenset, children))
+        merits = _subset_merits(np.array(children), su_target, su_pairs)
+        for child, merit in zip(children, merits.tolist()):
+            counter += 1
+            heapq.heappush(heap, (-merit, counter, child))
+
+    expand(())                       # the frontier starts at all singletons
     best_merit = float("-inf")
     best_subset: tuple[int, ...] = ()
     stalled = 0
@@ -234,16 +244,7 @@ def cfs(data: DiscretizedDataset) -> SelectionResult:
             stalled += 1
             if stalled >= CFS_STALL_LIMIT:
                 break
-        for j in range(m):
-            if j in subset:
-                continue
-            child = subset + (j,)
-            key = frozenset(child)
-            if key in visited:
-                continue
-            visited.add(key)
-            counter += 1
-            heapq.heappush(heap, (-cfs_merit(child, su_target, su_pairs), counter, child))
+        expand(subset)
 
     selected = [int(j) for j in best_subset]
     return SelectionResult(method="cfs", selected=selected, scores=np.array([best_merit]))

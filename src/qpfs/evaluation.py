@@ -84,7 +84,8 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     # exp(-|eta|) never overflows and is exp(-eta) or exp(eta) exactly, so one
     # exp serves both branches.
     e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(eta >= 0, 1.0 / denominator, e / denominator)
 
 
 def _with_intercept(features: np.ndarray) -> np.ndarray:
@@ -93,15 +94,16 @@ def _with_intercept(features: np.ndarray) -> np.ndarray:
 
 
 def _loglik_and_grad(design: np.ndarray, labels: np.ndarray, beta: np.ndarray,
-                     ridge: float, penalty_mask: np.ndarray
+                     ridge: float, penalty_mask: np.ndarray, ridge_mask: np.ndarray
                      ) -> tuple[float, np.ndarray, np.ndarray]:
     """Ridge-penalized log-likelihood of a ``_with_intercept`` design, its
-    gradient and the probabilities; ``penalty_mask`` exempts the intercept."""
+    gradient and the probabilities; ``penalty_mask`` exempts the intercept,
+    and ``ridge_mask`` is ``ridge * penalty_mask``."""
     eta = design @ beta
     ll = float(labels @ eta - np.logaddexp(0.0, eta).sum())
     ll -= 0.5 * ridge * float((penalty_mask * beta) @ beta)
     p = _sigmoid(eta)
-    grad = design.T @ (labels - p) - ridge * penalty_mask * beta
+    grad = design.T @ (labels - p) - ridge_mask * beta
     return ll, grad, p
 
 
@@ -133,14 +135,16 @@ def train_logistic(features: np.ndarray, labels: np.ndarray,
     penalty = np.ones(d1)
     penalty[0] = 0.0                # the intercept is not penalized
     Xd = _with_intercept(X)
+    ridge_mask = ridge * penalty
+    ridge_diag = ridge * np.diag(penalty)
 
-    ll, grad, p = _loglik_and_grad(Xd, y, beta, ridge, penalty)
+    ll, grad, p = _loglik_and_grad(Xd, y, beta, ridge, penalty, ridge_mask)
     for _ in range(IRLS_MAX_ITER):
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad @ grad)     # np.linalg.norm's formula for a vector
         if gnorm <= IRLS_GRAD_TOL:
             return beta
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        hess = Xd.T @ (w[:, None] * Xd) + ridge * np.diag(penalty)
+        w = np.maximum(p * (1.0 - p), 1e-12)
+        hess = Xd.T @ (w[:, None] * Xd) + ridge_diag
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -148,18 +152,19 @@ def train_logistic(features: np.ndarray, labels: np.ndarray,
         t = 1.0
         for _ in range(60):
             candidate = beta + t * step
-            new_ll, new_grad, new_p = _loglik_and_grad(Xd, y, candidate, ridge, penalty)
+            new_ll, new_grad, new_p = _loglik_and_grad(Xd, y, candidate, ridge, penalty,
+                                                       ridge_mask)
             # Accept a likelihood gain, or a loss below 1e-9 relative that
             # halves the gradient: near the optimum the gain underflows
             # float64 while Newton still contracts the gradient quadratically.
             if new_ll > ll or (new_ll >= ll - 1e-9 * (1.0 + abs(ll))
-                               and np.linalg.norm(new_grad) < 0.5 * gnorm):
+                               and math.sqrt(new_grad @ new_grad) < 0.5 * gnorm):
                 beta, ll, grad, p = candidate, new_ll, new_grad, new_p
                 break
             t *= 0.5
         else:
             break                        # at numerical precision; check below
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = math.sqrt(grad @ grad)
     if gnorm <= IRLS_GRAD_TOL:
         return beta
     raise NumericalError(

@@ -9,16 +9,13 @@ Information Gain scores) as the pairs (feature, class).  A
 ``DiscretizedDataset`` keeps the matrix of its [features | target] once
 built (``DiscretizedDataset.information``), and Q and F are copied out of it.
 
-The kernel counts the pairs' tables with blocked ``np.bincount`` calls and
-runs the numpy operations of the per-pair reference estimator in
+The kernel counts every pair's table exactly, with a matrix product of
+one-hot tiles where that costs few multiply-adds per table and with
+``np.bincount`` of n-long keys elsewhere (many codes per column), then runs
+the numpy operations of the per-pair reference estimator in
 ``tests/oracles.py`` (``mutual_information(contingency(a, b))``) on stacks
-of tables, so each value equals the per-pair estimate bit for bit.  Two
-groupings make that hold: pairs are stacked by table shape (r, c), so a
-stack's marginal sums add each table's cells in the order its own 2-D sums
-would; and the nonzero-cell terms are summed in groups of equal count L, so
-each row of a (B, L) sum is the pairwise summation ``np.sum`` gives one
-pair's 1-D terms.
-Its transient memory is bounded by ``PAIR_BLOCK_CELLS`` cells per array.
+of tables of one shape, so each value equals the per-pair estimate bit for
+bit (``information_matrix`` says why and bounds its memory).
 """
 
 from __future__ import annotations
@@ -29,17 +26,38 @@ from .errors import DataError
 from .ingest import DiscretizedDataset, dense_codes
 
 
-def _entropy(counts: np.ndarray, n: int) -> float:
-    """H in bits from the counts of a column's observed codes, which sum to n."""
-    p = counts / n
-    return float(0.0 - np.sum(p * np.log2(p)))     # +0.0, not -0.0, for a single code
-
-
-# Cells per transient array of the pair kernel (see ``information_matrix``).
-# Held across all 44,850 pairs of an n = 600, m = 300 build, the MI terms
-# alone would take about 36 MB; blocks of 2**16 cells (512 KB) were the
-# fastest of 2**14 to 2**18 on that build.
-PAIR_BLOCK_CELLS = 1 << 16
+# Cells per float64 array of the pair kernel's float part and per block of
+# bincount keys: a stack of tables is cut into blocks of at most this many
+# cells, and buffered terms are summed once they reach it.
+PAIR_BLOCK_CELLS = 1 << 15
+# One-hot columns per tile (a column with more codes is a tile of its own)
+# and rows per one-hot block.  On the m = 300, n = 600 `wide` build (one
+# 2-core host, BLAS on one thread) 384 columns and 2**15 cells ran faster
+# than tiles of 128, 256 or 512 columns and blocks of 2**14, 2**16 or 2**17
+# cells; 2**15 and 2**16 cells ran within 5% of each other on the recorded
+# builds and on inputs of 16 or 32 codes per column at n = 600 and 4,000.
+HOT_TILE_COLUMNS = 384
+HOT_BLOCK_ROWS = 1024
+# Two tiles' tables come from their one-hot product when it has at most this
+# many cells per table it yields, and from np.bincount otherwise: a product
+# spends about r*c*n multiply-adds per (r, c) table (twice that within one
+# tile, whose product is symmetric), bincount about n steps.  Limits 0, 64
+# to 256 and none were timed (two sweeps, one 2-core host, BLAS on one
+# thread) on the recorded builds of the three benchmark workloads and on
+# synthetic columns of 4 to 32 codes at n = 600 and 4,000.  Products
+# everywhere ran 1.2-1.5x (32 codes, n = 600) to 6-7x (binary columns and
+# one with a code per row, n = 4,000) slower than this limit, bincount
+# everywhere 1.1-1.2x (the `tables` builds) to 4x (4 codes, n = 4,000).
+# 224 was the fastest limit on `wide`'s builds, where a 10-code tile with
+# itself (205 cells per table) takes a product, and stays below the 256
+# cells per table of two 16-code tiles, where bincount ran 1.3x faster at
+# n = 4,000.  As it is below HOT_TILE_COLUMNS, a tile of one column with
+# more codes than that never takes a product, so a one-hot block has at
+# most HOT_TILE_COLUMNS x HOT_BLOCK_ROWS cells.
+PRODUCT_CELLS_PER_TABLE = 224
+# float32 holds every integer up to 2**24 exactly, so below this many rows
+# the one-hot products count in float32, and in float64 from there on.
+FLOAT32_MAX_ROWS = 1 << 24
 
 
 def _sum_terms(out: np.ndarray, pending: list) -> None:
@@ -54,17 +72,131 @@ def _sum_terms(out: np.ndarray, pending: list) -> None:
     pending.clear()
 
 
-def _pair_information(dense: np.ndarray, sizes: np.ndarray,
-                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """MI of each pair (dense[rows[k]], dense[cols[k]]), the first as table rows.
+def _stack_information(out: np.ndarray, at: np.ndarray, counts: np.ndarray,
+                       n: int, pending: list) -> None:
+    """MI of each table of the (B, r, c) count stack, written to out[at]: a
+    full table's as the sum of its row of terms, the nonzero-cell terms of
+    one with an empty cell through the term buffer ``pending``.  When r*c > n
+    every table has an empty cell, and only nonzero cells' terms are taken."""
+    counts = np.ascontiguousarray(counts)       # the reference's order of additions
+    tables, r, c = counts.shape
+    step = max(1, PAIR_BLOCK_CELLS // (r * c))
+    for lo in range(0, tables, step):
+        sel = at[lo:lo + step]
+        p = np.divide(counts[lo:lo + step], float(n), dtype=np.float64)   # each table sums to n
+        marginals = p.sum(axis=2, keepdims=True) * p.sum(axis=1, keepdims=True)
+        if r * c > n:
+            mask = p > 0
+            nonzero = p[mask]
+            pending.append((sel, mask.reshape(len(p), r * c).sum(axis=1),
+                            nonzero * np.log2(nonzero / marginals[mask])))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(p, marginals, out=marginals)
+                np.log2(marginals, out=marginals)
+                marginals *= p              # nan in an empty cell
+            terms = marginals.reshape(len(p), r * c)
+            sums = terms.sum(axis=1)
+            out[sel] = sums
+            empty = np.flatnonzero(np.isnan(sums))
+            if empty.size:
+                nonzero = p[empty].reshape(empty.size, r * c) > 0
+                pending.append((sel[empty], nonzero.sum(axis=1), terms[empty][nonzero]))
+        if sum(part[2].size for part in pending) >= PAIR_BLOCK_CELLS:
+            _sum_terms(out, pending)
 
-    ``dense`` holds ``dense_codes`` rows, row i with codes 0..sizes[i]-1.
-    The batched kernel of ``information_matrix``; its docstring says why each
-    value equals the per-pair reference of ``tests/oracles.py`` bit for bit.
+
+def _tiles(columns: np.ndarray, sizes: np.ndarray) -> list:
+    """Cut ``columns`` into consecutive tiles of at most HOT_TILE_COLUMNS
+    codes, or of one column.  A tile is (columns, one-hot offset of each,
+    runs), a run (first, end, codes) being a slice of columns of equal code
+    count."""
+    cuts, width = [], 0
+    for k, size in enumerate(sizes[columns].tolist()):
+        if width and width + size > HOT_TILE_COLUMNS:
+            cuts.append(k)
+            width = 0
+        width += size
+    tiles = []
+    for cols in np.split(columns, cuts) if columns.size else []:
+        codes = sizes[cols]
+        bounds = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), cols.size]
+        runs = [(a, b, int(codes[a])) for a, b in zip(bounds[:-1], bounds[1:])]
+        tiles.append((cols, np.cumsum(codes) - codes, runs))
+    return tiles
+
+
+def _width(tile) -> int:
+    """One-hot columns of a tile: the sum of its columns' code counts."""
+    offsets, runs = tile[1], tile[2]
+    return int(offsets[-1]) + runs[-1][2]
+
+
+def _one_hot(dense: np.ndarray, tile, lo: int, dtype) -> np.ndarray:
+    """(codes, rows) one-hot of a tile's columns over rows lo:lo + HOT_BLOCK_ROWS."""
+    cols, offsets, _ = tile
+    cells = dense[cols, lo:lo + HOT_BLOCK_ROWS] + offsets[:, None]   # one-hot row
+    rows = cells.shape[1]
+    cells *= rows
+    cells += np.arange(rows)            # flat index of each row's one
+    hot = np.zeros(_width(tile) * rows, dtype=dtype)
+    hot[cells.ravel()] = 1.0
+    return hot.reshape(-1, rows)
+
+
+def _tile_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), i < j, of every pair of a column of tile x and one of tile y."""
+    if y is x:
+        i, j = np.triu_indices(x[0].size, k=1)
+        i, j = x[0][i], x[0][j]
+    else:
+        i, j = (part.ravel() for part in np.meshgrid(x[0], y[0], indexing="ij"))
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _tile_counts(dense: np.ndarray, x, y, hot_x: np.ndarray) -> np.ndarray:
+    """(x codes, y codes) counts of every pair of a column of tile x and one
+    of tile y: one-hot products summed over blocks of rows.  ``hot_x`` is
+    x's one-hot over the first block."""
+    counts = None
+    for lo in range(0, dense.shape[1], HOT_BLOCK_ROWS):
+        hot = hot_x if lo == 0 else _one_hot(dense, x, lo, hot_x.dtype)
+        product = hot @ (hot if y is x else _one_hot(dense, y, lo, hot_x.dtype)).T
+        if counts is None:
+            counts = product
+        else:
+            counts += product
+    return counts
+
+
+def _tile_tables(counts: np.ndarray, x, y):
+    """Yield (i, j, (B, r, c) tables) for the pairs i < j of a column of tile
+    x and one of tile y, column i as the rows.
+
+    Each run of one tile meets each run of the other in both roles, x's
+    columns as rows in ``counts`` and y's as rows in ``counts.T`` (once for
+    x is y, whose ``counts`` is symmetric), and keeps the pairs whose row
+    column comes first: every pair once, and no table is transposed.
     """
+    roles = [(x, y, counts)] if y is x else [(x, y, counts), (y, x, counts.T)]
+    for (cols_a, offsets_a, runs_a), (cols_b, offsets_b, runs_b), table in roles:
+        for a0, a1, r in runs_a:
+            for b0, b1, c in runs_b:
+                rows, cols = cols_a[a0:a1], cols_b[b0:b1]
+                i, j = (rows[:, None] < cols).nonzero()
+                if i.size:
+                    lo_a, lo_b = offsets_a[a0], offsets_b[b0]
+                    block = table[lo_a:lo_a + rows.size * r, lo_b:lo_b + cols.size * c]
+                    block = block.reshape(rows.size, r, cols.size, c).transpose(0, 2, 1, 3)
+                    yield rows[i], cols[j], block[i, j]
+
+
+def _keyed_tables(dense: np.ndarray, sizes: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Yield (positions k, (B, r, c) tables) for the pairs (rows[k], cols[k]),
+    the first as the rows: one ``np.bincount`` of n-long keys per block of
+    pairs of one shape, a block holding at most PAIR_BLOCK_CELLS keys and
+    cells (or one pair)."""
     n = dense.shape[1]
-    out = np.empty(rows.size)
-    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []   # (pairs, L, terms)
     base = int(sizes.max()) + 1
     shapes, group = np.unique(sizes[rows] * base + sizes[cols], return_inverse=True)
     order = np.argsort(group, kind="stable")
@@ -80,18 +212,49 @@ def _pair_information(dense: np.ndarray, sizes: np.ndarray,
             keys += dense[cols[sel]]
             keys += (np.arange(sel.size) * (r * c))[:, None]
             counts = np.bincount(keys.ravel(), minlength=sel.size * r * c)
-            p = counts.reshape(sel.size, r, c) / float(n)   # each table sums to n
-            prow = p.sum(axis=2, keepdims=True)
-            pcol = p.sum(axis=1, keepdims=True)
-            mask = p > 0
-            nonzero = p[mask]
-            terms = nonzero * np.log2(nonzero / (prow * pcol)[mask])
-            pending.append((sel, mask.reshape(sel.size, -1).sum(axis=1), terms))
-            if sum(part[2].size for part in pending) >= PAIR_BLOCK_CELLS:
-                _sum_terms(out, pending)
+            yield sel, counts.reshape(sel.size, r, c)
+
+
+def _pair_information(dense: np.ndarray, sizes: np.ndarray, first: int) -> np.ndarray:
+    """(p, p - first) array whose [i, j - first] is the MI of rows i and j
+    of ``dense``, row i as the table rows, for every i < j with j >= first;
+    zero elsewhere.
+
+    ``dense`` holds ``dense_codes`` rows, row i with codes 0..sizes[i]-1.
+    The batched kernel of ``information_matrix``; its docstring says why each
+    value equals the per-pair reference of ``tests/oracles.py`` bit for bit.
+    """
+    p, n = dense.shape
+    width = p - first
+    out = np.zeros(p * width)
+    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []   # (pairs, L, terms)
+    dtype = np.float32 if n < FLOAT32_MAX_ROWS else np.float64
+    order = np.argsort(sizes, kind="stable")        # by code count, then index
+    # The columns below first pair only with those from first on: their
+    # tiles meet only the later tiles, and those meet each other too.
+    left = _tiles(order[order < first], sizes)
+    tiles = left + _tiles(order[order >= first], sizes)
+    keyed = []                      # (i, j) of the tile pairs left to bincount
+    for a, x in enumerate(tiles):
+        hot_x, size = None, x[0].size
+        for y in tiles[max(a, len(left)):]:
+            pairs = size * (size - 1) // 2 if y is x else size * y[0].size
+            if not pairs:
+                continue
+            if _width(x) * _width(y) > PRODUCT_CELLS_PER_TABLE * pairs:
+                keyed.append(_tile_pairs(x, y))
+                continue
+            if hot_x is None:
+                hot_x = _one_hot(dense, x, 0, dtype)
+            for rows, cols, tables in _tile_tables(_tile_counts(dense, x, y, hot_x), x, y):
+                _stack_information(out, rows * width + cols - first, tables, n, pending)
+    if keyed:
+        i, j = (np.concatenate(part) for part in zip(*keyed))
+        for k, tables in _keyed_tables(dense, sizes, i, j):
+            _stack_information(out, i[k] * width + j[k] - first, tables, n, pending)
     _sum_terms(out, pending)
     out[out < 0.0] = 0.0            # the per-pair reference's clamp
-    return out
+    return out.reshape(p, width)
 
 
 def information_matrix(codes) -> np.ndarray:
@@ -102,23 +265,40 @@ def information_matrix(codes) -> np.ndarray:
     codes[:, j]))`` of ``tests/oracles.py`` exactly, and the diagonal holds
     its ``entropy(codes[:, i])``.
 
-    All pairs go through one batched kernel that applies the reference's
-    numpy operations to stacks of tables.  It stays bit-identical to the
-    per-pair estimate by two groupings:
+    All pairs go through one batched kernel in two parts.
 
-    - pairs are stacked by table shape (r, c), so ``p.sum(axis=2)`` and
-      ``p.sum(axis=1)`` of a (B, r, c) stack give each pair the marginals
-      its own 2-D sums would;
-    - the ``p * log2(p / (prow * pcol))`` terms of the nonzero cells are
-      buffered and summed grouped by their count L, so each row of a (B, L)
-      ``sum(axis=1)`` is the pairwise summation of one pair's 1-D ``np.sum``.
+    - **Counts.** Columns are ordered by code count and cut into tiles of
+      at most ``HOT_TILE_COLUMNS`` one-hot columns.  For tiles x and y
+      whose product ``hot_x @ hot_y.T`` has at most
+      ``PRODUCT_CELLS_PER_TABLE`` cells per table it yields, that product
+      holds every count table of a column of x and one of y; the tables of
+      a run of x's columns with r codes and a run of y's with c codes
+      reshape into a (B, r, c) stack, the lower column index as the rows.
+      The products add 0s and 1s, so every partial sum is an integer of
+      at most n, which float32 holds exactly for n < 2**24 (float64 is
+      used above): the counts are exact whatever order BLAS adds in.  The
+      pairs of every other tile pair (columns of many codes) are grouped
+      by shape and counted by ``np.bincount`` of n-long keys, exact too.
+    - **Float part.** It stays bit-identical to the per-pair estimate
+      because each stack is copied to a C-contiguous float64 (B, r, c)
+      array of one shape, so ``p.sum(axis=2)`` and ``p.sum(axis=1)`` give
+      each table the marginals its own 2-D sums would; and because the
+      ``p * log2(p / (prow * pcol))`` terms are summed by rows of one
+      length, each row's sum being the pairwise summation of the table's
+      1-D ``np.sum``.  A table with no empty cell is one row of a
+      (B, r*c) ``sum(axis=1)``.  The nonzero-cell terms of a table with an
+      empty cell are buffered and summed grouped by their count L, one
+      row of a (B, L) sum each.
 
-    Memory: a block of B = PAIR_BLOCK_CELLS // max(n, r*c) pairs (at least
-    one) holds a (B, n) key array and (B, r, c) tensors, and the term buffer
-    is summed and dropped once it reaches PAIR_BLOCK_CELLS terms.  A block
-    holds at least one pair, so a pair whose n or r*c alone exceeds the
-    bound (a column with a code per row) is held whole, as a per-pair
-    contingency table would hold it.
+    Memory, beyond the p x p result: a one-hot block holds at most
+    ``HOT_TILE_COLUMNS`` x ``HOT_BLOCK_ROWS`` cells (the rows are added
+    block by block), a product at most ``HOT_TILE_COLUMNS``**2; a block of
+    keys and the float arrays hold at most ``PAIR_BLOCK_CELLS`` cells, and
+    the term buffer is summed and dropped once it reaches that many terms.
+    A block holds at least one pair, so a pair whose n or r*c alone
+    exceeds the bound (a column with a code per row) is held whole, as a
+    per-pair contingency table would hold it.  The pairs left to
+    ``np.bincount`` are listed first, two indices each.
     """
     codes = np.asarray(codes)
     n, p = codes.shape
@@ -130,11 +310,15 @@ def information_matrix(codes) -> np.ndarray:
 def _dense_information(dense: np.ndarray, counts: list) -> np.ndarray:
     """``information_matrix`` of the columns that ``dense_codes`` turned into
     the rows of ``dense``, with ``counts`` their code counts."""
-    n = dense.shape[1]
-    values = np.diag([_entropy(column, n) for column in counts])
+    p = np.concatenate(counts) / dense.shape[1]
     sizes = np.array([column.size for column in counts])
-    i, j = np.triu_indices(len(counts), k=1)
-    values[i, j] = values[j, i] = _pair_information(dense, sizes, i, j)
+    values = _pair_information(dense, sizes, 0)
+    i, j = np.triu_indices(sizes.size, k=1)
+    values[j, i] = values[i, j]
+    entropy = np.empty(sizes.size)
+    # a column's terms are summed like the pair terms, as np.sum of each alone
+    _sum_terms(entropy, [(np.arange(sizes.size), sizes, p * np.log2(p))])
+    values[np.diag_indices(sizes.size)] = 0.0 - entropy      # +0.0 for a single code
     return values
 
 
@@ -163,4 +347,4 @@ def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
         return data._information[:m, m].copy()
     dense, counts = dense_codes(np.vstack([data.feature_codes.T, target]))
     sizes = np.array([column.size for column in counts])
-    return _pair_information(dense, sizes, np.arange(m), np.full(m, m))
+    return _pair_information(dense, sizes, m)[:m, 0]

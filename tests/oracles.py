@@ -7,6 +7,9 @@
   ``pairwise_oracle`` and ``symmetric_uncertainty`` are built on them, and
   ``brute_force_mi_bits`` checks them term by term in plain Python.
 - ``oracle_first_appearance_codes``: first-appearance coding with a dict.
+- The selector loops: greedy mRMR with each step's criterion computed one
+  candidate at a time, and the CFS merit of one subset.  ``qpfs.baselines``
+  computes both for all candidates at once and must equal them bit for bit.
 - The IRLS oracles: the ridge log-likelihood and gradient, and the fit that
   recomputes the probabilities before every Newton step.
 - ``oracle_active_set``: the dual active-set QP solver with its active set
@@ -106,6 +109,39 @@ def brute_force_mi_bits(counts) -> float:
             pv = sum(r[v] for r in counts) / total
             mi += puv * math.log2(puv / (pu * pv))
     return mi
+
+
+# ---------------------------------------------------------------------------
+# Selector loops
+# ---------------------------------------------------------------------------
+
+
+def oracle_mrmr(Q, F, k: int) -> tuple[list[int], list[float]]:
+    """Greedy mRMR (selected, per-step criterion), one candidate at a time;
+    the first maximum wins ties."""
+    selected = [int(np.argmax(F))]
+    trace = [float(F[selected[0]])]
+    remaining = [j for j in range(len(F)) if j != selected[0]]
+    while len(selected) < k:
+        crit = np.array([F[j] - Q[j, selected].mean() for j in remaining])
+        best = int(np.argmax(crit))
+        trace.append(float(crit[best]))
+        selected.append(remaining.pop(best))
+    return selected, trace
+
+
+def oracle_cfs_merit(subset, su_target, su_pairs) -> float:
+    """k * mean(feature-class SU) / sqrt(k + k(k-1) * mean(feature-feature SU))
+    of one non-empty subset, from its k x k block minus the trace."""
+    k = len(subset)
+    idx = np.asarray(subset)
+    r_cf = su_target[idx].mean()
+    if k == 1:
+        r_ff = 0.0
+    else:
+        sub = su_pairs[np.ix_(idx, idx)]
+        r_ff = (sub.sum() - np.trace(sub)) / (k * (k - 1))
+    return float(k * r_cf / np.sqrt(k + k * (k - 1) * r_ff))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from qpfs.baselines import (RELIEFF_BLOCK, SelectionResult, cfs, cfs_merit,
-                            information_gain, max_rel, mrmr_greedy, relieff,
-                            truncate_selection)
+from qpfs import baselines
+from qpfs.baselines import (RELIEFF_BLOCK, SelectionResult, cfs, information_gain,
+                            max_rel, mrmr_greedy, relieff, truncate_selection)
 from qpfs.cli import selection_text
 from qpfs.errors import ConfigError, DataError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
 from qpfs.qp import ranking_of
 
 from conftest import exhaustive_subset_objective, make_dd, random_discretized
-from oracles import symmetric_uncertainty
+from oracles import oracle_cfs_merit, oracle_mrmr, symmetric_uncertainty
 
 
 class TestMrmrGreedy:
@@ -53,6 +53,17 @@ class TestMrmrGreedy:
             gaps.append(position)
             assert position <= 7, f"greedy rank {position} of 70"
         assert any(g > 1 for g in gaps)   # the heuristic gap is real
+
+    def test_criterion_vector_equals_per_candidate_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            dd = random_discretized(rng, n=200, m=int(rng.integers(2, 12)))
+            Q, F = build_redundancy_matrix(dd), build_relevance_vector(dd)
+            for k in range(1, dd.n_features + 1):
+                res = mrmr_greedy(Q, F, k)
+                selected, trace = oracle_mrmr(Q, F, k)
+                assert res.selected == selected
+                assert res.scores.tobytes() == np.array(trace).tobytes()
 
     def test_q_zero_equals_max_rel_for_every_k(self):
         rng = np.random.default_rng(1)
@@ -408,7 +419,7 @@ class TestCfs:
                 su = symmetric_uncertainty(dd.feature_codes[:, i], dd.feature_codes[:, j])
                 su_p[i, j] = su_p[j, i] = su
         best_val, best_set = max(
-            ((cfs_merit(list(S), su_t, su_p), sorted(S))
+            ((oracle_cfs_merit(list(S), su_t, su_p), sorted(S))
              for r in range(1, 7) for S in combinations(range(6), r)),
             key=lambda t: t[0],
         )
@@ -434,11 +445,13 @@ class TestCfs:
             codes[:, 3:5] = 7                # SU of two constants is 0/0, defined as 0
         seen = []
 
-        def spy(subset, su_target, su_pairs):
-            seen.append((su_target, su_pairs))
-            return cfs_merit(subset, su_target, su_pairs)
+        score = baselines._subset_merits
 
-        monkeypatch.setattr("qpfs.baselines.cfs_merit", spy)
+        def spy(subsets, su_target, su_pairs):
+            seen.append((su_target, su_pairs))
+            return score(subsets, su_target, su_pairs)
+
+        monkeypatch.setattr(baselines, "_subset_merits", spy)
         cfs(make_dd(codes, dd.target))
         su_t = np.array([symmetric_uncertainty(codes[:, j], dd.target) for j in range(6)])
         su_p = np.zeros((6, 6))
@@ -448,6 +461,19 @@ class TestCfs:
         su_target, su_pairs = seen[0]
         assert np.array_equal(su_target, su_t)
         assert np.array_equal(su_pairs, su_p)
+
+    def test_batched_merits_equal_per_subset_formula(self):
+        rng = np.random.default_rng(42)
+        m = 9
+        su = rng.random((m + 1, m + 1))
+        su = (su + su.T) / 2
+        np.fill_diagonal(su, 0.0)
+        su_target, su_pairs = su[:m, m], su[:m, :m]
+        for k in range(1, m + 1):
+            subsets = np.array([rng.permutation(m)[:k] for _ in range(30)])
+            merits = baselines._subset_merits(subsets, su_target, su_pairs)
+            for subset, merit in zip(subsets, merits):
+                assert merit == oracle_cfs_merit(subset, su_target, su_pairs)
 
     def test_symmetric_uncertainty_zero_over_zero(self):
         assert symmetric_uncertainty([0, 0, 0], [1, 1, 1]) == 0.0

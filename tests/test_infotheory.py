@@ -1,5 +1,7 @@
 """Entropy / mutual-information estimators and the Q/F builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,98 @@ class TestInformationFuzz:
                 assert np.array_equal(build_relevance_vector(dd), info[:-1, -1])
 
 
+def _skewed_codes(rng, n, p):
+    """(n, p) codes, each column with 1 to 13 codes of skewed frequencies, so
+    that some count tables have an empty cell."""
+    columns = []
+    for _ in range(p):
+        k = int(rng.integers(1, 14))
+        weights = rng.random(k) ** 3
+        columns.append(rng.choice(k, n, p=weights / weights.sum()))
+    return np.column_stack(columns)
+
+
+class TestTileKernel:
+    """The one-hot tile kernel equals the per-pair reference bit for bit
+    across tiles, runs of equal code count, row blocks and count dtypes."""
+
+    @staticmethod
+    def check(codes):
+        info = information_matrix(codes)
+        assert np.array_equal(info, pairwise_oracle(codes))
+        assert not np.signbit(info).any()
+        target = codes[:, -1]
+        if codes.shape[1] >= 2 and target.min() < target.max():
+            dd = make_dd(codes[:, :-1], target)
+            assert np.array_equal(build_relevance_vector(dd), info[:-1, -1])
+
+    # 0: every pair by bincount; 24: tile pairs of few codes per table by
+    # product, the others by bincount; 10**9: every pair by product
+    @pytest.mark.parametrize("cells_per_table", [0, 24, 10**9])
+    def test_random_mixed_shapes(self, monkeypatch, cells_per_table):
+        monkeypatch.setattr(infotheory, "PRODUCT_CELLS_PER_TABLE", cells_per_table)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            self.check(_skewed_codes(rng, int(rng.integers(2, 400)), int(rng.integers(1, 25))))
+
+    @pytest.mark.parametrize("cells_per_table", [0, 24, 10**9])
+    def test_wide_shape_with_small_tiles(self, monkeypatch, cells_per_table):
+        # 24-code tiles over 64 columns of 2 to 10 codes: runs of equal code
+        # count span tiles and interleave in column order, and stacks span
+        # several float blocks
+        monkeypatch.setattr(infotheory, "PRODUCT_CELLS_PER_TABLE", cells_per_table)
+        monkeypatch.setattr(infotheory, "HOT_TILE_COLUMNS", 24)
+        monkeypatch.setattr(infotheory, "PAIR_BLOCK_CELLS", 700)
+        rng = np.random.default_rng(32)
+        codes = np.column_stack([rng.integers(0, int(rng.choice([2, 3, 5, 10])), 600)
+                                 for _ in range(64)])
+        codes[:, -1] = rng.integers(0, 2, 600)
+        self.check(codes)
+
+    def test_single_code_columns_two_rows_and_empty_cells(self):
+        a = np.array([0, 0, 1, 1] * 5)
+        b = np.array([0, 1, 0, 1] * 5)          # a by b: a full 2 x 2 table
+        constant = np.full(20, 3)
+        self.check(np.column_stack([a, b, a, constant, b]))   # a by a: empty cells
+        self.check(np.column_stack([constant, constant]))
+        self.check(np.array([[0, 5, 1], [1, 5, 0]]))          # n = 2
+        self.check(np.array([[0, 5, 1], [0, 5, 1]]))
+
+    def test_column_with_a_code_per_row_is_counted_in_small_arrays(self):
+        # its one-hot would be n x HOT_BLOCK_ROWS cells (80 MB here); its
+        # (2, n) tables with the binary columns are the least a count needs
+        rng = np.random.default_rng(34)
+        n = 20_000
+        codes = np.column_stack([rng.integers(0, 2, (n, 3)), rng.permutation(n)])
+        tracemalloc.start()
+        try:
+            info = information_matrix(codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.array_equal(info, pairwise_oracle(codes))
+
+    def test_relevance_alone_returns_one_column(self):
+        rng = np.random.default_rng(35)
+        codes = _skewed_codes(rng, 200, 9)
+        codes[:, -1] = rng.integers(0, 3, 200)
+        dense, counts = ingest.dense_codes(codes.T)
+        sizes = np.array([column.size for column in counts])
+        values = infotheory._pair_information(dense, sizes, 8)
+        assert values.shape == (9, 1)
+        assert np.array_equal(values[:8, 0], pairwise_oracle(codes)[:8, 8])
+
+    def test_row_blocks_and_float64_counts(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        monkeypatch.setattr(infotheory, "HOT_BLOCK_ROWS", 37)
+        for threshold in (1 << 24, 1):          # float32 counts, then float64
+            monkeypatch.setattr(infotheory, "FLOAT32_MAX_ROWS", threshold)
+            for _ in range(10):
+                self.check(_skewed_codes(rng, int(rng.integers(2, 300)),
+                                         int(rng.integers(1, 12))))
+
+
 class TestRedundancyMatrix:
     @pytest.mark.parametrize("case", sorted(INFORMATION_CASES))
     def test_information_matrix_equals_pairwise_oracle_exactly(self, case):
@@ -310,20 +404,27 @@ class TestSharedInformation:
         assert min(entropies) > 0
 
     def _count_work(self, monkeypatch):
-        """Lists that record each discretization and each kernel call's pair count."""
+        """Lists that record each discretization and each kernel call's pair
+        count: the count tables that call sends through the float part."""
         discretized, pairs = [], []
         resolve, kernel = ingest.resolve_missing, infotheory._pair_information
+        tables = infotheory._stack_information
 
         def counted_resolve(data, policy):
             discretized.append(data.n_samples)
             return resolve(data, policy)
 
-        def counted_kernel(dense, sizes, rows, cols):
-            pairs.append(rows.size)
-            return kernel(dense, sizes, rows, cols)
+        def counted_kernel(dense, sizes, first):
+            pairs.append(0)
+            return kernel(dense, sizes, first)
+
+        def counted_tables(out, at, counts, n, pending):
+            pairs[-1] += len(counts)
+            return tables(out, at, counts, n, pending)
 
         monkeypatch.setattr(ingest, "resolve_missing", counted_resolve)
         monkeypatch.setattr(infotheory, "_pair_information", counted_kernel)
+        monkeypatch.setattr(infotheory, "_stack_information", counted_tables)
         return discretized, pairs
 
     @pytest.mark.parametrize("strict", [False, True])
