@@ -175,14 +175,17 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
 def _subset_merits(subsets: np.ndarray, su_target: np.ndarray,
                    su_pairs: np.ndarray) -> np.ndarray:
     """CFS merit of each row of a (B, k) array of subsets, k >= 1:
-    k * mean(feature-class SU) / sqrt(k + k(k-1) * mean(feature-feature SU))."""
+    k * mean(feature-class SU) / sqrt(k + k(k-1) * mean(feature-feature SU)).
+
+    ``su_pairs`` must have a zero diagonal, so a block's sum is the sum of
+    its k(k-1) feature-feature entries."""
     k = subsets.shape[1]
     r_cf = su_target[subsets].mean(axis=1)
     if k == 1:
         r_ff = 0.0
     else:
         block = su_pairs[subsets[:, :, None], subsets[:, None, :]]
-        r_ff = (block.sum(axis=(1, 2)) - np.trace(block, axis1=1, axis2=2)) / (k * (k - 1))
+        r_ff = block.sum(axis=(1, 2)) / (k * (k - 1))
     return k * r_cf / np.sqrt(k + k * (k - 1) * r_ff)
 
 
@@ -206,7 +209,7 @@ def cfs(data: DiscretizedDataset) -> SelectionResult:
     h = np.diag(info)
     denom = h[:, None] + h[None, :]
     su = np.divide(2.0 * info, denom, out=np.zeros_like(info), where=denom != 0.0)
-    np.fill_diagonal(su, 0.0)        # _subset_merits takes the sum minus the trace
+    np.fill_diagonal(su, 0.0)        # _subset_merits sums whole blocks
     su_target, su_pairs = su[:m, m], su[:m, :m]
 
     # Best-first over subsets; heap keys are (-merit, insertion counter).

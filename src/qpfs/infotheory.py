@@ -11,8 +11,8 @@ built (``DiscretizedDataset.information``), and Q and F are copied out of it.
 
 The kernel counts every pair's table exactly, with a matrix product of
 one-hot tiles where that costs few multiply-adds per table and with
-``np.bincount`` of n-long keys elsewhere (many codes per column), then runs
-the numpy operations of the per-pair reference estimator in
+``np.bincount`` of n-long keys elsewhere (many codes per column; F alone),
+then runs the numpy operations of the per-pair reference estimator in
 ``tests/oracles.py`` (``mutual_information(contingency(a, b))``) on stacks
 of tables of one shape, so each value equals the per-pair estimate bit for
 bit (``information_matrix`` says why and bounds its memory).
@@ -31,11 +31,13 @@ from .ingest import DiscretizedDataset, dense_codes
 # cells, and buffered terms are summed once they reach it.
 PAIR_BLOCK_CELLS = 1 << 15
 # One-hot columns per tile (a column with more codes is a tile of its own)
-# and rows per one-hot block.  On the m = 300, n = 600 `wide` build (one
-# 2-core host, BLAS on one thread) 384 columns and 2**15 cells ran faster
-# than tiles of 128, 256 or 512 columns and blocks of 2**14, 2**16 or 2**17
-# cells; 2**15 and 2**16 cells ran within 5% of each other on the recorded
-# builds and on inputs of 16 or 32 codes per column at n = 600 and 4,000.
+# and rows per one-hot block.  A block's float32 product adds at most 1,024
+# ones per count, exact in any order; blocks are added in float64.  On the
+# m = 300, n = 600 `wide` build (one 2-core host, BLAS on one thread) 384
+# columns and 2**15 cells ran faster than tiles of 128, 256 or 512 columns
+# and blocks of 2**14, 2**16 or 2**17 cells; 2**15 and 2**16 cells ran
+# within 5% of each other on the recorded builds and on inputs of 16 or 32
+# codes per column at n = 600 and 4,000.
 HOT_TILE_COLUMNS = 384
 HOT_BLOCK_ROWS = 1024
 # Two tiles' tables come from their one-hot product when it has at most this
@@ -55,9 +57,6 @@ HOT_BLOCK_ROWS = 1024
 # more codes than that never takes a product, so a one-hot block has at
 # most HOT_TILE_COLUMNS x HOT_BLOCK_ROWS cells.
 PRODUCT_CELLS_PER_TABLE = 224
-# float32 holds every integer up to 2**24 exactly, so below this many rows
-# the one-hot products count in float32, and in float64 from there on.
-FLOAT32_MAX_ROWS = 1 << 24
 
 
 def _sum_terms(out: np.ndarray, pending: list) -> None:
@@ -109,8 +108,8 @@ def _stack_information(out: np.ndarray, at: np.ndarray, counts: np.ndarray,
 def _tiles(columns: np.ndarray, sizes: np.ndarray) -> list:
     """Cut ``columns`` into consecutive tiles of at most HOT_TILE_COLUMNS
     codes, or of one column.  A tile is (columns, one-hot offset of each,
-    runs), a run (first, end, codes) being a slice of columns of equal code
-    count."""
+    runs, one-hot width), a run (first, end, codes) being a slice of columns
+    of equal code count."""
     cuts, width = [], 0
     for k, size in enumerate(sizes[columns].tolist()):
         if width and width + size > HOT_TILE_COLUMNS:
@@ -118,28 +117,22 @@ def _tiles(columns: np.ndarray, sizes: np.ndarray) -> list:
             width = 0
         width += size
     tiles = []
-    for cols in np.split(columns, cuts) if columns.size else []:
+    for cols in np.split(columns, cuts):
         codes = sizes[cols]
         bounds = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), cols.size]
         runs = [(a, b, int(codes[a])) for a, b in zip(bounds[:-1], bounds[1:])]
-        tiles.append((cols, np.cumsum(codes) - codes, runs))
+        tiles.append((cols, np.cumsum(codes) - codes, runs, int(codes.sum())))
     return tiles
 
 
-def _width(tile) -> int:
-    """One-hot columns of a tile: the sum of its columns' code counts."""
-    offsets, runs = tile[1], tile[2]
-    return int(offsets[-1]) + runs[-1][2]
-
-
-def _one_hot(dense: np.ndarray, tile, lo: int, dtype) -> np.ndarray:
-    """(codes, rows) one-hot of a tile's columns over rows lo:lo + HOT_BLOCK_ROWS."""
-    cols, offsets, _ = tile
+def _one_hot(dense: np.ndarray, tile, lo: int) -> np.ndarray:
+    """(codes, rows) float32 one-hot of a tile's columns over rows lo:lo + HOT_BLOCK_ROWS."""
+    cols, offsets, _, width = tile
     cells = dense[cols, lo:lo + HOT_BLOCK_ROWS] + offsets[:, None]   # one-hot row
     rows = cells.shape[1]
     cells *= rows
     cells += np.arange(rows)            # flat index of each row's one
-    hot = np.zeros(_width(tile) * rows, dtype=dtype)
+    hot = np.zeros(width * rows, dtype=np.float32)
     hot[cells.ravel()] = 1.0
     return hot.reshape(-1, rows)
 
@@ -160,12 +153,9 @@ def _tile_counts(dense: np.ndarray, x, y, hot_x: np.ndarray) -> np.ndarray:
     x's one-hot over the first block."""
     counts = None
     for lo in range(0, dense.shape[1], HOT_BLOCK_ROWS):
-        hot = hot_x if lo == 0 else _one_hot(dense, x, lo, hot_x.dtype)
-        product = hot @ (hot if y is x else _one_hot(dense, y, lo, hot_x.dtype)).T
-        if counts is None:
-            counts = product
-        else:
-            counts += product
+        hot = hot_x if lo == 0 else _one_hot(dense, x, lo)
+        product = hot @ (hot if y is x else _one_hot(dense, y, lo)).T
+        counts = product if counts is None else np.add(counts, product, dtype=np.float64)
     return counts
 
 
@@ -179,7 +169,7 @@ def _tile_tables(counts: np.ndarray, x, y):
     column comes first: every pair once, and no table is transposed.
     """
     roles = [(x, y, counts)] if y is x else [(x, y, counts), (y, x, counts.T)]
-    for (cols_a, offsets_a, runs_a), (cols_b, offsets_b, runs_b), table in roles:
+    for (cols_a, offsets_a, runs_a, _), (cols_b, offsets_b, runs_b, _), table in roles:
         for a0, a1, r in runs_a:
             for b0, b1, c in runs_b:
                 rows, cols = cols_a[a0:a1], cols_b[b0:b1]
@@ -215,46 +205,44 @@ def _keyed_tables(dense: np.ndarray, sizes: np.ndarray, rows: np.ndarray, cols: 
             yield sel, counts.reshape(sel.size, r, c)
 
 
-def _pair_information(dense: np.ndarray, sizes: np.ndarray, first: int) -> np.ndarray:
-    """(p, p - first) array whose [i, j - first] is the MI of rows i and j
-    of ``dense``, row i as the table rows, for every i < j with j >= first;
-    zero elsewhere.
+def _pair_information(dense: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(p, p) array whose [i, j] is the MI of rows i and j of ``dense``, row i
+    as the table rows, for every i < j; zero elsewhere.
 
     ``dense`` holds ``dense_codes`` rows, row i with codes 0..sizes[i]-1.
     The batched kernel of ``information_matrix``; its docstring says why each
     value equals the per-pair reference of ``tests/oracles.py`` bit for bit.
     """
     p, n = dense.shape
-    width = p - first
-    out = np.zeros(p * width)
+    out = np.zeros(p * p)
     pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []   # (pairs, L, terms)
-    dtype = np.float32 if n < FLOAT32_MAX_ROWS else np.float64
-    order = np.argsort(sizes, kind="stable")        # by code count, then index
-    # The columns below first pair only with those from first on: their
-    # tiles meet only the later tiles, and those meet each other too.
-    left = _tiles(order[order < first], sizes)
-    tiles = left + _tiles(order[order >= first], sizes)
+    tiles = _tiles(np.argsort(sizes, kind="stable"), sizes)   # by code count, then index
     keyed = []                      # (i, j) of the tile pairs left to bincount
     for a, x in enumerate(tiles):
         hot_x, size = None, x[0].size
-        for y in tiles[max(a, len(left)):]:
+        for y in tiles[a:]:
             pairs = size * (size - 1) // 2 if y is x else size * y[0].size
             if not pairs:
                 continue
-            if _width(x) * _width(y) > PRODUCT_CELLS_PER_TABLE * pairs:
+            if x[3] * y[3] > PRODUCT_CELLS_PER_TABLE * pairs:
                 keyed.append(_tile_pairs(x, y))
                 continue
             if hot_x is None:
-                hot_x = _one_hot(dense, x, 0, dtype)
+                hot_x = _one_hot(dense, x, 0)
             for rows, cols, tables in _tile_tables(_tile_counts(dense, x, y, hot_x), x, y):
-                _stack_information(out, rows * width + cols - first, tables, n, pending)
+                _stack_information(out, rows * p + cols, tables, n, pending)
     if keyed:
         i, j = (np.concatenate(part) for part in zip(*keyed))
         for k, tables in _keyed_tables(dense, sizes, i, j):
-            _stack_information(out, i[k] * width + j[k] - first, tables, n, pending)
+            _stack_information(out, i[k] * p + j[k], tables, n, pending)
+    return _clamped_sums(out, pending).reshape(p, p)
+
+
+def _clamped_sums(out: np.ndarray, pending: list) -> np.ndarray:
+    """``out`` with the buffered terms summed in and the reference's clamp at 0.0."""
     _sum_terms(out, pending)
-    out[out < 0.0] = 0.0            # the per-pair reference's clamp
-    return out.reshape(p, width)
+    out[out < 0.0] = 0.0
+    return out
 
 
 def information_matrix(codes) -> np.ndarray:
@@ -274,9 +262,9 @@ def information_matrix(codes) -> np.ndarray:
       holds every count table of a column of x and one of y; the tables of
       a run of x's columns with r codes and a run of y's with c codes
       reshape into a (B, r, c) stack, the lower column index as the rows.
-      The products add 0s and 1s, so every partial sum is an integer of
-      at most n, which float32 holds exactly for n < 2**24 (float64 is
-      used above): the counts are exact whatever order BLAS adds in.  The
+      The float32 products of blocks of ``HOT_BLOCK_ROWS`` rows add 0s
+      and 1s, so every partial sum is an integer of at most 1,024, exact
+      whatever order BLAS adds in; the blocks are added in float64.  The
       pairs of every other tile pair (columns of many codes) are grouped
       by shape and counted by ``np.bincount`` of n-long keys, exact too.
     - **Float part.** It stays bit-identical to the per-pair estimate
@@ -298,7 +286,8 @@ def information_matrix(codes) -> np.ndarray:
     A block holds at least one pair, so a pair whose n or r*c alone
     exceeds the bound (a column with a code per row) is held whole, as a
     per-pair contingency table would hold it.  The pairs left to
-    ``np.bincount`` are listed first, two indices each.
+    ``np.bincount`` are listed first, two indices each.  F alone holds m
+    values, two indices per pair and the same bounded blocks: O(m).
     """
     codes = np.asarray(codes)
     n, p = codes.shape
@@ -307,12 +296,19 @@ def information_matrix(codes) -> np.ndarray:
     return _dense_information(*dense_codes(codes.T))
 
 
+def _stacked_codes(data: DiscretizedDataset) -> tuple[np.ndarray, list]:
+    """``dense_codes`` of the rows [features | target] of ``data``.  No name
+    holds the stacked copy, so it is freed once ``dense_codes`` returns and
+    the pair kernel runs at the memory a features-only build would use."""
+    return dense_codes(np.vstack([data.feature_codes.T, data.target]))
+
+
 def _dense_information(dense: np.ndarray, counts: list) -> np.ndarray:
     """``information_matrix`` of the columns that ``dense_codes`` turned into
     the rows of ``dense``, with ``counts`` their code counts."""
     p = np.concatenate(counts) / dense.shape[1]
     sizes = np.array([column.size for column in counts])
-    values = _pair_information(dense, sizes, 0)
+    values = _pair_information(dense, sizes)
     i, j = np.triu_indices(sizes.size, k=1)
     values[j, i] = values[i, j]
     entropy = np.empty(sizes.size)
@@ -336,15 +332,18 @@ def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     """F, the (m,) vector of MI between each feature and the target.
 
     A copy of ``data.information[:m, m]`` once that matrix is built;
-    otherwise only the m pairs (feature i, target) go through the kernel,
+    otherwise only the m pairs (feature i, target) are counted, by
+    ``np.bincount`` keys, and go through the matrix's float part and clamp,
     which gives each the same value as that matrix's (i, m) entry.
     """
-    target = data.target
-    if target.min() == target.max():
+    if data.target.min() == data.target.max():
         raise DataError("single-label target")
     m = data.n_features
     if data._information is not None:
         return data._information[:m, m].copy()
-    dense, counts = dense_codes(np.vstack([data.feature_codes.T, target]))
+    dense, counts = _stacked_codes(data)
     sizes = np.array([column.size for column in counts])
-    return _pair_information(dense, sizes, m)[:m, 0]
+    out, pending = np.zeros(m), []
+    for k, tables in _keyed_tables(dense, sizes, np.arange(m), np.full(m, m)):
+        _stack_information(out, k, tables, dense.shape[1], pending)
+    return _clamped_sums(out, pending)

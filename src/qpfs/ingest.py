@@ -199,11 +199,8 @@ class DiscretizedDataset:
         from the whole matrix.
         """
         if self._information is None:
-            from .infotheory import _dense_information     # infotheory imports this module
-            # No name holds the stacked copy, so it is freed once dense_codes
-            # returns: the pair kernel runs at the memory a Q-only build used.
-            values = _dense_information(
-                *dense_codes(np.vstack([self.feature_codes.T, self.target])))
+            from .infotheory import _dense_information, _stacked_codes   # infotheory imports this module
+            values = _dense_information(*_stacked_codes(self))
             values.flags.writeable = False
             self._information = values
         return self._information

@@ -240,22 +240,16 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
     nu = (float(ones @ qf) - 1.0) / denom
     x = qf - nu * q1
 
-    # Bound constraints x_i >= 0 currently active, in the order they entered
-    # (active[:s]), and their multipliers (lam[:s], kept >= 0); ``is_active``
-    # marks the same set.
-    active = np.empty(m, dtype=np.intp)
-    lam = np.empty(m)
-    s = 0
-    is_active = np.zeros(m, dtype=bool)
-    bound_columns = np.arange(1, m + 1)
+    active: list[int] = []       # bound constraints x_i >= 0 active, in order of entry
+    lam: list[float] = []        # their multipliers (kept >= 0)
     tol = 1e-11
     iterations = 0
 
     while True:
-        fresh = np.flatnonzero((x < -tol) & ~is_active)
-        if fresh.size == 0:
+        fresh = [i for i in np.flatnonzero(x < -tol).tolist() if i not in active]
+        if not fresh:
             return x, iterations
-        p = int(fresh[np.argmin(x[fresh])])   # most violated bound (first on ties)
+        p = min(fresh, key=x.__getitem__)   # most violated bound (first on ties)
         lam_p = 0.0
 
         while x[p] < -tol:
@@ -264,9 +258,9 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
                 raise _Degenerate(f"iteration budget {max_iter} exhausted")
 
             # Normals of active constraints: equality first, then bounds.
-            N = np.zeros((m, 1 + s))
+            N = np.zeros((m, 1 + len(active)))
             N[:, 0] = 1.0
-            N[active[:s], bound_columns[:s]] = 1.0
+            N[active, range(1, 1 + len(active))] = 1.0
             QiN = Qinv @ N
             B = N.T @ QiN
             rhs = QiN[p, :]                  # = N' Qinv e_p
@@ -278,15 +272,13 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
 
             # Dual blocking step over active bound constraints only: the first
             # constraint attaining the smallest ratio lam / r over r > tol.
-            r_bounds = r[1:]
+            r_bounds = r[1:].tolist()
             t1 = np.inf
             blocker = -1
-            blocking = np.flatnonzero(r_bounds > tol)
-            if blocking.size:
-                ratios = lam[blocking] / r_bounds[blocking]
-                j = int(np.argmin(ratios))
-                t1 = float(ratios[j])
-                blocker = int(blocking[j])
+            for k, (lam_k, r_k) in enumerate(zip(lam, r_bounds)):
+                if r_k > tol and lam_k / r_k < t1:
+                    t1 = lam_k / r_k
+                    blocker = k
             z_p = float(z[p])
             if z_p <= tol:
                 # No primal progress possible in this direction.
@@ -299,20 +291,14 @@ def _solve_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int):
                 x = x + t * z
                 if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e6:
                     raise _Degenerate("iterates diverged; ill-conditioned system")
-            lam[:s] -= t * r_bounds
+            lam = [lam_k - t * r_k for lam_k, r_k in zip(lam, r_bounds)]
             lam_p += t
             if z_p > tol and t2 <= t1:
                 x[p] = 0.0                   # kill round-off on the new bound
-                is_active[p] = True
-                active[s] = p
-                lam[s] = lam_p
-                s += 1
+                active.append(p)
+                lam.append(lam_p)
                 break
-            # Drop the blocking constraint; the rest keep their order.
-            is_active[active[blocker]] = False
-            active[blocker:s - 1] = active[blocker + 1:s]
-            lam[blocker:s - 1] = lam[blocker + 1:s]
-            s -= 1
+            del active[blocker], lam[blocker]   # the rest keep their order
 
 
 def _solve_projected_gradient(Q: np.ndarray, f: np.ndarray, max_iter: int):

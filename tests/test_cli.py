@@ -396,7 +396,8 @@ class TestReproduceCommand:
         assert blobs[0] == blobs[1]
 
     def test_missing_data_dir(self, capsys, tmp_path):
-        code, _, err = run(capsys, "reproduce", "--data-dir", str(tmp_path / "void"))
+        code, _, err = run(capsys, "reproduce", "--data-dir", str(tmp_path / "void"),
+                           "--out", str(tmp_path / "out"))
         assert code == EXIT_DATA
         assert "fetch" in err
 

@@ -16,7 +16,8 @@ from qpfs.pipeline import (METHODS, SelectionConfig, evaluate_methods,
                            information_quantities, select_features)
 
 from conftest import make_dd, random_discretized, synthetic_credit_dataset
-from oracles import brute_force_mi_bits, contingency, entropy, pairwise_oracle
+from oracles import (brute_force_mi_bits, contingency, entropy, mutual_information,
+                     pairwise_oracle)
 
 
 def table_information(counts) -> float:
@@ -271,20 +272,48 @@ class TestTileKernel:
         rng = np.random.default_rng(35)
         codes = _skewed_codes(rng, 200, 9)
         codes[:, -1] = rng.integers(0, 3, 200)
-        dense, counts = ingest.dense_codes(codes.T)
-        sizes = np.array([column.size for column in counts])
-        values = infotheory._pair_information(dense, sizes, 8)
-        assert values.shape == (9, 1)
-        assert np.array_equal(values[:8, 0], pairwise_oracle(codes)[:8, 8])
+        dd = make_dd(codes[:, :-1], codes[:, -1])
+        values = build_relevance_vector(dd)
+        assert values.shape == (8,)
+        assert np.array_equal(values, pairwise_oracle(codes)[:8, 8])
+        assert dd._information is None
 
     def test_row_blocks_and_float64_counts(self, monkeypatch):
+        # float32 products of 37-row blocks, added in float64 over up to 9
         rng = np.random.default_rng(33)
         monkeypatch.setattr(infotheory, "HOT_BLOCK_ROWS", 37)
-        for threshold in (1 << 24, 1):          # float32 counts, then float64
-            monkeypatch.setattr(infotheory, "FLOAT32_MAX_ROWS", threshold)
-            for _ in range(10):
-                self.check(_skewed_codes(rng, int(rng.integers(2, 300)),
-                                         int(rng.integers(1, 12))))
+        for _ in range(20):
+            self.check(_skewed_codes(rng, int(rng.integers(2, 300)), int(rng.integers(1, 12))))
+
+    def test_relevance_alone_equals_the_matrix_column_on_a_wide_table(self):
+        # n = 600, 64 columns of 2 to 10 codes and one with a code per row:
+        # the matrix counts most pairs by one-hot products, F alone by keys
+        rng = np.random.default_rng(36)
+        codes = np.column_stack([rng.integers(0, int(rng.choice([2, 3, 5, 10])), 600)
+                                 for _ in range(64)] + [rng.permutation(600)])
+        y = rng.integers(0, 2, 600)
+        info = make_dd(codes, y).information
+        assert build_relevance_vector(make_dd(codes, y)).tobytes() == info[:-1, -1].tobytes()
+
+    @pytest.mark.parametrize("n, m", [(20_000, 4), (40, 4_000)])
+    def test_relevance_alone_is_counted_in_small_arrays(self, n, m):
+        # feature 0 has a code per row; the (m + 1)**2 matrix would be 128 MB
+        # at m = 4,000, F alone holds m values beside the codes
+        rng = np.random.default_rng(37)
+        codes = rng.integers(0, 2, (n, m))
+        codes[:, 0] = rng.permutation(n)
+        y = rng.integers(0, 2, n)
+        dd = make_dd(codes, y)
+        tracemalloc.start()
+        try:
+            F = build_relevance_vector(dd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert dd._information is None
+        assert F.tolist() == [mutual_information(contingency(codes[:, i], y))
+                              for i in range(m)]
 
 
 class TestRedundancyMatrix:
@@ -404,47 +433,47 @@ class TestSharedInformation:
         assert min(entropies) > 0
 
     def _count_work(self, monkeypatch):
-        """Lists that record each discretization and each kernel call's pair
-        count: the count tables that call sends through the float part."""
-        discretized, pairs = [], []
-        resolve, kernel = ingest.resolve_missing, infotheory._pair_information
-        tables = infotheory._stack_information
+        """Lists that record each discretization and, per array the float part
+        writes MI into (one per matrix build or F alone), [its size, the
+        count tables sent through the float part into it]."""
+        discretized, work = [], []
+        outs = []           # held, so a later array is never taken for an earlier one
+        resolve, tables = ingest.resolve_missing, infotheory._stack_information
 
         def counted_resolve(data, policy):
             discretized.append(data.n_samples)
             return resolve(data, policy)
 
-        def counted_kernel(dense, sizes, first):
-            pairs.append(0)
-            return kernel(dense, sizes, first)
-
         def counted_tables(out, at, counts, n, pending):
-            pairs[-1] += len(counts)
+            if not outs or outs[-1] is not out:
+                outs.append(out)
+                work.append([out.size, 0])
+            work[-1][1] += len(counts)
             return tables(out, at, counts, n, pending)
 
         monkeypatch.setattr(ingest, "resolve_missing", counted_resolve)
-        monkeypatch.setattr(infotheory, "_pair_information", counted_kernel)
         monkeypatch.setattr(infotheory, "_stack_information", counted_tables)
-        return discretized, pairs
+        return discretized, work
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_one_discretization_and_matrix_per_selection_input(self, monkeypatch, strict):
         data = synthetic_credit_dataset(seed=7, n=200)
         folds = 3
-        discretized, pairs = self._count_work(monkeypatch)
+        discretized, work = self._count_work(monkeypatch)
         configs = [SelectionConfig(method=method, k=3) for method in METHODS]
         evaluate_methods(data, configs, CvProtocol(n_folds=folds, strict=strict))
         m = data.n_features
         inputs = folds + 1 if strict else 1
         assert len(discretized) == inputs
-        assert pairs == [m * (m + 1) // 2] * inputs      # all pairs of [features | target]
+        # one (m + 1)**2 matrix of all pairs of [features | target] per input
+        assert work == [[(m + 1) ** 2, m * (m + 1) // 2]] * inputs
 
     def test_relevance_alone_sends_only_the_target_pairs(self, monkeypatch):
         data = synthetic_credit_dataset(seed=7, n=200)
         dd = discretize(data, DiscretizationPolicy())
-        _, pairs = self._count_work(monkeypatch)
+        _, work = self._count_work(monkeypatch)
         build_relevance_vector(dd)
-        assert pairs == [data.n_features]
+        assert work == [[data.n_features, data.n_features]]      # m values, no matrix
         assert dd._information is None
 
 
