@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .infotheory import information
 from .ingest import DiscretizedDataset, dense_codes
 from .qp import _check_k, ranking_of
 
@@ -205,7 +206,7 @@ def cfs(data: DiscretizedDataset) -> SelectionResult:
     if m < 1:
         raise DataError("need at least one feature")
 
-    info = data.information
+    info = information(data)
     h = np.diag(info)
     denom = h[:, None] + h[None, :]
     su = np.divide(2.0 * info, denom, out=np.zeros_like(info), where=denom != 0.0)

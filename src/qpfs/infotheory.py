@@ -5,9 +5,9 @@ frequency estimator with no smoothing; 0*log(0) terms contribute zero.
 One batched kernel is the only estimator: it gives ``information_matrix``
 (H on the diagonal, pairwise MI off it), hence the redundancy matrix Q and
 CFS's symmetric uncertainty, and the relevance vector F (also the
-Information Gain scores) as the pairs (feature, class).  A
-``DiscretizedDataset`` keeps the matrix of its [features | target] once
-built (``DiscretizedDataset.information``), and Q and F are copied out of it.
+Information Gain scores) as the pairs (feature, class).  ``information``
+keeps the matrix of a ``DiscretizedDataset``'s [features | target] while
+the dataset lives, and Q and F are copied out of it.
 
 The kernel counts every pair's table exactly, with a matrix product of
 one-hot tiles where that costs few multiply-adds per table and with
@@ -19,6 +19,8 @@ bit (``information_matrix`` says why and bounds its memory).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -318,20 +320,33 @@ def _dense_information(dense: np.ndarray, counts: list) -> np.ndarray:
     return values
 
 
+_INFORMATION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def information(data: DiscretizedDataset) -> np.ndarray:
+    """Read-only ``information_matrix`` of ``data``'s [features | target],
+    built on the first call and kept in ``_INFORMATION`` while ``data`` lives."""
+    values = _INFORMATION.get(data)
+    if values is None:
+        values = _INFORMATION[data] = _dense_information(*_stacked_codes(data))
+        values.flags.writeable = False
+    return values
+
+
 def build_redundancy_matrix(data: DiscretizedDataset) -> np.ndarray:
     """Q, the (m, m) matrix: off-diagonal MI between feature pairs, diagonal H(x_i).
 
-    A fresh copy of ``data.information[:m, :m]``, so the caller may write to
-    it; the information matrix is built on the first call for ``data``.
+    A fresh copy of ``information(data)[:m, :m]``, so the caller may write
+    to it; the information matrix is built on the first call for ``data``.
     """
     m = data.n_features
-    return data.information[:m, :m].copy()
+    return information(data)[:m, :m].copy()
 
 
 def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     """F, the (m,) vector of MI between each feature and the target.
 
-    A copy of ``data.information[:m, m]`` once that matrix is built;
+    A copy of ``information(data)[:m, m]`` once that matrix is built;
     otherwise only the m pairs (feature i, target) are counted, by
     ``np.bincount`` keys, and go through the matrix's float part and clamp,
     which gives each the same value as that matrix's (i, m) entry.
@@ -339,8 +354,8 @@ def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     if data.target.min() == data.target.max():
         raise DataError("single-label target")
     m = data.n_features
-    if data._information is not None:
-        return data._information[:m, m].copy()
+    if data in _INFORMATION:
+        return _INFORMATION[data][:m, m].copy()
     dense, counts = _stacked_codes(data)
     sizes = np.array([column.size for column in counts])
     out, pending = np.zeros(m), []

@@ -122,7 +122,7 @@ class Dataset:
                 return i
         raise KeyError(name)
 
-    # No src/ code reads ``rows``; it stays because bench/tracer.py fingerprints it.
+    # Only bench/tracer.py (fingerprints) and tests (write, compare tables) read ``rows``.
     def _cells(self, j: int) -> list:
         """Column ``j`` as ``float`` / ``str`` cells, ``None`` where missing."""
         values = self.arrays[j]
@@ -174,36 +174,19 @@ class DiscretizationPolicy:
             raise SchemaError(f"unknown missing policy {self.missing_policy!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscretizedDataset:
     """Integer-bin-coded feature matrix aligned with a {0,1} target.
 
     Each column's codes are dense, 0..B-1, so its bin count is its maximum
     code plus one; the column order is the source Dataset's feature order.
     ``discretize`` hands the same instance to every caller with the same
-    Dataset and policy, so its arrays are read-only.
+    Dataset and policy, so its arrays are read-only.  It compares and hashes
+    by identity, which keys ``qpfs.infotheory.information``'s matrix cache.
     """
 
     feature_codes: np.ndarray          # (N, m) non-negative bin indices
     target: np.ndarray                 # (N,) labels in {0, 1}
-
-    def __post_init__(self):
-        self._information: np.ndarray | None = None
-
-    @property
-    def information(self) -> np.ndarray:
-        """``information_matrix`` of [features | target], built on first access.
-
-        Kept on the instance and read-only: Q is ``information[:m, :m]``, F
-        is ``information[:m, m]``, and CFS's symmetric uncertainty is derived
-        from the whole matrix.
-        """
-        if self._information is None:
-            from .infotheory import _dense_information, _stacked_codes   # infotheory imports this module
-            values = _dense_information(*_stacked_codes(self))
-            values.flags.writeable = False
-            self._information = values
-        return self._information
 
     @property
     def n_samples(self) -> int:

@@ -126,8 +126,8 @@ def evaluate_methods(data: Dataset, configs: list[SelectionConfig],
 
     One ``evaluate`` call serves all configs, so they share the folds and
     each fold's encoding.  Configs with one policy also share each selection
-    input's discretization and its information matrix, which ``discretize``
-    memoizes on the Dataset.  Under ``protocol.strict`` every config re-selects
+    input's discretization, which ``discretize`` memoizes on the Dataset, and
+    so its information matrix.  Under ``protocol.strict`` every config re-selects
     inside every training fold from the training rows alone (the
     leakage-free variant); the full-data selection then only fixes the
     report's ``k``.

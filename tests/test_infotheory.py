@@ -1,6 +1,8 @@
 """Entropy / mutual-information estimators and the Q/F builders."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -276,7 +278,7 @@ class TestTileKernel:
         values = build_relevance_vector(dd)
         assert values.shape == (8,)
         assert np.array_equal(values, pairwise_oracle(codes)[:8, 8])
-        assert dd._information is None
+        assert dd not in infotheory._INFORMATION
 
     def test_row_blocks_and_float64_counts(self, monkeypatch):
         # float32 products of 37-row blocks, added in float64 over up to 9
@@ -292,7 +294,7 @@ class TestTileKernel:
         codes = np.column_stack([rng.integers(0, int(rng.choice([2, 3, 5, 10])), 600)
                                  for _ in range(64)] + [rng.permutation(600)])
         y = rng.integers(0, 2, 600)
-        info = make_dd(codes, y).information
+        info = infotheory.information(make_dd(codes, y))
         assert build_relevance_vector(make_dd(codes, y)).tobytes() == info[:-1, -1].tobytes()
 
     @pytest.mark.parametrize("n, m", [(20_000, 4), (40, 4_000)])
@@ -311,7 +313,7 @@ class TestTileKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert dd._information is None
+        assert dd not in infotheory._INFORMATION
         assert F.tolist() == [mutual_information(contingency(codes[:, i], y))
                               for i in range(m)]
 
@@ -420,7 +422,21 @@ class TestSharedInformation:
         for got_Q, got_F in ((Q, F), (Q2, F2)):
             assert np.array_equal(got_Q, fresh[:m, :m])
             assert np.array_equal(got_F, fresh[:m, m])
-        assert np.array_equal(f_first.information, fresh)
+        assert np.array_equal(infotheory.information(f_first), fresh)
+
+    def test_matrix_is_kept_read_only_while_its_dataset_lives(self):
+        dd = make_dd([[0, 1], [1, 1], [1, 0], [0, 0]], [0, 1, 1, 0])
+        info = infotheory.information(dd)
+        assert infotheory.information(dd) is info
+        assert not info.flags.writeable
+        assert np.array_equal(info, information_matrix([[0, 1, 0], [1, 1, 1],
+                                                        [1, 0, 1], [0, 0, 0]]))
+        assert infotheory._INFORMATION[dd] is info
+        dropped = weakref.ref(dd)
+        del dd
+        gc.collect()
+        assert dropped() is None
+        assert all(values is not info for values in infotheory._INFORMATION.values())
 
     def test_zeroed_diagonal_does_not_reach_the_shared_matrix(self):
         data = synthetic_credit_dataset(seed=6, n=150)
@@ -474,7 +490,7 @@ class TestSharedInformation:
         _, work = self._count_work(monkeypatch)
         build_relevance_vector(dd)
         assert work == [[data.n_features, data.n_features]]      # m values, no matrix
-        assert dd._information is None
+        assert dd not in infotheory._INFORMATION
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qpfs import ingest
+from qpfs import infotheory, ingest
 from qpfs.cli import main
 from qpfs.errors import DataError, SchemaError
 from qpfs.ingest import (ColumnSpec, DiscretizationPolicy, binary_target,
@@ -547,7 +547,7 @@ class TestDiscretizeMemo:
         with pytest.raises(ValueError):
             dd.target[0] = 1 - dd.target[0]
         with pytest.raises(ValueError):
-            dd.information[0, 0] = 0.0
+            infotheory.information(dd)[0, 0] = 0.0
 
 
 class TestRealGerman:

@@ -59,6 +59,11 @@ class TestEstimateAlpha:
             Q, F = random_psd_instance(rng)
             assert 0.0 <= estimate_alpha(Q, F) <= 1.0
 
+    def test_terms_of_opposite_sign_clamp_to_the_range(self):
+        # the balance point of these means is 2 or -1, outside [0, 1]
+        assert estimate_alpha(np.full((2, 2), 0.2), np.full(2, -0.1)) == 1.0
+        assert estimate_alpha(np.full((2, 2), -0.1), np.full(2, 0.2)) == 0.0
+
     def test_accepts_wrapped_types(self):
         rng = np.random.default_rng(1)
         dd = random_discretized(rng, n=100, m=4)
@@ -279,6 +284,19 @@ class TestSolve:
         f = np.array([0.8, 0.6])
         assert kkt_residual(Q, f, np.array([0.7, 0.3])) <= 1e-12
 
+    @pytest.mark.parametrize("f, x, expected", [
+        # off the simplex: |sum - 1| = 0.4, the projected step moves 0.2
+        ([0.0, 0.0], [0.7, 0.7], 0.4),
+        # on it: weight 0.1 where the gradient is 10 above its minimum, the
+        # projected step moves 0.1
+        ([0.0, -10.0], [0.9, 0.1], 1.0),
+    ])
+    def test_kkt_residual_is_its_largest_term(self, f, x, expected):
+        # Q = 0, so the gradient is -f.  A negative weight is never the
+        # largest term: the projected step moves it at least to zero.
+        residual = kkt_residual(np.zeros((2, 2)), np.array(f), np.array(x))
+        assert residual == pytest.approx(expected, abs=1e-15)
+
 
 def normalized(problem):
     """Q_eff and f_eff divided by their largest coefficient, as ``solve`` runs them."""
@@ -420,6 +438,20 @@ class TestSolverOrder:
             x, _ = qp._solve_active_set(Q, f, 100 * m)
             k = min(10, int(np.sum(x > qp.KKT_TOL)))
             assert rank(w, k) == ranking_of(x)[:k].tolist(), (m, k)
+
+    @pytest.mark.parametrize("family", sorted(PROBLEM_FAMILIES))
+    def test_projected_gradient_stops_at_half_the_tolerance(self, family):
+        # FISTA checks its residual every 50 steps and returns the first
+        # iterate at or below half of KKT_TOL, leaving room for the polish
+        rng = np.random.default_rng(70 + sorted(PROBLEM_FAMILIES).index(family))
+        for m in (qp.ACTIVE_SET_MAX_M + 1, 2 * qp.ACTIVE_SET_MAX_M):
+            Q, f = normalized(QpProblem(*PROBLEM_FAMILIES[family](rng, m), alpha=0.5))
+            x, iterations = qp._solve_projected_gradient(Q, f, 100_000)
+            assert iterations % 50 == 0 and iterations < 100_000, (m, iterations)
+            assert kkt_residual(Q, f, x) <= 0.5 * qp.KKT_TOL, m
+            if iterations > 50:
+                earlier, _ = qp._solve_projected_gradient(Q, f, iterations - 50)
+                assert kkt_residual(Q, f, earlier) > 0.5 * qp.KKT_TOL, m
 
     def test_the_active_set_runs_first_at_the_size(self):
         Q, f = latent_factor_problem(np.random.default_rng(61), qp.ACTIVE_SET_MAX_M)
