@@ -8,13 +8,14 @@ renders every table and JSON file a run produces.
 Every setting has one home.  Selection settings take their defaults from
 ``SelectionConfig`` and ``DiscretizationPolicy``, evaluation settings from
 ``CvProtocol``; the CLI builds those objects from the values a run sets
-and repeats none of their defaults.  A run sets values with flags and with
-a flat ``key = value`` config file (``--config``) whose keys are the flag
-names with ``_`` for ``-`` (``cv_seed = 3``).  Each config value is
-converted and checked by its flag's own argparse action (type, choices,
-``true``/``false`` for a switch), and flags win over the file.  A key that
-no subcommand defines is an error; a key that only other subcommands
-define is skipped, so one file can serve every subcommand.
+and repeats none of their defaults.  ``SUBCOMMANDS`` lists the flags each
+subcommand takes.  A run sets values with flags and with a flat
+``key = value`` config file (``--config``) whose keys are the flag names
+with ``_`` for ``-`` (``cv_seed = 3``).  Each config value is converted and
+checked by its flag's own argparse action (type, choices, ``true``/``false``
+for a switch), and flags win over the file.  A key that no subcommand
+defines is an error; a key that only other subcommands define is skipped,
+so one file can serve every subcommand.
 """
 
 from __future__ import annotations
@@ -82,12 +83,10 @@ def _convert(action: argparse.Action, text: str):
     return value
 
 
-def config_options(parser: argparse.ArgumentParser, command: str, path) -> dict:
-    """The values a config file sets for ``command``, converted by its flags."""
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    settings = {name: {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-                for name, sub in subparsers.choices.items()}
+def config_options(settings: dict[str, dict[str, argparse.Action]], command: str,
+                   path) -> dict:
+    """The values a config file sets for ``command``, converted by the flag
+    actions that ``build_parser`` returns as ``settings``."""
     options = {}
     for key, text in read_config_file(path).items():
         action = settings[command].get(key)
@@ -403,113 +402,91 @@ def cmd_inspect(options: dict) -> int:
 # holds only what the command line set, so config values can fill the rest
 # and the config dataclasses supply every default.
 
-def _add_dataset_flags(sub):
-    sub.add_argument("--name", choices=sorted(SOURCES), help="built-in dataset name")
-    sub.add_argument("--data", help="path to a data file")
-    sub.add_argument("--schema", help="path to a schema file")
-    sub.add_argument("--data-dir", dest="data_dir", help="directory with fetched datasets")
-    sub.add_argument("--delimiter", help="cell delimiter, or 'whitespace'")
-    sub.add_argument("--header", action="store_true", help="first row is a header")
+def flag(*names: str, **options) -> tuple:
+    """One flag, as the arguments of its ``add_argument`` call."""
+    return names, options
 
+
+DATA_DIR_FLAG = flag("--data-dir", help="directory with fetched datasets")
+ONLY_FLAG = flag("--only", choices=sorted(SOURCES))
+OUT_FLAG = flag("--out", help="directory for the run's artifacts")
+DATASET_FLAGS = (
+    flag("--name", choices=sorted(SOURCES), help="built-in dataset name"),
+    flag("--data", help="path to a data file"),
+    flag("--schema", help="path to a schema file"),
+    DATA_DIR_FLAG,
+    flag("--delimiter", help="cell delimiter, or 'whitespace'"),
+    flag("--header", action="store_true", help="first row is a header"))
 
 # A subcommand takes only the selection flags it reads: `inspect` builds the
 # quadratic problem alone, and `reproduce` sets each table's method and k.
+METHOD_FLAGS = (flag("--method", choices=METHODS), flag("--k", type=int, help="selection size"))
+SELECTION_FLAGS = (
+    flag("--alpha", type=float, help="override the estimated alpha"),
+    flag("--q-diagonal", choices=Q_DIAGONALS),
+    flag("--binning", choices=METHODS_DISCRETIZE),
+    flag("--bins", type=int, help="bins for continuous features"),
+    flag("--missing", choices=MISSING_POLICIES))
+RELIEFF_FLAGS = (
+    flag("--relieff-neighbors", type=int),
+    flag("--relieff-iterations", type=int),
+    flag("--seed", type=int, help="selector seed (ReliefF sampling)"))
+PROTOCOL_FLAGS = (
+    flag("--folds", type=int),
+    flag("--stratified", action=argparse.BooleanOptionalAction,
+         help="keep each fold's class balance (default) or deal rows"
+              " to folds regardless of class"),
+    flag("--cv-seed", type=int),
+    flag("--encoding", choices=ENCODINGS),
+    flag("--ridge", type=float),
+    flag("--error-convention", choices=CONVENTIONS),
+    flag("--strict", action="store_true", help="re-select features inside each training fold"))
 
-def _add_method_flags(sub):
-    sub.add_argument("--method", choices=METHODS)
-    sub.add_argument("--k", type=int, help="selection size")
+# The one list of which subcommand takes which flag: name -> (handler, help
+# line, flags).  Every subcommand also takes --config, which names a file of
+# settings and is none itself.
+SUBCOMMANDS = {
+    "fetch": (cmd_fetch, "download the UCI credit datasets",
+              (DATA_DIR_FLAG, ONLY_FLAG, flag("--force", action="store_true"))),
+    "select": (cmd_select, "rank and select features",
+               (*DATASET_FLAGS, *METHOD_FLAGS, *SELECTION_FLAGS, *RELIEFF_FLAGS, OUT_FLAG)),
+    "evaluate": (cmd_evaluate, "cross-validated error rates for a selection",
+                 (*DATASET_FLAGS, *METHOD_FLAGS, *SELECTION_FLAGS, *RELIEFF_FLAGS,
+                  *PROTOCOL_FLAGS, OUT_FLAG)),
+    "reproduce": (cmd_reproduce, "regenerate both benchmark tables",
+                  (DATA_DIR_FLAG, ONLY_FLAG, OUT_FLAG, *SELECTION_FLAGS, *RELIEFF_FLAGS,
+                   *PROTOCOL_FLAGS)),
+    "inspect": (cmd_inspect, "dump Q, F, alpha, and solver diagnostics",
+                (*DATASET_FLAGS, *SELECTION_FLAGS, OUT_FLAG)),
+}
 
 
-def _add_selection_flags(sub):
-    sub.add_argument("--alpha", type=float, help="override the estimated alpha")
-    sub.add_argument("--q-diagonal", dest="q_diagonal", choices=Q_DIAGONALS)
-    sub.add_argument("--binning", choices=METHODS_DISCRETIZE)
-    sub.add_argument("--bins", type=int, help="bins for continuous features")
-    sub.add_argument("--missing", choices=MISSING_POLICIES)
-
-
-def _add_relieff_flags(sub):
-    sub.add_argument("--relieff-neighbors", dest="relieff_neighbors", type=int)
-    sub.add_argument("--relieff-iterations", dest="relieff_iterations", type=int)
-    sub.add_argument("--seed", type=int, help="selector seed (ReliefF sampling)")
-
-
-def _add_protocol_flags(sub):
-    sub.add_argument("--folds", type=int)
-    sub.add_argument("--stratified", action=argparse.BooleanOptionalAction,
-                     help="keep each fold's class balance (default) or deal rows"
-                          " to folds regardless of class")
-    sub.add_argument("--cv-seed", dest="cv_seed", type=int)
-    sub.add_argument("--encoding", choices=ENCODINGS)
-    sub.add_argument("--ridge", type=float)
-    sub.add_argument("--error-convention", dest="error_convention",
-                     choices=CONVENTIONS)
-    sub.add_argument("--strict", action="store_true",
-                     help="re-select features inside each training fold")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and each subcommand's flag actions keyed by config key."""
     parser = argparse.ArgumentParser(
         prog="qpfs",
         description="Feature selection by simplex-constrained quadratic programming,"
                     " with mRMR and filter baselines and a credit-scoring harness.",
     )
     parser.add_argument("--version", action="version", version=f"qpfs {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, func, summary):
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=func)
-        return p
-
-    p = subcommand("fetch", cmd_fetch, "download the UCI credit datasets")
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--only", choices=sorted(SOURCES))
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--config")
-
-    p = subcommand("select", cmd_select, "rank and select features")
-    _add_dataset_flags(p)
-    _add_method_flags(p)
-    _add_selection_flags(p)
-    _add_relieff_flags(p)
-    p.add_argument("--out", help="directory for selection artifacts")
-    p.add_argument("--config")
-
-    p = subcommand("evaluate", cmd_evaluate, "cross-validated error rates for a selection")
-    _add_dataset_flags(p)
-    _add_method_flags(p)
-    _add_selection_flags(p)
-    _add_relieff_flags(p)
-    _add_protocol_flags(p)
-    p.add_argument("--out")
-    p.add_argument("--config")
-
-    p = subcommand("reproduce", cmd_reproduce, "regenerate both benchmark tables")
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--only", choices=sorted(SOURCES))
-    p.add_argument("--out")
-    _add_selection_flags(p)
-    _add_relieff_flags(p)
-    _add_protocol_flags(p)
-    p.add_argument("--config")
-
-    p = subcommand("inspect", cmd_inspect, "dump Q, F, alpha, and solver diagnostics")
-    _add_dataset_flags(p)
-    _add_selection_flags(p)
-    p.add_argument("--out")
-    p.add_argument("--config")
-
-    return parser
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    settings = {}
+    for name, (handler, summary, flags) in SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sub.set_defaults(func=handler)
+        actions = [sub.add_argument(*names, **options) for names, options in flags]
+        sub.add_argument("--config")
+        settings[name] = {action.dest: action for action in actions}
+    return parser, settings
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, settings = build_parser()
     args = parser.parse_args(argv)
     options = vars(args)
     try:
         if "config" in options:
-            options = {**config_options(parser, args.command, options["config"]),
+            options = {**config_options(settings, args.command, options["config"]),
                        **options}
         return args.func(options)
     except ConfigError as exc:

@@ -10,7 +10,6 @@ yourself; every command accepts local paths.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +65,8 @@ def validate_structure(text: str, source: DatasetSource) -> None:
 
 
 def sha256_digest(data: bytes) -> str:
+    import hashlib              # here, not at import: only fetch checks digests
+
     return hashlib.sha256(data).hexdigest()
 
 

@@ -64,7 +64,8 @@ MUTANTS = (
     Mutant("fista-exit-at-kkt-tol", QP, FISTA_EXIT, "kkt_residual(Q, f, x) <= KKT_TOL:",
            QP_TESTS),
     Mutant("fista-never-stops-early", QP, FISTA_EXIT, "kkt_residual(Q, f, x) < 0.0:",
-           QP_TESTS),
+           ("tests/test_qp.py::TestSolverOrder"
+            "::test_projected_gradient_stops_at_half_the_tolerance",)),
     Mutant("fista-no-momentum", QP, "y = x_next + ((t - 1.0) / t_next) * (x_next - x)",
            "y = x_next", QP_TESTS),
     Mutant("fista-4x-step", QP, "step = 1.0 / max(", "step = 4.0 / max(", QP_TESTS),
@@ -133,6 +134,9 @@ MUTANTS = (
     Mutant("relieff-block-summed", BASELINES,
            "weights = np.cumsum(np.vstack([weights, (miss - hit) / visit.size]), axis=0)[-1]",
            "weights = weights + ((miss - hit) / visit.size).sum(axis=0)", RELIEFF_TESTS),
+    # cli
+    Mutant("data-dir-default-not-data", "src/qpfs/cli.py", 'DATA_DIR = "data"',
+           'DATA_DIR = "."', ("tests/test_cli_flags.py",)),
     # the invariance test itself
     Mutant("permutation-not-mapped-back", "tests/test_invariance.py",
            "return {back[i] if back else i for i in selected}", "return set(selected)",

@@ -139,14 +139,22 @@ class TestFetchOffline:
             fetch_dataset("martian", tmp_path)
 
 
-def test_importing_the_cli_loads_no_http_client():
-    """Only a download needs urllib.request, and with it http.client and ssl."""
+def loaded_after_importing_the_cli(*modules: str) -> str:
+    """Which of ``modules`` a fresh interpreter holds after ``import qpfs.cli``."""
     src = str(Path(qpfs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, qpfs.cli; "
-            "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl')"
-            " if m in sys.modules))")
+    code = f"import sys, qpfs.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_http_client():
+    """Only a download needs urllib.request, and with it http.client and ssl."""
+    assert loaded_after_importing_the_cli("http.client", "urllib.request", "ssl") == "[]"
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    """Only fetch checks a digest."""
+    assert loaded_after_importing_the_cli("hashlib") == "[]"
