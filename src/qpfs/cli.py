@@ -340,9 +340,9 @@ def cmd_reproduce(options: dict) -> int:
     out_dir = _out_dir(options, "qpfs_out")
 
     keys = [options["only"]] if "only" in options else list(SOURCES)   # german first
-    reference = json.loads(   # the published error rates, by dataset
+    reference = json.loads(   # the published k and error rates, by dataset
         resources.files("qpfs.data").joinpath("reference_errors.json").read_text())
-    datasets = {key: (resolve_dataset({**options, "name": key}), SOURCES[key].k_published)
+    datasets = {key: (resolve_dataset({**options, "name": key}), reference[key]["k"])
                 for key in keys}
 
     all_reports = reproduce_tables(datasets, sel_config, protocol)
@@ -351,11 +351,9 @@ def cmd_reproduce(options: dict) -> int:
         table = report_table(key, datasets[key][1], reports)
         print(table)
         _write(out_dir, f"table_{key}.txt", table)
-        ref_methods = reference.get(key, {}).get("methods", {})
-        if ref_methods:
-            delta = delta_table(key, reports, ref_methods)
-            print(delta)
-            _write(out_dir, f"delta_{key}.txt", delta)
+        delta = delta_table(key, reports, reference[key]["methods"])
+        print(delta)
+        _write(out_dir, f"delta_{key}.txt", delta)
     record = run_record(sel_config, protocol)
     for key in ("method", "k"):            # every table runs each method at its own k
         del record["selection"][key]

@@ -26,7 +26,6 @@ class DatasetSource:
     filename: str
     n_rows: int
     n_cols: int
-    k_published: int
     sha256: str | None = None      # pinned digest when known
 
 
@@ -37,7 +36,6 @@ SOURCES = {
         filename="german.data",
         n_rows=1000,
         n_cols=21,
-        k_published=7,
     ),
     "australian": DatasetSource(
         key="australian",
@@ -45,7 +43,6 @@ SOURCES = {
         filename="australian.dat",
         n_rows=690,
         n_cols=15,
-        k_published=6,
     ),
 }
 

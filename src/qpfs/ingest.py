@@ -204,6 +204,7 @@ class DiscretizedDataset:
 def parse_schema_text(text: str, source: str = "<schema>") -> list[ColumnSpec]:
     """Parse the one-column-per-line schema format; '#' starts a comment."""
     columns: list[ColumnSpec] = []
+    names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -225,6 +226,9 @@ def parse_schema_text(text: str, source: str = "<schema>") -> list[ColumnSpec]:
                 positive = value
             else:
                 role = token
+        if name in names:
+            raise SchemaError(f"{source}, line {lineno}: duplicate column name {name!r}")
+        names.add(name)
         try:
             columns.append(ColumnSpec(name, kind, role, positive))
         except SchemaError as exc:
@@ -235,11 +239,8 @@ def parse_schema_text(text: str, source: str = "<schema>") -> list[ColumnSpec]:
         raise SchemaError(f"{source}: expected exactly one target column, found {len(targets)}")
     if targets[0].kind != "binary":
         raise SchemaError(f"{source}: target column {targets[0].name!r} must be binary")
-    seen = set()
-    for c in columns:
-        if c.name in seen:
-            raise SchemaError(f"{source}: duplicate column name {c.name!r}")
-        seen.add(c.name)
+    if not any(c.role == "feature" for c in columns):
+        raise SchemaError(f"{source}: no feature column")
     return columns
 
 
@@ -271,8 +272,9 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     recorded as missing, not dropped.  A continuous cell must parse to a
     finite number: "nan", "inf" and overflowing values such as "1e999" are
     rejected with the file, line and column, as are a missing target label
-    and a third distinct label in the target or a binary feature column.
-    When a file has several faults, the first one in file order is reported.
+    and a third distinct label in the target or a binary feature column;
+    a line with the wrong number of cells is rejected with the file and
+    line.  Of several faults, the first in file order is reported.
     """
     path = Path(path)
     try:
@@ -285,29 +287,29 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     n_cols = len(schema)
     step = max(1, PARSE_BLOCK_CELLS // n_cols)
     parts: list[list] = [[] for _ in schema]     # per column, one array per block
-    linenos: list[int] = []                      # file line of each parsed row
-    errors = []                                  # (row, column, message)
-    ragged = None
+    linenos: list[int] = []                      # file line of each split row
+    faults = []                                  # (row, column, message)
     for lo in range(0, len(lines), step):
         numbered = [(lineno, raw.split(delimiter)) for lineno, raw
                     in enumerate(lines[lo:lo + step], start=first_lineno + lo)
                     if raw.strip()]
         good = next((i for i, (_, cells) in enumerate(numbered) if len(cells) != n_cols),
                     len(numbered))
+        if good < len(numbered):
+            faults.append((len(linenos) + good, n_cols, f"expected {n_cols} cells,"
+                           f" got {len(numbered[good][1])}"))
         columns = zip(*(cells for _, cells in numbered[:good]))
         for j, (spec, column) in enumerate(zip(schema, columns)):
             if spec.kind == "continuous":
                 values, bad = _parse_numbers(column)
                 if bad is not None:
-                    errors.append((len(linenos) + bad, j, f"non-numeric or non-finite value"
+                    faults.append((len(linenos) + bad, j, f"non-numeric or non-finite value"
                                    f" {column[bad].strip()!r} in continuous column {spec.name!r}"))
                 parts[j].append(values)
             else:
                 parts[j].append(np.char.strip(np.array(column, dtype=str)))
-        linenos += [lineno for lineno, _ in numbered[:good]]
-        if good < len(numbered):
-            ragged = numbered[good]
-        if errors or ragged:
+        linenos += [lineno for lineno, _ in numbered]
+        if faults:
             break
 
     arrays, categories = [], []
@@ -321,19 +323,16 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
         arrays.append(codes)
         categories.append(labels)
         if spec.role == "target" and (codes < 0).any():
-            errors.append((int(np.argmax(codes < 0)), j,
+            faults.append((int(np.argmax(codes < 0)), j,
                            f"missing label in target column {spec.name!r}"))
         if len(labels) > 2 and (spec.role == "target" or spec.kind == "binary"):
             where = "target" if spec.role == "target" else "binary"
-            errors.append((int(np.argmax(codes == 2)), j, f"third distinct label"
+            faults.append((int(np.argmax(codes == 2)), j, f"third distinct label"
                            f" {labels[2]!r} in {where} column {spec.name!r}; expected two"
                            f" ({labels[0]!r}, {labels[1]!r} seen before)"))
-    if errors:
-        row, _, message = min(errors)
+    if faults:
+        row, _, message = min(faults)
         raise DataError(f"{path}, line {linenos[row]}: {message}")
-    if ragged:
-        lineno, cells = ragged
-        raise DataError(f"{path}, line {lineno}: expected {n_cols} cells, got {len(cells)}")
     if not linenos:
         raise DataError(f"{path}: zero data rows")
     return Dataset(schema, arrays, categories, name=name or path.stem)
@@ -348,22 +347,18 @@ def _parse_numbers(column: tuple[str, ...]) -> tuple[np.ndarray, int | None]:
     except ValueError:                           # missing markers, or a cell that is no number
         cells = np.char.strip(np.array(column, dtype=str))
         missing = np.isin(cells, MISSING_MARKERS)
-        try:
-            values = np.fromiter(map(float, np.where(missing, "nan", cells).tolist()),
-                                 dtype=np.float64, count=cells.size)
-        except ValueError:
-            return np.empty(0), next(i for i, cell in enumerate(cells.tolist())
-                                     if not (missing[i] or _is_number(cell)))
+        values = np.fromiter(map(_number, np.where(missing, "nan", cells).tolist()),
+                             dtype=np.float64, count=cells.size)
     bad = np.flatnonzero(~missing & ~np.isfinite(values))
     return values, int(bad[0]) if bad.size else None
 
 
-def _is_number(cell: str) -> bool:
+def _number(cell: str) -> float:
+    """``float(cell)``, or inf (not finite, so reported) for a cell that is no number."""
     try:
-        float(cell)
+        return float(cell)
     except ValueError:
-        return False
-    return True
+        return math.inf
 
 
 def _code_labels(cells: np.ndarray, missing: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -632,9 +627,7 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
         raise DataError("discretize needs at least 2 rows")
 
     resolved = resolve_missing(data, policy)
-    target = binary_target(resolved)
-    if target.min() == target.max():
-        raise DataError("target has a single label after missing-value handling")
+    target = binary_target(resolved)   # both classes present, or a DataError
 
     features = [(spec, values) for spec, values in zip(resolved.columns, resolved.arrays)
                 if spec.role == "feature"]

@@ -75,11 +75,14 @@ def estimate_alpha(Q, F) -> float:
 
     An all-zero Q with a nonzero F gives 1.0: there is no redundancy to
     weigh, and the balance point 0 would zero the relevance term as well.
-    Other terms whose means sum to zero raise DataError (no information
-    content); silent defaulting would hide a degenerate pipeline upstream.
+    Other terms whose means sum to zero, and an empty F (no features),
+    raise DataError (no information content); silent defaulting would hide
+    a degenerate pipeline upstream.
     """
     Qv = np.asarray(Q, dtype=float)
     Fv = np.asarray(F, dtype=float)
+    if Fv.size == 0:
+        raise DataError("no features; alpha is undefined")
     if not np.any(Qv) and np.any(Fv):
         return 1.0
     qm = float(np.mean(Qv))
@@ -170,18 +173,19 @@ def kkt_residual(Q_eff: np.ndarray, f_eff: np.ndarray, x: np.ndarray) -> float:
     """Max over stationarity, primal feasibility, and complementary slackness.
 
     Stationarity is measured as the fixed-point gap of the projected
-    gradient step; complementarity uses the multiplier estimate
-    nu = -min(gradient), which is exact at any optimum.  Non-finite
-    iterates report an infinite residual.
+    gradient step; that step lands on the simplex, so the gap of a negative
+    weight is at least its size and no separate nonnegativity term is
+    needed.  Complementarity uses the multiplier estimate nu = -min(gradient),
+    which is exact at any optimum.  Non-finite iterates report an infinite
+    residual.
     """
     if not np.all(np.isfinite(x)):
         return float("inf")
     g = Q_eff @ x - f_eff
     stationarity = float(np.max(np.abs(x - project_simplex(x - g))))
     feasibility = abs(float(x.sum()) - 1.0)
-    negativity = max(0.0, -float(x.min()))
     complementarity = float(np.max(x * (g - g.min())))
-    return max(stationarity, feasibility, negativity, complementarity)
+    return max(stationarity, feasibility, complementarity)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ EVALUATION_TESTS = ("tests/test_evaluation.py", "tests/test_columnar.py", "tests
 INGEST_TESTS = ("tests/test_ingest.py", "tests/test_columnar.py", "tests/test_remap.py")
 INFOTHEORY_TESTS = ("tests/test_infotheory.py", "tests/test_ingest.py")
 RELIEFF_TESTS = ("tests/test_baselines.py",)
-KKT_MAX = "return max(stationarity, feasibility, negativity, complementarity)"
+KKT_MAX = "return max(stationarity, feasibility, complementarity)"
 FISTA_EXIT = "kkt_residual(Q, f, x) <= 0.5 * KKT_TOL:"
 SIZE_RULE = "if m <= ACTIVE_SET_MAX_M:"
 IRLS_STOP = "        if gnorm <= IRLS_GRAD_TOL:\n            return beta\n        w = "
@@ -74,9 +74,6 @@ MUTANTS = (
     *(Mutant(f"kkt-without-{term}", QP, KKT_MAX,
              KKT_MAX.replace(f"{term}, ", "").replace(f", {term}", ""), QP_TESTS)
       for term in ("stationarity", "feasibility", "complementarity")),
-    Mutant("kkt-without-negativity", QP, KKT_MAX, KKT_MAX.replace("negativity, ", ""),
-           QP_TESTS, equivalent="the projected step lands on the simplex, so stationarity"
-           " moves a negative weight by at least its size: it never falls below negativity"),
     Mutant("active-set-above-size", QP, SIZE_RULE, "if m >= ACTIVE_SET_MAX_M:", QP_TESTS),
     Mutant("active-set-below-size", QP, SIZE_RULE, "if m < ACTIVE_SET_MAX_M:", QP_TESTS),
     Mutant("fallback-ignores-size", QP,
@@ -107,6 +104,12 @@ MUTANTS = (
     Mutant("load-csv-error-names-the-first-column", INGEST,
            "in continuous column {spec.name!r}", "in continuous column {schema[0].name!r}",
            INGEST_TESTS),
+    Mutant("load-csv-non-number-reads-zero", INGEST, "        return math.inf\n",
+           "        return 0.0\n", INGEST_TESTS),
+    Mutant("load-csv-reports-the-last-fault", INGEST, "min(faults)", "max(faults)",
+           INGEST_TESTS),
+    Mutant("load-csv-ragged-row-off-by-one", INGEST, "faults.append((len(linenos) + good,",
+           "faults.append((len(linenos) + good + 1,", INGEST_TESTS),
     Mutant("mode-ties-to-the-last", INGEST, "first[counts == counts.max()].min()",
            "first[counts == counts.max()].max()", INGEST_TESTS),
     Mutant("first-appearance-ranks-sorted", INGEST, "order = np.argsort(first) ",

@@ -7,6 +7,8 @@
   ``pairwise_oracle`` and ``symmetric_uncertainty`` are built on them, and
   ``brute_force_mi_bits`` checks them term by term in plain Python.
 - ``oracle_first_appearance_codes``: first-appearance coding with a dict.
+- ``oracle_first_fault``: the first fault of a data file, found row by row
+  and cell by cell, which ``qpfs.ingest.load_csv`` must report.
 - The selector loops: greedy mRMR with each step's criterion computed one
   candidate at a time, and the CFS merit of one subset.  ``qpfs.baselines``
   computes both for all candidates at once and must equal them bit for bit.
@@ -156,6 +158,45 @@ def oracle_first_appearance_codes(cells):
     for i, v in enumerate(cells):
         codes[i] = mapping.setdefault(v, len(mapping))
     return codes, np.bincount(codes, minlength=len(mapping))
+
+
+def oracle_first_fault(lines, schema, delimiter):
+    """(index into ``lines``, column name or None) of a data file's first fault.
+
+    ``schema`` holds objects with ``name``, ``kind`` and ``role``; lines are
+    split on ``delimiter`` (``None``: on whitespace), and blank ones skipped.
+    A line whose cell count is not the schema's is a fault with no column;
+    in a line of the right length the cells are read left to right, and a
+    fault is a continuous cell that is neither missing ("" or "?") nor a
+    finite number, a missing target label, or a third distinct label in the
+    target or a binary column.  ``None`` when the file has no fault.
+    """
+    seen: dict = {}                          # column -> labels in order of appearance
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        cells = line.split(delimiter)
+        if len(cells) != len(schema):
+            return i, None
+        for spec, cell in zip(schema, cells):
+            cell = cell.strip()
+            if cell in ("", "?"):
+                if spec.role == "target":
+                    return i, spec.name
+            elif spec.kind == "continuous":
+                try:
+                    finite = math.isfinite(float(cell))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    return i, spec.name
+            elif spec.role == "target" or spec.kind == "binary":
+                labels = seen.setdefault(spec.name, [])
+                if cell not in labels:
+                    if len(labels) == 2:
+                        return i, spec.name
+                    labels.append(cell)
+    return None
 
 
 # ---------------------------------------------------------------------------

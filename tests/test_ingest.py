@@ -1,6 +1,7 @@
 """Schema parsing, CSV loading, missing handling, and discretization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qpfs.ingest import (ColumnSpec, DiscretizationPolicy, binary_target,
 
 from conftest import (SYNTH_SCHEMA_TEXT, bin_counts, dataset_from_rows,
                       synthetic_credit_dataset, write_synthetic_files)
+from oracles import oracle_first_fault
 
 
 def basic_columns():
@@ -55,6 +57,23 @@ class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
             parse_schema_text("a continuous feature\na binary target\n")
+        text = "a continuous feature\nb categorical\n# c binary\n\na binary target\n"
+        with pytest.raises(SchemaError,
+                           match="^s.schema, line 5: duplicate column name 'a'$"):
+            parse_schema_text(text, source="s.schema")
+
+    def test_feature_column_required(self, tmp_path, capsys):
+        with pytest.raises(SchemaError, match="^s.schema: no feature column$"):
+            parse_schema_text("# the target alone\ny binary target positive=2\n",
+                              source="s.schema")
+        data, schema = write_synthetic_files(tmp_path, n=40)
+        schema.write_text("label binary target\n")
+        data.write_text("".join(line.split(",")[-1] + "\n"
+                                for line in data.read_text().splitlines()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")       # no numpy RuntimeWarning on the way
+            assert main(["inspect", "--data", str(data), "--schema", str(schema)]) == 2
+        assert f"{schema}: no feature column" in capsys.readouterr().err
 
     def test_non_utf8_schema_file_is_a_schema_error(self, tmp_path, capsys):
         data, schema = write_synthetic_files(tmp_path, n=40)
@@ -168,15 +187,19 @@ class TestLoadCsv:
 
 
 class TestMalformedCells:
-    """Seeded fuzz over ``load_csv``: one malformed cell or line per file.
+    """Seeded fuzz over ``load_csv``: one or several malformed cells or lines per file.
 
     Every rejection must name the file and the line, and a malformed cell
     must also name its column.  Small parse blocks put the fault on either
-    side of a block boundary.
+    side of a block boundary.  With several faults, the first one that
+    ``oracle_first_fault`` finds row by row must be the one reported.
     """
 
     KINDS = ("too-many", "too-few", "non-numeric", "non-finite", "missing-label",
              "third-label", "third-binary-value")
+    SCHEMA = [ColumnSpec("x", "continuous"), ColumnSpec("c", "categorical"),
+              ColumnSpec("z", "continuous"), ColumnSpec("b", "binary"),
+              ColumnSpec("y", "binary", "target")]
 
     def clean_lines(self, rng, n):
         lines = []
@@ -187,57 +210,94 @@ class TestMalformedCells:
                           f"{rng.uniform(0, 9):.2f}", str(rng.choice([flag, "?"])), label])
         return lines
 
+    def add_fault(self, lines, kind, rng, delimiter):
+        """Make one line of ``lines`` malformed; its index and the faulty column, if any."""
+        row = int(rng.integers(0, len(lines)))
+        column = None
+        if kind == "too-many":
+            lines[row].append("1.0")
+        elif kind == "too-few":
+            lines[row].pop(int(rng.integers(0, len(lines[row]))))
+        elif kind == "non-numeric":
+            column = str(rng.choice(["x", "z"]))
+            lines[row][0 if column == "x" else 2] = str(rng.choice(
+                ["abc", "1.2.3", "--1", "0x1f", "1,5" if delimiter is None else "1e"]))
+        elif kind == "non-finite":
+            column = str(rng.choice(["x", "z"]))
+            lines[row][0 if column == "x" else 2] = str(rng.choice(
+                ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]))
+        elif kind == "missing-label":
+            column = "y"
+            lines[row][4] = "?" if delimiter is None else str(rng.choice(["?", ""]))
+        else:                                # after both labels have been seen
+            column = "y" if kind == "third-label" else "b"
+            row = int(rng.integers(2, len(lines)))
+            for earlier, flag in ((0, "no"), (1, "yes")):
+                lines[earlier][3] = flag
+            lines[row][4 if column == "y" else 3] = "ugly"
+        return row, column
+
     @pytest.mark.parametrize("block_cells", [4, 20, 1 << 14])
     @pytest.mark.parametrize("delimiter", [",", None])
     def test_fault_named_with_file_line_and_column(self, tmp_path, monkeypatch,
                                                    block_cells, delimiter):
         monkeypatch.setattr(ingest, "PARSE_BLOCK_CELLS", block_cells)
-        schema = [ColumnSpec("x", "continuous"), ColumnSpec("c", "categorical"),
-                  ColumnSpec("z", "continuous"), ColumnSpec("b", "binary"),
-                  ColumnSpec("y", "binary", "target")]
         rng = np.random.default_rng(block_cells + (delimiter is None))
         sep = " " if delimiter is None else delimiter
         for case in range(42):
             kind = self.KINDS[case % len(self.KINDS)]
             lines = self.clean_lines(rng, int(rng.integers(3, 30)))
-            row = int(rng.integers(0, len(lines)))
-            column = None
-            if kind == "too-many":
-                lines[row].append("1.0")
-            elif kind == "too-few":
-                lines[row].pop(int(rng.integers(0, 5)))
-            elif kind == "non-numeric":
-                column = str(rng.choice(["x", "z"]))
-                lines[row][0 if column == "x" else 2] = str(rng.choice(
-                    ["abc", "1.2.3", "--1", "0x1f", "1,5" if delimiter is None else "1e"]))
-            elif kind == "non-finite":
-                column = str(rng.choice(["x", "z"]))
-                lines[row][0 if column == "x" else 2] = str(rng.choice(
-                    ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"]))
-            elif kind == "missing-label":
-                column = "y"
-                lines[row][4] = "?" if delimiter is None else str(rng.choice(["?", ""]))
-            else:                                # after both labels have been seen
-                column = "y" if kind == "third-label" else "b"
-                row = int(rng.integers(2, len(lines)))
-                for earlier, flag in ((0, "no"), (1, "yes")):
-                    lines[earlier][3] = flag
-                lines[row][4 if column == "y" else 3] = "ugly"
+            row, column = self.add_fault(lines, kind, rng, delimiter)
             path = tmp_path / f"case{case}.dat"
             path.write_text("\n".join(sep.join(cells) for cells in lines) + "\n")
 
             with pytest.raises(DataError) as exc:
-                load_csv(path, schema, delimiter=delimiter)
+                load_csv(path, self.SCHEMA, delimiter=delimiter)
             message = str(exc.value)
             assert str(path) in message, (kind, message)
             assert f"line {row + 1}:" in message, (kind, row, message)
             if column is not None:
                 assert f"column {column!r}" in message, (kind, message)
 
+    @pytest.mark.parametrize("block_cells", [4, 20, 1 << 14])
+    @pytest.mark.parametrize("delimiter", [",", None])
+    def test_first_of_several_faults_is_reported(self, tmp_path, monkeypatch, block_cells,
+                                                 delimiter):
+        monkeypatch.setattr(ingest, "PARSE_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng([block_cells, delimiter is None, 2])
+        sep = " " if delimiter is None else delimiter
+        for case in range(60):
+            lines = self.clean_lines(rng, int(rng.integers(3, 30)))
+            # cell faults first: a ragged line has no cell at every column index
+            for kind in sorted(rng.integers(0, len(self.KINDS), int(rng.integers(2, 4))),
+                               reverse=True):
+                self.add_fault(lines, self.KINDS[kind], rng, delimiter)
+            text = "\n".join(sep.join(cells) for cells in lines) + "\n"
+            path = tmp_path / f"case{case}.dat"
+            path.write_text(text)
+            first = oracle_first_fault(text.splitlines(), self.SCHEMA, delimiter)
+            if first is None:                # a later fault undid an earlier one
+                load_csv(path, self.SCHEMA, delimiter=delimiter)
+                continue
+
+            row, column = first
+            with pytest.raises(DataError) as exc:
+                load_csv(path, self.SCHEMA, delimiter=delimiter)
+            message = str(exc.value)
+            assert message.startswith(f"{path}, line {row + 1}: "), (text, message)
+            if column is None:
+                assert ": expected 5 cells, got " in message, (text, message)
+            else:
+                assert f"column {column!r}" in message, (text, message)
+
     def test_earliest_fault_in_the_file_wins(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1.0,A,1\n2.0,B,?\nbad,B,2\n3.0,B\n")
         with pytest.raises(DataError, match="line 2: missing label in target column 'y'"):
+            load_csv(p, basic_columns())
+        p.write_text("1.0,A,1\ninf,B,2\nabc,A,1\n")      # non-finite above a non-number
+        with pytest.raises(DataError, match="line 2: non-numeric or non-finite value 'inf'"
+                                            " in continuous column 'x'"):
             load_csv(p, basic_columns())
 
     @pytest.mark.parametrize("cell, message", [

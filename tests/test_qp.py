@@ -37,6 +37,12 @@ class TestEstimateAlpha:
         with pytest.raises(DataError):
             estimate_alpha(np.zeros((2, 2)), np.zeros(2))
 
+    def test_no_features_is_explicit_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")       # no mean-of-empty RuntimeWarning first
+            with pytest.raises(DataError, match="no features; alpha is undefined"):
+                estimate_alpha(np.zeros((0, 0)), np.zeros(0))
+
     def test_zero_redundancy_weighs_relevance_alone(self):
         Q, F = np.zeros((6, 6)), np.array([0.1, 0.3, 0.2, 0.05, 0.4, 0.0])
         assert estimate_alpha(Q, F) == 1.0
