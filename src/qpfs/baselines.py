@@ -133,8 +133,7 @@ def relieff(data: DiscretizedDataset, k: int, n_neighbors: int,
 
     # One-hot over each column's observed codes, columns offset one after
     # another, so negative and sparse codes cost no extra columns.
-    dense, counts = dense_codes(codes.T)
-    sizes = np.array([column.size for column in counts])
+    dense, sizes, _ = dense_codes(codes.T)
     ZT = np.zeros((int(sizes.sum()), n), dtype=np.float32)      # Z transposed
     ZT[dense + (np.cumsum(sizes) - sizes)[:, None], np.arange(n)] = 1.0
     dist_type = np.min_scalar_type(m + 1)

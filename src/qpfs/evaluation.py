@@ -223,10 +223,10 @@ class DesignEncoder:
                 categorical.append((len(self.stats), j, mode, np.where(missing, mode, cells)))
                 self.stats.append(None)
         if categorical:                 # one first-appearance remap for all of them
-            ranks, counts = dense_codes(np.array([entry[3] for entry in categorical]),
-                                        first_appearance=True)
-            for (i, j, mode, filled), rank, count in zip(categorical, ranks, counts):
-                self.stats[i] = self._categorical_rows(j, mode, filled, rank, count.size)
+            ranks, sizes, _ = dense_codes(np.array([entry[3] for entry in categorical]),
+                                          first_appearance=True)
+            for (i, j, mode, filled), rank, size in zip(categorical, ranks, sizes.tolist()):
+                self.stats[i] = self._categorical_rows(j, mode, filled, rank, size)
         widths = [1 if isinstance(stat, tuple) else stat.shape[1] for stat in self.stats]
         starts = np.cumsum([0] + widths)
         self._design_columns = {feature: np.arange(starts[i], starts[i + 1])

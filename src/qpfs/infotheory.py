@@ -298,18 +298,18 @@ def information_matrix(codes) -> np.ndarray:
     return _dense_information(*dense_codes(codes.T))
 
 
-def _stacked_codes(data: DiscretizedDataset) -> tuple[np.ndarray, list]:
+def _stacked_codes(data: DiscretizedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``dense_codes`` of the rows [features | target] of ``data``.  No name
     holds the stacked copy, so it is freed once ``dense_codes`` returns and
     the pair kernel runs at the memory a features-only build would use."""
     return dense_codes(np.vstack([data.feature_codes.T, data.target]))
 
 
-def _dense_information(dense: np.ndarray, counts: list) -> np.ndarray:
+def _dense_information(dense: np.ndarray, sizes: np.ndarray, counts: np.ndarray
+                       ) -> np.ndarray:
     """``information_matrix`` of the columns that ``dense_codes`` turned into
-    the rows of ``dense``, with ``counts`` their code counts."""
-    p = np.concatenate(counts) / dense.shape[1]
-    sizes = np.array([column.size for column in counts])
+    the rows of ``dense``, with ``sizes`` and ``counts`` as it returns them."""
+    p = counts / dense.shape[1]
     values = _pair_information(dense, sizes)
     i, j = np.triu_indices(sizes.size, k=1)
     values[j, i] = values[i, j]
@@ -356,8 +356,7 @@ def build_relevance_vector(data: DiscretizedDataset) -> np.ndarray:
     m = data.n_features
     if data in _INFORMATION:
         return _INFORMATION[data][:m, m].copy()
-    dense, counts = _stacked_codes(data)
-    sizes = np.array([column.size for column in counts])
+    dense, sizes, _ = _stacked_codes(data)
     out, pending = np.zeros(m), []
     for k, tables in _keyed_tables(dense, sizes, np.arange(m), np.full(m, m)):
         _stack_information(out, k, tables, dense.shape[1], pending)

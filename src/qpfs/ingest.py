@@ -364,9 +364,9 @@ def _number(cell: str) -> float:
 def _code_labels(cells: np.ndarray, missing: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Codes in first-appearance order (-1 where missing) and the label of each code."""
     codes = np.full(cells.size, -1, dtype=np.int64)
-    present, counts = dense_codes(cells[~missing], first_appearance=True)
+    present, sizes, _ = dense_codes(cells[~missing], first_appearance=True)
     codes[~missing] = present
-    labels = np.empty(counts.size, dtype=cells.dtype)
+    labels = np.empty(sizes[0], dtype=cells.dtype)
     labels[present] = cells[~missing]
     return codes, tuple(labels.tolist())
 
@@ -498,11 +498,11 @@ def dense_codes(values, first_appearance: bool = False):
     """Re-map codes to 0..s-1 and count each: in sorted order, or by first appearance.
 
     ``values`` is one vector of n codes, or a (p, n) array whose p >= 1 rows
-    are such vectors.  Returns the dense codes (int64, the input's shape,
-    C-contiguous) and the counts of codes 0..s-1: one array, or a list with
-    one array per row.  The sorted order is ``np.unique``'s, so the codes
-    equal its ``return_inverse`` output; first appearance gives A,B,A,C the
-    codes 0,1,0,2.
+    are such vectors.  Returns ``(codes, sizes, counts)``: the dense codes
+    (int64, the input's shape, C-contiguous), each row's code count s (int64,
+    one entry for a vector) and the counts of codes 0..s-1, row after row in
+    one array.  The sorted order is ``np.unique``'s, so the codes equal its
+    ``return_inverse`` output; first appearance gives A,B,A,C the codes 0,1,0,2.
 
     A row of integers that fit int64 (or of bools) whose range max - min is
     below n needs no sort.  Any other row (strings, floats, uint64, a wider
@@ -527,13 +527,10 @@ def dense_codes(values, first_appearance: bool = False):
         distinct, keys[j] = np.unique(rows[j], return_inverse=True)
         lo[j], span[j] = 0, max(distinct.size, 1) - 1
 
-    codes, sizes, tally = _bincount_ranks(keys, lo, span)
+    codes, sizes, counts = _bincount_ranks(keys, lo, span)
     if first_appearance:
-        codes, tally = _by_first_appearance(codes, sizes, tally)
-    if values.ndim == 1:
-        return codes[0], tally
-    ends = sizes.cumsum().tolist()
-    return codes, [tally[end - size:end] for end, size in zip(ends, sizes.tolist())]
+        codes, counts = _by_first_appearance(codes, sizes, counts)
+    return codes[0] if values.ndim == 1 else codes, sizes, counts
 
 
 def _bincount_ranks(keys: np.ndarray, lo: np.ndarray, span: np.ndarray):
@@ -599,8 +596,8 @@ def equal_width_codes(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]
         raise DataError(f"range [{lo!r}, {hi!r}] has no {n_bins} equal-width"
                         " bins in float64")
     provisional = np.minimum((values - lo) // width, n_bins - 1).astype(np.int64)
-    codes, counts = dense_codes(provisional)
-    return codes, int(counts.size)
+    codes, sizes, _ = dense_codes(provisional)
+    return codes, int(sizes[0])
 
 
 def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> DiscretizedDataset:
@@ -635,9 +632,9 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
     codes = np.empty((n, m), dtype=np.int64)
     categorical = [j for j, (spec, _) in enumerate(features) if spec.kind != "continuous"]
     if categorical:             # one first-appearance remap for all of them
-        cat_codes, cat_counts = dense_codes(np.array([features[j][1] for j in categorical]),
-                                            first_appearance=True)
-        coded = dict(zip(categorical, zip(cat_codes, cat_counts)))
+        cat_codes, cat_sizes, _ = dense_codes(np.array([features[j][1] for j in categorical]),
+                                              first_appearance=True)
+        coded = dict(zip(categorical, zip(cat_codes, cat_sizes.tolist())))
 
     for j, (spec, values) in enumerate(features):
         if spec.kind == "continuous":
@@ -652,11 +649,9 @@ def discretize(data: Dataset, policy: DiscretizationPolicy | None = None) -> Dis
                 logger.warning("continuous column %r: binning gives a single bin",
                                spec.name)
         else:
-            codes[:, j], counts = coded[j]
-            if spec.kind == "binary" and counts.size > 2:
-                raise DataError(
-                    f"binary column {spec.name!r} has {counts.size} distinct values"
-                )
+            codes[:, j], n_codes = coded[j]
+            if spec.kind == "binary" and n_codes > 2:
+                raise DataError(f"binary column {spec.name!r} has {n_codes} distinct values")
 
     codes.flags.writeable = False
     target.flags.writeable = False

@@ -271,9 +271,10 @@ class TestPrimitives:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
         labels = rng.choice(["A", "B", "C", "D"][: int(rng.integers(1, 5))], size=n).tolist()
-        codes, counts = dense_codes(labels, first_appearance=True)
+        codes, sizes, counts = dense_codes(labels, first_appearance=True)
         want, want_counts = oracle_first_appearance_codes(labels)
         assert np.array_equal(codes, want) and np.array_equal(counts, want_counts)
+        assert sizes.tolist() == [want_counts.size]
         ints = rng.integers(-3, 3, n).tolist()
         assert np.array_equal(dense_codes(ints, first_appearance=True)[0],
                               oracle_first_appearance_codes(ints)[0])

@@ -434,9 +434,9 @@ class TestBinning:
         assert nb == 2
 
     def test_first_appearance_coding(self):
-        codes, counts = dense_codes(["A", "B", "A", "C"], first_appearance=True)
+        codes, sizes, counts = dense_codes(["A", "B", "A", "C"], first_appearance=True)
         assert codes.tolist() == [0, 1, 0, 2]
-        assert counts.size == 3
+        assert sizes.tolist() == [3] and counts.tolist() == [2, 1, 1]
 
     def test_quantile_occupancy_balanced(self):
         # independent oracle: sort the column and count quantile buckets
@@ -555,8 +555,8 @@ class TestDiscretize:
             if data.feature_columns[j].kind == "continuous":
                 assert np.array_equal(a, b)
             else:
-                canon_a, _ = dense_codes(a, first_appearance=True)
-                canon_b, _ = dense_codes(b, first_appearance=True)
+                canon_a = dense_codes(a, first_appearance=True)[0]
+                canon_b = dense_codes(b, first_appearance=True)[0]
                 assert np.array_equal(canon_a, canon_b)
         assert np.array_equal(dd.target[perm], dd2.target)
 

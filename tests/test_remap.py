@@ -74,25 +74,30 @@ class TestDenseCodesMatchesUnique:
         for n in (0, 1, 2, 3, 7, 50, 301):
             for p in (1, 2, 3, 5):
                 rows = random_rows(rng, kind, p, n)
-                codes, counts = dense_codes(rows, first_appearance)
+                codes, sizes, counts = dense_codes(rows, first_appearance)
                 assert codes.dtype == np.int64 and codes.shape == (p, n)
-                assert codes.flags.c_contiguous and len(counts) == p
-                for row, got, got_counts in zip(rows, codes, counts):
+                assert codes.flags.c_contiguous
+                assert sizes.dtype == np.int64 and sizes.shape == (p,)
+                assert counts.size == sizes.sum()
+                per_row = np.split(counts, sizes.cumsum()[:-1])
+                for row, got, got_counts in zip(rows, codes, per_row):
                     want, want_counts = oracle(row)
                     assert np.array_equal(got, want)
                     assert np.array_equal(got_counts, want_counts)
-                vector, vector_counts = dense_codes(rows[0], first_appearance)
+                vector, vector_sizes, vector_counts = dense_codes(rows[0], first_appearance)
                 assert np.array_equal(vector, codes[0])
-                assert np.array_equal(vector_counts, counts[0])
+                assert vector_sizes.tolist() == [sizes[0]]
+                assert np.array_equal(vector_counts, per_row[0])
 
     def test_transposed_view_gives_c_contiguous_rows(self):
         matrix = np.random.default_rng(3).integers(-2, 6, (40, 9))
-        codes, counts = dense_codes(matrix.T)
+        codes, sizes, counts = dense_codes(matrix.T)
         assert codes.flags.c_contiguous
+        per_row = np.split(counts, sizes.cumsum()[:-1])
         for j in range(9):
             want, want_counts = unique_sorted(matrix[:, j])
             assert np.array_equal(codes[j], want)
-            assert np.array_equal(counts[j], want_counts)
+            assert np.array_equal(per_row[j], want_counts)
 
     def test_first_appearance_codes_on_lists_and_arrays(self):
         def codes(values):
@@ -100,17 +105,17 @@ class TestDenseCodesMatchesUnique:
 
         assert codes(["A", "B", "A", "C"]) == [0, 1, 0, 2]
         assert codes([9, -4, 9, 2, -4]) == [0, 1, 0, 2, 1]
-        assert dense_codes(np.array([5]), first_appearance=True)[1].tolist() == [1]
+        assert dense_codes(np.array([5]), first_appearance=True)[2].tolist() == [1]
         rng = np.random.default_rng(8)
         for kind in KINDS:
             row = random_rows(rng, kind, 1, 60)[0]
-            got, got_counts = dense_codes(row, first_appearance=True)
+            got, _, got_counts = dense_codes(row, first_appearance=True)
             want, want_counts = oracle_first_appearance_codes(row)
             assert np.array_equal(got, want) and np.array_equal(got_counts, want_counts)
 
     def test_empty_vector(self):
-        codes, counts = dense_codes(np.zeros(0, dtype=np.int64), first_appearance=True)
-        assert codes.shape == (0,) and counts.size == 0
+        codes, sizes, counts = dense_codes(np.zeros(0, dtype=np.int64), first_appearance=True)
+        assert codes.shape == (0,) and sizes.tolist() == [0] and counts.size == 0
 
 
 def unique_equal_frequency(values, n_bins):
