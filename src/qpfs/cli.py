@@ -454,7 +454,7 @@ SUBCOMMANDS = {
     "reproduce": (cmd_reproduce, "regenerate both benchmark tables",
                   (DATA_DIR_FLAG, ONLY_FLAG, OUT_FLAG, *SELECTION_FLAGS, *RELIEFF_FLAGS,
                    *PROTOCOL_FLAGS)),
-    "inspect": (cmd_inspect, "dump Q, F, alpha, and solver diagnostics",
+    "inspect": (cmd_inspect, "dump Q, F, alpha, the PSD repair and bin counts",
                 (*DATASET_FLAGS, *SELECTION_FLAGS, OUT_FLAG)),
 }
 

@@ -335,8 +335,9 @@ def evaluate(data: Dataset, selections: dict[str, list[int]],
     selected columns; each method's design matrix is its slice of that
     encoding, equal to what an encoder of its own columns would give.
     Under ``protocol.strict``, ``reselect(train)`` is called once per fold
-    with the fold's training rows and returns {method: selected}; the
-    selections given then only fix each report's ``k``.
+    with the fold's training rows and returns {method: selected} for the
+    same methods (else a ``ConfigError``); the selections given then only
+    fix each report's ``k``.
     """
     protocol = protocol or CvProtocol()
     if protocol.strict and reselect is None:
@@ -365,6 +366,11 @@ def evaluate(data: Dataset, selections: dict[str, list[int]],
         train_pos = np.flatnonzero(folds != f)
         test_pos = np.flatnonzero(folds == f)
         fold_selections = reselect(data.subset(train_pos)) if protocol.strict else selections
+        if fold_selections.keys() != selections.keys():
+            raise ConfigError(
+                f"fold {f}: reselect returned other methods than the selections: missing"
+                f" {sorted(selections.keys() - fold_selections.keys())}, extra"
+                f" {sorted(fold_selections.keys() - selections.keys())}")
         union = dict.fromkeys(j for selected in fold_selections.values() for j in selected)
         encoder = DesignEncoder(data, list(union), protocol.encoding).fit(train_pos)
         X_train = encoder.transform(train_pos)

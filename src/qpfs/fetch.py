@@ -83,7 +83,9 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
 
     Skips the download when the file already exists (unless ``force``).
     Verifies structure always and the digest when one is pinned or recorded
-    from a previous fetch.
+    from a previous fetch.  Writes the data file only after a download, and
+    the digest file only then or when it is absent, so a verified file in a
+    read-only directory fetches without a write.
     """
     if key not in SOURCES:
         raise DataError(f"unknown dataset {key!r}; expected one of {sorted(SOURCES)}")
@@ -96,7 +98,8 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
     target = data_dir / source.filename
     digest_file = data_dir / (source.filename + ".sha256")
 
-    if target.exists() and not force:
+    download = force or not target.exists()
+    if not download:
         origin = target
         try:
             payload = target.read_bytes()
@@ -131,8 +134,10 @@ def fetch_dataset(key: str, data_dir, force: bool = False, timeout: float = 30.0
         )
 
     try:
-        target.write_bytes(payload)
-        digest_file.write_text(f"{observed}  {source.filename}\n", encoding="utf-8")
+        if download:
+            target.write_bytes(payload)
+        if download or not digest_file.exists():
+            digest_file.write_text(f"{observed}  {source.filename}\n", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write into data directory {data_dir}: {exc}") from exc
     return target

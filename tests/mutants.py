@@ -98,6 +98,9 @@ MUTANTS = (
     Mutant("encoder-imputes-the-mean", EVALUATION,
            "vals = np.where(np.isnan(cells), median, cells) / scale",
            "vals = np.where(np.isnan(cells), mean, cells) / scale", EVALUATION_TESTS),
+    Mutant("reselect-methods-unchecked", EVALUATION,
+           "if fold_selections.keys() != selections.keys():", "if False:",
+           ("tests/test_evaluation.py",)),
     # ingest
     Mutant("load-csv-error-names-the-row", INGEST, 'line {linenos[row]}: {message}',
            'line {row}: {message}', INGEST_TESTS),
@@ -137,7 +140,9 @@ MUTANTS = (
     Mutant("relieff-block-summed", BASELINES,
            "weights = np.cumsum(np.vstack([weights, (miss - hit) / visit.size]), axis=0)[-1]",
            "weights = weights + ((miss - hit) / visit.size).sum(axis=0)", RELIEFF_TESTS),
-    # cli
+    # fetch and cli
+    Mutant("fetch-rewrites-a-verified-file", "src/qpfs/fetch.py", "        if download:\n",
+           "        if True:\n", ("tests/test_fetch.py",)),
     Mutant("data-dir-default-not-data", "src/qpfs/cli.py", 'DATA_DIR = "data"',
            'DATA_DIR = "."', ("tests/test_cli_flags.py",)),
     # the invariance test itself

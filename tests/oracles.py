@@ -16,6 +16,8 @@
   recomputes the probabilities before every Newton step.
 - ``oracle_active_set``: the dual active-set QP solver with its active set
   kept in Python lists, counting the branches it takes.
+- ``oracle_exact_qp``: the exact optimum of a simplex QP, certified by its
+  KKT conditions in ``fractions.Fraction`` arithmetic.
 
 They import nothing from ``qpfs`` but its error type.
 """
@@ -23,6 +25,7 @@ They import nothing from ``qpfs`` but its error type.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -381,3 +384,55 @@ def oracle_active_set(Q: np.ndarray, f: np.ndarray, max_iter: int, branches):
             branches["primal_drop"] += 1
             del lam[blocker]
             del active[blocker]
+
+
+def oracle_exact_qp(Q, f, support) -> tuple[list[Fraction], list[Fraction], int]:
+    """Exact minimizer of 0.5 x'Qx - f'x over the simplex, for a convex Q.
+
+    Every float is an exact rational, so the result is the optimum of the
+    problem as given, with no round-off.  From the candidate ``support`` S it
+    solves the equality KKT system [Q_SS -1; 1' 0] [x_S; nu] = [f_S; 1] in
+    ``Fraction``s and checks exactly that x_S > 0 and that every reduced
+    cost (Qx - f)_i - nu off S is >= 0; for a convex Q these certify the
+    optimum.  On a failure it drops the support index of least weight, else
+    adds the one of most negative reduced cost, and repeats.  Returns the m
+    exact weights, the m reduced costs (0 on S) and the number of drops and
+    adds.
+    """
+    Q = [[Fraction(v) for v in row] for row in np.asarray(Q, dtype=float).tolist()]
+    f = [Fraction(v) for v in np.asarray(f, dtype=float).tolist()]
+    m = len(f)
+    support = sorted(support)
+    for steps in range(4 * m):
+        system = [[Q[i][j] for j in support] + [Fraction(-1), f[i]] for i in support]
+        system.append([Fraction(1)] * len(support) + [Fraction(0), Fraction(1)])
+        *weights, nu = _gauss_jordan(system)
+        x = [Fraction(0)] * m
+        for i, weight in zip(support, weights):
+            x[i] = weight
+        weakest = min(support, key=lambda i: (x[i], i))
+        if x[weakest] <= 0:
+            support.remove(weakest)
+            continue
+        reduced = [sum(Q[i][j] * x[j] for j in support) - f[i] - nu for i in range(m)]
+        entering = min(range(m), key=lambda i: (reduced[i], i))
+        if reduced[entering] >= 0:
+            return x, reduced, steps
+        support = sorted(support + [entering])
+    raise DataError(f"no exact KKT point within {4 * m} drops and adds")
+
+
+def _gauss_jordan(rows: list[list[Fraction]]) -> list[Fraction]:
+    """The solution of the square system whose augmented rows are ``rows``."""
+    n = len(rows)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise DataError("singular KKT system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        for r in range(n):
+            factor = rows[r][col] / head[col] if r != col else 0
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], head)]
+    return [rows[r][n] / rows[r][r] for r in range(n)]

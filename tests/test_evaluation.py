@@ -285,6 +285,15 @@ class TestEvaluate:
         assert calls == []
         assert got == evaluate(data, {"x0,c0": [0, 3]}, protocol)
 
+    @pytest.mark.parametrize("returned, named", [
+        ({"b": [0]}, r"missing \['a'\], extra \['b'\]"),
+        ({}, r"missing \['a'\], extra \[\]")], ids=["renamed", "empty"])
+    def test_reselect_returning_other_methods_rejected(self, returned, named):
+        data = synthetic_credit_dataset(seed=11, n=200)
+        with pytest.raises(ConfigError, match=f"fold 0: reselect returned .*{named}"):
+            evaluate(data, {"a": [0, 1]}, CvProtocol(n_folds=5, strict=True),
+                     lambda train: returned)
+
     def test_strict_protocol_without_reselect_rejected(self):
         data = synthetic_credit_dataset(seed=11, n=200)
         with pytest.raises(ConfigError, match="reselect"):

@@ -132,7 +132,20 @@ class TestFetchOffline:
         digest_file = populated_dir / "german.data.sha256"
         digest_file.write_text(observed.upper() + "  german.data\n")
         fetch_dataset("german", populated_dir)
-        assert digest_file.read_text().split()[0] == observed
+        assert digest_file.read_text() == observed.upper() + "  german.data\n"   # kept
+
+    def test_verified_file_fetches_without_a_write(self, populated_dir, monkeypatch,
+                                                  no_network):
+        path = fetch_dataset("german", populated_dir)       # records the digest
+        before = {p.name: p.read_bytes() for p in populated_dir.iterdir()}
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(f"read-only: {self}")
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert fetch_dataset("german", populated_dir) == path
+        assert main(["fetch", "--data-dir", str(populated_dir), "--only", "german"]) == 0
+        assert {p.name: p.read_bytes() for p in populated_dir.iterdir()} == before
 
     def test_unknown_dataset_key(self, tmp_path):
         with pytest.raises(DataError, match="unknown dataset"):

@@ -6,17 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
+import record_golden
 from qpfs import qp
 from qpfs.errors import DataError, SolverError
 from qpfs.infotheory import build_redundancy_matrix, build_relevance_vector
-from qpfs.cli import weights_text
-from qpfs.ingest import parse_schema_text
-from qpfs.pipeline import SelectionConfig, select_features
+from qpfs.cli import resolve_dataset, weights_text
+from qpfs.ingest import discretize, parse_schema_text
+from qpfs.pipeline import Q_DIAGONALS, SelectionConfig, quadratic_problem, select_features
 from qpfs.qp import (FeatureWeights, QpProblem, assemble, estimate_alpha,
                      kkt_residual, project_simplex, rank, ranking_of, solve)
 
-from conftest import dataset_from_rows, grid_search_simplex, random_discretized
-from oracles import OracleDegenerate, oracle_active_set
+from conftest import (dataset_from_rows, grid_search_simplex, random_discretized,
+                      write_uci_like_files)
+from oracles import OracleDegenerate, oracle_active_set, oracle_exact_qp
 
 
 def random_psd_instance(rng, m=None):
@@ -578,3 +580,52 @@ class TestRank:
         assert lines[0] == "feature\tweight\trank"
         assert lines[1] == "b\t0.75\t1"
         assert lines[2] == "a\t0.25\t2"
+
+
+# The quadratic QPs of the golden `select german` and `evaluate australian`
+# cases: each data seed of record_golden.DATA, both tables, both diagonals.
+GOLDEN_QPS = [(seed, name, q_diagonal) for seed, _, _ in record_golden.DATA
+              for name in ("german", "australian") for q_diagonal in Q_DIAGONALS]
+
+
+@pytest.fixture(scope="module")
+def golden_problems(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-qps")
+    problems = {}
+    for seed, n_german, n_australian in record_golden.DATA:
+        data_dir = write_uci_like_files(root / f"data{seed}", n_german=n_german,
+                                        n_australian=n_australian, seed=seed)
+        for name in ("german", "australian"):
+            dd = discretize(resolve_dataset({"name": name, "data_dir": str(data_dir)}))
+            for q_diagonal in Q_DIAGONALS:
+                config = SelectionConfig(q_diagonal=q_diagonal)
+                problems[seed, name, q_diagonal] = quadratic_problem(dd, config)[2]
+    return problems
+
+
+class TestExactOptimum:
+    """``solve`` against the exact optimum of ``oracle_exact_qp`` on the golden QPs."""
+
+    @pytest.mark.parametrize("case", GOLDEN_QPS, ids=lambda case: "-".join(map(str, case)))
+    def test_support_weights_and_order_on_the_support_are_exact(self, golden_problems,
+                                                                case):
+        problem = golden_problems[case]
+        weights = solve(problem)
+        support = np.flatnonzero(weights.x > qp.KKT_TOL).tolist()
+        x, reduced, steps = oracle_exact_qp(problem.Q_eff, problem.f_eff, support)
+        assert steps == 0                   # the float support is certified as it is
+        assert [i for i, weight in enumerate(x) if weight > 0] == support
+        assert min(reduced) >= 0
+        assert max(abs(float(exact) - got) for exact, got in zip(x, weights.x)) <= qp.KKT_TOL
+        # past the support the weights are round-off: only the support's order is exact
+        exact_order = sorted(support, key=lambda i: (-x[i], i))
+        assert ranking_of(weights.x)[:len(support)].tolist() == exact_order
+
+    def test_a_wrong_start_settles_on_the_same_optimum(self, golden_problems):
+        problem = golden_problems[7, "australian", "zero"]
+        m = problem.m
+        x, _, _ = oracle_exact_qp(problem.Q_eff, problem.f_eff,
+                                  np.flatnonzero(solve(problem).x > qp.KKT_TOL))
+        for start in (range(m), [m - 1]):     # too many indices, then too few
+            got, reduced, steps = oracle_exact_qp(problem.Q_eff, problem.f_eff, start)
+            assert got == x and min(reduced) >= 0 and steps > 0
