@@ -323,6 +323,24 @@ def _confusion_rates(y_true: np.ndarray, y_pred: np.ndarray,
     return test, t1, t2
 
 
+def _check_selections(selections: dict[str, list[int]], n_features: int,
+                      fold: int | None = None) -> None:
+    """Raise DataError naming the method, and the fold of a reselection,
+    whose selection is empty, repeats a feature or holds an index outside
+    0..n_features-1."""
+    where = "" if fold is None else f" in fold {fold}"
+    for method, selected in selections.items():
+        if len(selected) == 0:
+            raise DataError(f"empty feature selection for method {method!r}{where}")
+        outside = [j for j in selected if not 0 <= j < n_features]
+        if outside:
+            raise DataError(f"method {method!r}{where} selects feature {outside[0]}, outside"
+                            f" 0..{n_features - 1}")
+        if len(set(selected)) < len(selected):
+            twice = next(j for k, j in enumerate(selected) if j in selected[:k])
+            raise DataError(f"method {method!r}{where} selects feature {twice} twice")
+
+
 def evaluate(data: Dataset, selections: dict[str, list[int]],
              protocol: CvProtocol | None = None,
              reselect: Callable[[Dataset], dict[str, list[int]]] | None = None
@@ -342,9 +360,7 @@ def evaluate(data: Dataset, selections: dict[str, list[int]],
     protocol = protocol or CvProtocol()
     if protocol.strict and reselect is None:
         raise ConfigError("a strict protocol needs a reselect function")
-    for method, selected in selections.items():
-        if not selected:
-            raise DataError(f"empty feature selection for method {method!r}")
+    _check_selections(selections, data.n_features)
 
     # Canonical row order = stable key order; makes reports invariant to
     # prior shuffling of the input rows.
@@ -371,6 +387,7 @@ def evaluate(data: Dataset, selections: dict[str, list[int]],
                 f"fold {f}: reselect returned other methods than the selections: missing"
                 f" {sorted(selections.keys() - fold_selections.keys())}, extra"
                 f" {sorted(fold_selections.keys() - selections.keys())}")
+        _check_selections(fold_selections, data.n_features, f)
         union = dict.fromkeys(j for selected in fold_selections.values() for j in selected)
         encoder = DesignEncoder(data, list(union), protocol.encoding).fit(train_pos)
         X_train = encoder.transform(train_pos)

@@ -12,10 +12,11 @@ the dataset lives, and Q and F are copied out of it.
 The kernel counts every pair's table exactly, with a matrix product of
 one-hot tiles where that costs few multiply-adds per table and with
 ``np.bincount`` of n-long keys elsewhere (many codes per column; F alone),
-then runs the numpy operations of the per-pair reference estimator in
-``tests/oracles.py`` (``mutual_information(contingency(a, b))``) on stacks
-of tables of one shape, so each value equals the per-pair estimate bit for
-bit (``information_matrix`` says why and bounds its memory).
+then runs the operations of the per-pair reference estimator in
+``tests/oracles.py`` (``mutual_information(contingency(a, b))``), each sum
+in its order, on stacks of tables of one shape, so each value equals the
+per-pair estimate bit for bit (``information_matrix`` says why and bounds
+its memory).
 """
 
 from __future__ import annotations
@@ -32,16 +33,29 @@ from .ingest import DiscretizedDataset, dense_codes
 # bincount keys: a stack of tables is cut into blocks of at most this many
 # cells, and buffered terms are summed once they reach it.
 PAIR_BLOCK_CELLS = 1 << 15
+# A block of at least this many tables, or of tables under 8 cells, is laid
+# out tables last, (r, c, B), so its marginals and sums run over rows of B;
+# a smaller one keeps (B, r, c), where numpy's own reductions take the
+# reference's order in one call each.  Timed per block (one 2-core host):
+# tables last ran 2x faster at 64 or more tables of 2 x 2 or 3 x 2 cells and
+# at least as fast from 64 tables of 5 x 10 or 10 x 10 cells, but 1.2-1.4x
+# slower below 32 tables of 10 x 10.
+TABLES_LAST_MIN = 64
 # One-hot columns per tile (a column with more codes is a tile of its own)
-# and rows per one-hot block.  A block's float32 product adds at most 1,024
-# ones per count, exact in any order; blocks are added in float64.  On the
-# m = 300, n = 600 `wide` build (one 2-core host, BLAS on one thread) 384
-# columns and 2**15 cells ran faster than tiles of 128, 256 or 512 columns
-# and blocks of 2**14, 2**16 or 2**17 cells; 2**15 and 2**16 cells ran
-# within 5% of each other on the recorded builds and on inputs of 16 or 32
-# codes per column at n = 600 and 4,000.
+# and rows per one-hot block.  On the m = 300, n = 600 `wide` build (one
+# 2-core host, BLAS on one thread) 384 columns and 2**15 cells ran faster
+# than tiles of 128, 256 or 512 columns and blocks of 2**14, 2**16 or 2**17
+# cells; 2**15 and 2**16 cells ran within 5% of each other on the recorded
+# builds and on inputs of 16 or 32 codes per column at n = 600 and 4,000.
+# The product of two tiles packs y's one-hot rows two per float32 row, as
+# hot[2k] + PACK * hot[2k + 1]: a block adds at most HOT_BLOCK_ROWS < PACK
+# ones per count, so every packed value and partial sum is an integer below
+# PACK * (HOT_BLOCK_ROWS + 1) < 2**24, exact whatever order BLAS adds in, and
+# PACK, a power of two, divides it exactly for the unpacking floor.  Blocks
+# are added in float64.
 HOT_TILE_COLUMNS = 384
 HOT_BLOCK_ROWS = 1024
+PACK = 2 * HOT_BLOCK_ROWS
 # Two tiles' tables come from their one-hot product when it has at most this
 # many cells per table it yields, and from np.bincount otherwise: a product
 # spends about r*c*n multiply-adds per (r, c) table (twice that within one
@@ -73,36 +87,70 @@ def _sum_terms(out: np.ndarray, pending: list) -> None:
     pending.clear()
 
 
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy's 1-D ``np.sum`` adds a contiguous
+    array: in sequence below 8 terms; up to 128, 8 running sums over blocks
+    of 8, joined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then
+    the rest in sequence; above 128, the two halves split at a multiple of 8.
+    Where axis 0 is the contiguous one, numpy's own reduction runs it so."""
+    n = len(a)
+    if n < 8 or a.strides[0] == a.itemsize:
+        return np.add.reduce(a, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    full = n - n % 8
+    sums = np.add.reduce(a[:full].reshape(full // 8, 8, *a.shape[1:]), axis=0)
+    sums = sums[0::2] + sums[1::2]
+    sums = sums[0::2] + sums[1::2]
+    total = sums[0] + sums[1]
+    for k in range(full, n):
+        total += a[k]
+    return total
+
+
 def _stack_information(out: np.ndarray, at: np.ndarray, counts: np.ndarray,
                        n: int, pending: list) -> None:
     """MI of each table of the (B, r, c) count stack, written to out[at]: a
-    full table's as the sum of its row of terms, the nonzero-cell terms of
-    one with an empty cell through the term buffer ``pending``.  When r*c > n
-    every table has an empty cell, and only nonzero cells' terms are taken."""
-    counts = np.ascontiguousarray(counts)       # the reference's order of additions
+    full table's as the sum of its terms, the nonzero-cell terms of one with
+    an empty cell through the term buffer ``pending``.  When r*c > n every
+    table has an empty cell, and only nonzero cells' terms are taken.  A
+    block is laid out tables last or first by TABLES_LAST_MIN."""
+    counts = np.ascontiguousarray(counts)       # so each block's p is C-contiguous
     tables, r, c = counts.shape
     step = max(1, PAIR_BLOCK_CELLS // (r * c))
     for lo in range(0, tables, step):
         sel = at[lo:lo + step]
-        p = np.divide(counts[lo:lo + step], float(n), dtype=np.float64)   # each table sums to n
-        marginals = p.sum(axis=2, keepdims=True) * p.sum(axis=1, keepdims=True)
+        block = counts[lo:lo + step]
+        # the reference's p.sum(axis=1) and p.sum(axis=0): rows pairwise, columns
+        # row by row, or pairwise down a contiguous (r, 1) table
+        if sel.size >= TABLES_LAST_MIN or r * c < 8:
+            p = np.empty((r, c, sel.size))
+            np.divide(block.transpose(1, 2, 0), float(n), out=p, dtype=np.float64)
+            prow = _pairwise_sum(p.transpose(1, 0, 2))
+            pcol = _pairwise_sum(p) if c == 1 else np.add.reduce(p, axis=0)
+            marginals = prow[:, None] * pcol
+            cells, ratios = p.reshape(r * c, -1).T, marginals.reshape(r * c, -1).T
+        else:
+            p = np.divide(block, float(n), dtype=np.float64)
+            marginals = p.sum(axis=2, keepdims=True) * p.sum(axis=1, keepdims=True)
+            cells, ratios = p.reshape(sel.size, -1), marginals.reshape(sel.size, -1)
+        # cells and ratios: (B, r*c) views of p and marginals, a table's cells in row-major order
         if r * c > n:
-            mask = p > 0
-            nonzero = p[mask]
-            pending.append((sel, mask.reshape(len(p), r * c).sum(axis=1),
-                            nonzero * np.log2(nonzero / marginals[mask])))
+            mask = cells > 0
+            nonzero = cells[mask]
+            pending.append((sel, mask.sum(axis=1), nonzero * np.log2(nonzero / ratios[mask])))
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(p, marginals, out=marginals)
                 np.log2(marginals, out=marginals)
                 marginals *= p              # nan in an empty cell
-            terms = marginals.reshape(len(p), r * c)
-            sums = terms.sum(axis=1)
+            sums = _pairwise_sum(ratios.T)  # ratios now holds the terms
             out[sel] = sums
             empty = np.flatnonzero(np.isnan(sums))
             if empty.size:
-                nonzero = p[empty].reshape(empty.size, r * c) > 0
-                pending.append((sel[empty], nonzero.sum(axis=1), terms[empty][nonzero]))
+                nonzero = cells[empty] > 0
+                pending.append((sel[empty], nonzero.sum(axis=1), ratios[empty][nonzero]))
         if sum(part[2].size for part in pending) >= PAIR_BLOCK_CELLS:
             _sum_terms(out, pending)
 
@@ -149,15 +197,37 @@ def _tile_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(i, j), np.maximum(i, j)
 
 
+def _packed(hot: np.ndarray) -> np.ndarray:
+    """A one-hot block's rows 2k and 2k + 1 as row k: hot[2k] + PACK * hot[2k + 1]."""
+    packed = hot[0::2].copy()
+    packed[:len(hot) // 2] += PACK * hot[1::2]
+    return packed
+
+
+def _unpacked(product: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) counts from a product with a packed one-hot of that many rows."""
+    high = np.floor(product / PACK)
+    product -= PACK * high
+    counts = np.empty((len(product), width), dtype=np.float32)
+    counts[:, 0::2] = product
+    counts[:, 1::2] = high[:, :width // 2]
+    return counts
+
+
 def _tile_counts(dense: np.ndarray, x, y, hot_x: np.ndarray) -> np.ndarray:
     """(x codes, y codes) counts of every pair of a column of tile x and one
-    of tile y: one-hot products summed over blocks of rows.  ``hot_x`` is
-    x's one-hot over the first block."""
+    of tile y, summed over blocks of rows: the symmetric product of x's
+    one-hot with itself (numpy computes half of it), or the product with y's
+    one-hot packed two rows per row, unpacked.  ``hot_x`` is x's one-hot
+    over the first block."""
     counts = None
     for lo in range(0, dense.shape[1], HOT_BLOCK_ROWS):
         hot = hot_x if lo == 0 else _one_hot(dense, x, lo)
-        product = hot @ (hot if y is x else _one_hot(dense, y, lo)).T
-        counts = product if counts is None else np.add(counts, product, dtype=np.float64)
+        if y is x:
+            block = hot @ hot.T
+        else:
+            block = _unpacked(hot @ _packed(_one_hot(dense, y, lo)).T, y[3])
+        counts = block if counts is None else np.add(counts, block, dtype=np.float64)
     return counts
 
 
@@ -259,26 +329,40 @@ def information_matrix(codes) -> np.ndarray:
 
     - **Counts.** Columns are ordered by code count and cut into tiles of
       at most ``HOT_TILE_COLUMNS`` one-hot columns.  For tiles x and y
-      whose product ``hot_x @ hot_y.T`` has at most
-      ``PRODUCT_CELLS_PER_TABLE`` cells per table it yields, that product
-      holds every count table of a column of x and one of y; the tables of
-      a run of x's columns with r codes and a run of y's with c codes
-      reshape into a (B, r, c) stack, the lower column index as the rows.
-      The float32 products of blocks of ``HOT_BLOCK_ROWS`` rows add 0s
-      and 1s, so every partial sum is an integer of at most 1,024, exact
-      whatever order BLAS adds in; the blocks are added in float64.  The
-      pairs of every other tile pair (columns of many codes) are grouped
-      by shape and counted by ``np.bincount`` of n-long keys, exact too.
+      whose product has at most ``PRODUCT_CELLS_PER_TABLE`` cells per
+      table it yields, that product holds every count table of a column
+      of x and one of y; the tables of a run of x's columns with r codes
+      and a run of y's with c codes reshape into a (B, r, c) stack, the
+      lower column index as the rows.  Rows are taken in blocks of
+      ``HOT_BLOCK_ROWS``.  A tile's product with itself is numpy's
+      symmetric ``hot_x @ hot_x.T``, which computes half of it; the
+      product of two tiles packs y's one-hot rows two per float32 row,
+      ``hot[2k] + PACK * hot[2k + 1]`` (``PACK = 2 * HOT_BLOCK_ROWS``),
+      which halves its multiply-adds, and unpacks each cell v as
+      ``v - PACK * floor(v / PACK)`` and ``floor(v / PACK)``.  A block's
+      count is at most ``HOT_BLOCK_ROWS``, so every packed value and
+      partial sum is an integer below 2**24, exact in float32 whatever
+      order BLAS adds in; the blocks are added in float64.  The pairs of
+      every other tile pair (columns of many codes) are grouped by shape
+      and counted by ``np.bincount`` of n-long keys, exact too.
     - **Float part.** It stays bit-identical to the per-pair estimate
-      because each stack is copied to a C-contiguous float64 (B, r, c)
-      array of one shape, so ``p.sum(axis=2)`` and ``p.sum(axis=1)`` give
-      each table the marginals its own 2-D sums would; and because the
-      ``p * log2(p / (prow * pcol))`` terms are summed by rows of one
-      length, each row's sum being the pairwise summation of the table's
-      1-D ``np.sum``.  A table with no empty cell is one row of a
-      (B, r*c) ``sum(axis=1)``.  The nonzero-cell terms of a table with an
-      empty cell are buffered and summed grouped by their count L, one
-      row of a (B, L) sum each.
+      because every sum adds the same numbers in the same order as the
+      reference's sums of one (r, c) float64 table ``p``.  Each block of
+      a stack is divided by n into C-contiguous float64 (tables last when
+      it holds ``TABLES_LAST_MIN`` tables or tables of under 8 cells).
+      ``p.sum(axis=1)``, the row marginals, is numpy's 1-D pairwise sum
+      of each row: in sequence below 8 terms, else 8 running sums over
+      blocks of 8 joined as a tree, then the rest in sequence, and above
+      128 terms two halves split at a multiple of 8 (``_pairwise_sum``).
+      ``p.sum(axis=0)`` adds the rows in sequence, except where c == 1:
+      an (r, 1) table is contiguous, so numpy sums its column pairwise,
+      and so does the kernel.  The ``p * log2(p / (prow * pcol))`` terms
+      of a table with no empty cell are summed like its 1-D ``np.sum``;
+      the nonzero-cell terms of a table with an empty cell are buffered
+      and summed grouped by their count L, one row of a (B, L) sum each.
+      Tables last, numpy's reductions would add the rows in sequence, so
+      ``_pairwise_sum`` runs the pairwise order with strided adds over
+      rows of B.
 
     Memory, beyond the p x p result: a one-hot block holds at most
     ``HOT_TILE_COLUMNS`` x ``HOT_BLOCK_ROWS`` cells (the rows are added

@@ -257,9 +257,10 @@ def load_schema(path) -> list[ColumnSpec]:
 # CSV loading
 # ---------------------------------------------------------------------------
 
-# Rows are split into Python strings this many cells at a time, so loading a
-# wide file never holds more than one block of cell strings at once (splitting
-# all 600 lines of a 300-column file first raised the peak RSS by about 5 MB).
+# The cell-by-cell parser, which runs when numpy's tokenizer rejects a file,
+# splits rows into Python strings this many cells at a time, so loading a wide
+# file never holds more than one block of cell strings at once (splitting all
+# 600 lines of a 300-column file first raised the peak RSS by about 5 MB).
 PARSE_BLOCK_CELLS = 1 << 14
 
 
@@ -275,6 +276,9 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
     and a third distinct label in the target or a binary feature column;
     a line with the wrong number of cells is rejected with the file and
     line.  Of several faults, the first in file order is reported.
+
+    A clean file is parsed by numpy's C tokenizer (``_parse_clean``); any
+    other file, cell by cell (``_parse_cells``), which finds its faults.
     """
     path = Path(path)
     try:
@@ -283,38 +287,17 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
         raise DataError(f"cannot read data file {path}: {exc}") from exc
 
     first_lineno = 2 if header else 1
-    lines = text.splitlines()[first_lineno - 1:]
-    n_cols = len(schema)
-    step = max(1, PARSE_BLOCK_CELLS // n_cols)
-    parts: list[list] = [[] for _ in schema]     # per column, one array per block
-    linenos: list[int] = []                      # file line of each split row
+    numbered = [(lineno, raw) for lineno, raw
+                in enumerate(text.splitlines()[first_lineno - 1:], start=first_lineno)
+                if raw.strip()]
+    rows = [raw for _, raw in numbered]
     faults = []                                  # (row, column, message)
-    for lo in range(0, len(lines), step):
-        numbered = [(lineno, raw.split(delimiter)) for lineno, raw
-                    in enumerate(lines[lo:lo + step], start=first_lineno + lo)
-                    if raw.strip()]
-        good = next((i for i, (_, cells) in enumerate(numbered) if len(cells) != n_cols),
-                    len(numbered))
-        if good < len(numbered):
-            faults.append((len(linenos) + good, n_cols, f"expected {n_cols} cells,"
-                           f" got {len(numbered[good][1])}"))
-        columns = zip(*(cells for _, cells in numbered[:good]))
-        for j, (spec, column) in enumerate(zip(schema, columns)):
-            if spec.kind == "continuous":
-                values, bad = _parse_numbers(column)
-                if bad is not None:
-                    faults.append((len(linenos) + bad, j, f"non-numeric or non-finite value"
-                                   f" {column[bad].strip()!r} in continuous column {spec.name!r}"))
-                parts[j].append(values)
-            else:
-                parts[j].append(np.char.strip(np.array(column, dtype=str)))
-        linenos += [lineno for lineno, _ in numbered]
-        if faults:
-            break
+    columns = _parse_clean(rows, schema, delimiter)
+    if columns is None:
+        columns, faults = _parse_cells(rows, schema, delimiter)
 
     arrays, categories = [], []
-    for j, (spec, blocks) in enumerate(zip(schema, parts)):
-        column = np.concatenate(blocks) if blocks else np.empty(0, dtype=str)
+    for j, (spec, column) in enumerate(zip(schema, columns)):
         if spec.kind == "continuous":
             arrays.append(column)
             categories.append(())
@@ -332,10 +315,78 @@ def load_csv(path, schema: list[ColumnSpec], delimiter: str | None = ",",
                            f" ({labels[0]!r}, {labels[1]!r} seen before)"))
     if faults:
         row, _, message = min(faults)
-        raise DataError(f"{path}, line {linenos[row]}: {message}")
-    if not linenos:
+        raise DataError(f"{path}, line {numbered[row][0]}: {message}")
+    if not rows:
         raise DataError(f"{path}: zero data rows")
     return Dataset(schema, arrays, categories, name=name or path.stem)
+
+
+def _parse_clean(rows: list[str], schema: list[ColumnSpec],
+                 delimiter: str | None) -> list[np.ndarray] | None:
+    """Each column of the non-blank lines ``rows`` by ``np.loadtxt``: float64
+    values of a continuous column, stripped cells of any other, as the
+    cell-by-cell parser gives them.  None, for that parser to run, on no
+    rows, a delimiter of more than one character, a line with the wrong
+    number of cells (``usecols`` would not notice), or a continuous cell
+    that the tokenizer rejects (a missing marker; "1_0", which ``float``
+    reads) or that is not finite."""
+    n_cols = len(schema)
+    if not rows or (delimiter is not None and len(delimiter) != 1):
+        return None
+    if delimiter is None:
+        if any(len(raw.split()) != n_cols for raw in rows):
+            return None
+    elif any(raw.count(delimiter) != n_cols - 1 for raw in rows):
+        return None
+    numeric = [j for j, spec in enumerate(schema) if spec.kind == "continuous"]
+    other = [j for j, spec in enumerate(schema) if spec.kind != "continuous"]
+    columns: list = [None] * n_cols
+    try:
+        if numeric:
+            values = np.loadtxt(rows, delimiter=delimiter, usecols=numeric, comments=None,
+                                ndmin=2).T.copy()       # a contiguous row per column
+            if not np.isfinite(values).all():
+                return None
+            for j, column in zip(numeric, values):
+                columns[j] = column
+        cells = np.loadtxt(rows, dtype=object, delimiter=delimiter, usecols=other,
+                           comments=None, ndmin=2)     # str cells: dtype=str ran 3x slower
+    except (ValueError, TypeError):
+        return None
+    for j, column in zip(other, cells.T):
+        column = column.astype(str)       # a whitespace split leaves no spaces to strip
+        columns[j] = column if delimiter is None else np.char.strip(column)
+    return columns
+
+
+def _parse_cells(rows: list[str], schema: list[ColumnSpec], delimiter: str | None
+                 ) -> tuple[list[np.ndarray], list]:
+    """Each column of the non-blank lines ``rows``, split and parsed cell by
+    cell, PARSE_BLOCK_CELLS at a time, up to the block that holds the first
+    fault; and the faults (row, column, message) of the blocks parsed."""
+    n_cols = len(schema)
+    step = max(1, PARSE_BLOCK_CELLS // n_cols)
+    parts: list[list] = [[] for _ in schema]     # per column, one array per block
+    faults = []
+    for lo in range(0, len(rows), step):
+        split = [raw.split(delimiter) for raw in rows[lo:lo + step]]
+        good = next((i for i, cells in enumerate(split) if len(cells) != n_cols), len(split))
+        if good < len(split):
+            faults.append((lo + good, n_cols, f"expected {n_cols} cells,"
+                           f" got {len(split[good])}"))
+        for j, (spec, column) in enumerate(zip(schema, zip(*split[:good]))):
+            if spec.kind == "continuous":
+                values, bad = _parse_numbers(column)
+                if bad is not None:
+                    faults.append((lo + bad, j, f"non-numeric or non-finite value"
+                                   f" {column[bad].strip()!r} in continuous column {spec.name!r}"))
+                parts[j].append(values)
+            else:
+                parts[j].append(np.char.strip(np.array(column, dtype=str)))
+        if faults:
+            break
+    return [np.concatenate(blocks) if blocks else np.empty(0, dtype=str)
+            for blocks in parts], faults
 
 
 def _parse_numbers(column: tuple[str, ...]) -> tuple[np.ndarray, int | None]:

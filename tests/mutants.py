@@ -102,7 +102,7 @@ MUTANTS = (
            "if fold_selections.keys() != selections.keys():", "if False:",
            ("tests/test_evaluation.py",)),
     # ingest
-    Mutant("load-csv-error-names-the-row", INGEST, 'line {linenos[row]}: {message}',
+    Mutant("load-csv-error-names-the-row", INGEST, 'line {numbered[row][0]}: {message}',
            'line {row}: {message}', INGEST_TESTS),
     Mutant("load-csv-error-names-the-first-column", INGEST,
            "in continuous column {spec.name!r}", "in continuous column {schema[0].name!r}",
@@ -111,8 +111,8 @@ MUTANTS = (
            "        return 0.0\n", INGEST_TESTS),
     Mutant("load-csv-reports-the-last-fault", INGEST, "min(faults)", "max(faults)",
            INGEST_TESTS),
-    Mutant("load-csv-ragged-row-off-by-one", INGEST, "faults.append((len(linenos) + good,",
-           "faults.append((len(linenos) + good + 1,", INGEST_TESTS),
+    Mutant("load-csv-ragged-row-off-by-one", INGEST, "faults.append((lo + good,",
+           "faults.append((lo + good + 1,", INGEST_TESTS),
     Mutant("mode-ties-to-the-last", INGEST, "first[counts == counts.max()].min()",
            "first[counts == counts.max()].max()", INGEST_TESTS),
     Mutant("first-appearance-ranks-sorted", INGEST, "order = np.argsort(first) ",
@@ -130,6 +130,16 @@ MUTANTS = (
            "        out[sel[same]] = terms[starts[same][:, None] + np.arange(length)]"
            ".sum(axis=1)\n",
            "    out[sel] = np.add.reduceat(terms, starts)\n", INFOTHEORY_TESTS),
+    Mutant("packed-rows-overwritten-not-added", INFOTHEORY,
+           "packed[:len(hot) // 2] += PACK * hot[1::2]",
+           "np.maximum(packed[:len(hot) // 2], PACK * hot[1::2], out=packed[:len(hot) // 2])",
+           INFOTHEORY_TESTS),
+    Mutant("single-code-column-sum-in-sequence", INFOTHEORY,
+           "pcol = _pairwise_sum(p) if c == 1 else np.add.reduce(p, axis=0)",
+           "pcol = np.add.reduce(p, axis=0)", INFOTHEORY_TESTS),
+    Mutant("tables-last-divide-in-float32", INFOTHEORY,
+           "np.divide(block.transpose(1, 2, 0), float(n), out=p, dtype=np.float64)",
+           "np.divide(block.transpose(1, 2, 0), float(n), out=p)", INFOTHEORY_TESTS),
     # ReliefF
     Mutant("relieff-unstable-sort", BASELINES, 'kind="stable")[:, :n_neighbors]',
            'kind="quicksort")[:, :n_neighbors]', RELIEFF_TESTS),

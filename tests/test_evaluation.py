@@ -294,6 +294,22 @@ class TestEvaluate:
             evaluate(data, {"a": [0, 1]}, CvProtocol(n_folds=5, strict=True),
                      lambda train: returned)
 
+    @pytest.mark.parametrize("selected, message", [
+        ([], "empty feature selection for method 'a'"),
+        ([0, 99], "method 'a' selects feature 99, outside 0..5"),
+        ([-1, 2], "method 'a' selects feature -1, outside 0..5"),
+        ([0, 3, 0], "method 'a' selects feature 0 twice"),
+    ], ids=["empty", "too-large", "negative", "repeated"])
+    def test_bad_selection_named_with_its_method(self, selected, message):
+        data = synthetic_credit_dataset(seed=11, n=200)
+        assert data.n_features == 6
+        with pytest.raises(DataError, match=f"^{message}$"):
+            evaluate(data, {"b": [1], "a": selected}, CvProtocol(n_folds=5))
+        fold_message = message.replace("'a'", "'a' in fold 0")
+        with pytest.raises(DataError, match=f"^{fold_message}$"):
+            evaluate(data, {"b": [1], "a": [0, 1]}, CvProtocol(n_folds=5, strict=True),
+                     lambda train: {"b": [1], "a": selected})
+
     def test_strict_protocol_without_reselect_rejected(self):
         data = synthetic_credit_dataset(seed=11, n=200)
         with pytest.raises(ConfigError, match="reselect"):

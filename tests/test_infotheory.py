@@ -318,6 +318,78 @@ class TestTileKernel:
                               for i in range(m)]
 
 
+class TestExactKernel:
+    """The parts that keep the batched kernel's bits: the pairwise-order sum,
+    packed one-hot products and the two layouts of the float part."""
+
+    @pytest.mark.parametrize("sums", [1, 3, 70])
+    def test_pairwise_sum_is_numpys_sum_of_each_row(self, sums):
+        # lengths 1..300 cross the 8 running sums at 8 and the halving above 128
+        rng = np.random.default_rng(sums)
+        for length in range(1, 301):
+            terms = rng.standard_normal((length, sums)) * rng.random((length, sums)) ** 4
+            want = [np.sum(np.ascontiguousarray(terms[:, k])) for k in range(sums)]
+            for layout in (terms, np.asfortranarray(terms)):     # strided or contiguous terms
+                got = infotheory._pairwise_sum(layout)
+                assert got.tobytes() == np.array(want).tobytes(), (length, sums)
+            tables = rng.random((3, length, sums))               # rows of (3, length) tables
+            got = infotheory._pairwise_sum(tables.transpose(1, 0, 2))
+            want = [[np.sum(np.ascontiguousarray(tables[i, :, k])) for k in range(sums)]
+                    for i in range(3)]
+            assert got.tobytes() == np.array(want).tobytes(), (length, sums)
+
+    @pytest.mark.parametrize("n", [1025, 2049])
+    def test_packed_products_are_exact_at_the_count_bound(self, monkeypatch, n):
+        # 6-code tiles over columns of odd code counts, so a packed row holds
+        # codes of two columns; columns 0 and 1 hold codes 4 and 1 on all of
+        # the first HOT_BLOCK_ROWS rows, the largest count one block adds
+        monkeypatch.setattr(infotheory, "HOT_TILE_COLUMNS", 6)
+        monkeypatch.setattr(infotheory, "PRODUCT_CELLS_PER_TABLE", 10**9)
+        rng = np.random.default_rng(n)
+        codes = np.column_stack([rng.integers(0, k, n) for k in (5, 3, 3, 1, 3, 5, 7)])
+        block = infotheory.HOT_BLOCK_ROWS
+        codes[:block, 0], codes[:block, 1] = 4, 1
+        assert np.array_equal(information_matrix(codes), pairwise_oracle(codes))
+
+        dense, sizes, _ = ingest.dense_codes(codes.T)
+        tiles = infotheory._tiles(np.arange(codes.shape[1]), sizes)
+        assert any(tile[0].size > 1 and sizes[tile[0][0]] % 2 for tile in tiles)
+        largest = 0
+        for k, x in enumerate(tiles):
+            for y in tiles[k + 1:]:
+                counts = infotheory._tile_counts(dense, x, y, infotheory._one_hot(dense, x, 0))
+                want = np.zeros(counts.shape)
+                for a, row in zip(x[0], x[1]):
+                    for b, col in zip(y[0], y[1]):
+                        table = contingency(codes[:, a], codes[:, b])
+                        want[row:row + table.shape[0], col:col + table.shape[1]] = table
+                assert np.array_equal(counts, want)
+                largest = max(largest, counts.max())
+        assert largest >= block
+
+    @pytest.mark.parametrize("cells_per_table", [0, 10**9])
+    def test_single_code_column_against_many_codes_in_either_layout(self, monkeypatch,
+                                                                    cells_per_table):
+        # a constant last column makes (r, 1) tables, whose column sum the
+        # reference takes pairwise; 70 columns of 9 codes fill a tables-last block
+        monkeypatch.setattr(infotheory, "PRODUCT_CELLS_PER_TABLE", cells_per_table)
+        rng = np.random.default_rng(41)
+        codes = np.column_stack([rng.integers(0, 9, 700) for _ in range(70)]
+                                + [rng.integers(0, 13, 700) for _ in range(3)]
+                                + [np.full(700, 4)])
+        for tables_last_min in (1, 64, 10**9):
+            monkeypatch.setattr(infotheory, "TABLES_LAST_MIN", tables_last_min)
+            assert np.array_equal(information_matrix(codes), pairwise_oracle(codes))
+
+    def test_both_layouts_on_fuzzed_inputs(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            monkeypatch.setattr(infotheory, "TABLES_LAST_MIN", int(rng.choice([1, 10**9])))
+            monkeypatch.setattr(infotheory, "PAIR_BLOCK_CELLS", int(rng.choice([5, 64, 1 << 15])))
+            codes = _skewed_codes(rng, int(rng.integers(2, 700)), int(rng.integers(1, 16)))
+            assert np.array_equal(information_matrix(codes), pairwise_oracle(codes))
+
+
 class TestRedundancyMatrix:
     @pytest.mark.parametrize("case", sorted(INFORMATION_CASES))
     def test_information_matrix_equals_pairwise_oracle_exactly(self, case):

@@ -337,6 +337,116 @@ class TestMalformedCells:
         assert "'1', '2' seen before" in str(exc.value)
 
 
+class TestNumericParse:
+    """A clean file goes through numpy's tokenizer; a cell or line it would
+    read otherwise than ``float`` and ``str.split`` sends the whole file to
+    the cell-by-cell parser, whose faults name the line and column."""
+
+    SCHEMA = [ColumnSpec("x", "continuous"), ColumnSpec("c", "categorical"),
+              ColumnSpec("z", "continuous"), ColumnSpec("y", "binary", "target")]
+    CLEAN = [["1.5", "A", "-2e3", "0"], ["+.25", "#b", " 7 ", "1"], ["-0.0", "A", "3", "1"]]
+
+    def load(self, tmp_path, monkeypatch, lines, delimiter):
+        """(load_csv's result or error message, whether it parsed cell by cell)."""
+        sep = " " if delimiter is None else delimiter
+        path = tmp_path / "d.dat"
+        path.write_text("\n".join(sep.join(cells) for cells in lines) + "\n")
+        calls = []
+        parse_cells = ingest._parse_cells
+        monkeypatch.setattr(ingest, "_parse_cells",
+                            lambda *args: calls.append(args) or parse_cells(*args))
+        try:
+            result = load_csv(path, self.SCHEMA, delimiter=delimiter)
+        except DataError as exc:
+            result = str(exc).split(", ", 1)[1]
+        return result, bool(calls)
+
+    @staticmethod
+    def clean(delimiter):
+        return [[cell.strip() if delimiter is None else cell for cell in cells]
+                for cells in TestNumericParse.CLEAN]
+
+    @pytest.mark.parametrize("delimiter", [",", None])
+    def test_clean_file_is_tokenized_like_the_cell_parser(self, tmp_path, monkeypatch,
+                                                          delimiter):
+        data, fell_back = self.load(tmp_path, monkeypatch, self.clean(delimiter), delimiter)
+        assert not fell_back
+        assert data.rows == [(1.5, "A", -2000.0, "0"), (0.25, "#b", 7.0, "1"),
+                             (-0.0, "A", 3.0, "1")]       # '#' starts no comment
+        assert np.signbit(data.arrays[0][2])
+        assert all(a.flags.c_contiguous for a in data.arrays)
+        monkeypatch.setattr(ingest, "_parse_clean", lambda *args: None)
+        by_cells = load_csv(tmp_path / "d.dat", self.SCHEMA, delimiter=delimiter)
+        for got, want in zip(data.arrays, by_cells.arrays):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+        assert data.categories == by_cells.categories
+
+    @pytest.mark.parametrize("delimiter", [",", None])
+    @pytest.mark.parametrize("row, column, cell, expected", [
+        (1, 0, "1_0", [(1.5, "A", -2000.0, "0"), (10.0, "#b", 7.0, "1"),
+                       (-0.0, "A", 3.0, "1")]),
+        (2, 2, "?", [(1.5, "A", -2000.0, "0"), (0.25, "#b", 7.0, "1"),
+                     (-0.0, "A", None, "1")]),
+        (1, 2, "#7", "line 2: non-numeric or non-finite value '#7' in continuous column 'z'"),
+        (2, 0, "inf", "line 3: non-numeric or non-finite value 'inf' in continuous column 'x'"),
+        (1, None, "extra", "line 2: expected 4 cells, got 5"),
+        (2, None, None, "line 3: expected 4 cells, got 3"),
+    ])
+    def test_fault_or_odd_cell_falls_back_for_the_whole_file(self, tmp_path, monkeypatch,
+                                                             delimiter, row, column, cell,
+                                                             expected):
+        lines = self.clean(delimiter)
+        if column is not None:
+            lines[row][column] = cell
+        elif cell is None:
+            lines[row].pop(1)                        # a missing cell
+        else:
+            lines[row].append(cell)                  # an extra cell
+        result, fell_back = self.load(tmp_path, monkeypatch, lines, delimiter)
+        assert fell_back
+        assert (result if isinstance(result, str) else result.rows) == expected
+
+    @pytest.mark.parametrize("delimiter", [",", None, "\t"])
+    def test_random_files_load_alike_through_either_parser(self, tmp_path, monkeypatch,
+                                                           delimiter):
+        rng = np.random.default_rng([7, len(delimiter or "")])
+        formats = [repr, lambda v: format(v, ".6g"), lambda v: str(int(v)), lambda v: f" {v:.3e} "]
+        labels = ["A11", "x", "?", "", "#", "1.0", " b "] if delimiter else ["A11", "x", "?", "#"]
+        sep = " " if delimiter is None else delimiter
+        path = tmp_path / "r.dat"
+        for _ in range(40):
+            kinds = rng.choice(["continuous", "categorical", "binary"], int(rng.integers(1, 6)))
+            schema = ([ColumnSpec(f"c{j}", str(kind)) for j, kind in enumerate(kinds)]
+                      + [ColumnSpec("y", "binary", "target")])
+            lines = []
+            for _ in range(int(rng.integers(1, 30))):
+                value = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+                cells = [formats[int(rng.integers(4))](value) if kind == "continuous"
+                         else str(rng.choice(labels[:3] if kind == "binary" else labels))
+                         for kind in kinds]
+                lines.append(sep.join(cells + [str(rng.integers(2))]))
+            path.write_text("\n".join(lines) + "\n")
+            loaded = [load_csv(path, schema, delimiter=delimiter)]
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "_parse_clean", lambda *args: None)
+                loaded.append(load_csv(path, schema, delimiter=delimiter))
+            for got, want in zip(*(data.arrays for data in loaded)):
+                assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+            assert loaded[0].categories == loaded[1].categories
+
+    def test_empty_continuous_cell_falls_back(self, tmp_path, monkeypatch):
+        lines = self.clean(",")
+        lines[0][0] = ""
+        data, fell_back = self.load(tmp_path, monkeypatch, lines, ",")
+        assert fell_back
+        assert data.rows[0] == (None, "A", -2000.0, "0")
+
+    def test_delimiter_of_two_characters_is_split_by_python(self, tmp_path, monkeypatch):
+        data, fell_back = self.load(tmp_path, monkeypatch, self.clean(","), ";;")
+        assert fell_back
+        assert data.rows[1] == (0.25, "#b", 7.0, "1")
+
+
 class TestBinaryTarget:
     def test_positive_label_respected(self):
         cols = [ColumnSpec("x", "continuous"),
